@@ -317,12 +317,14 @@ def decompose(graph: MultiGraph) -> DecompTree:
     With declared terminals only that pair is tried; otherwise endpoint
     pairs of degree-1 vertices are tried first, then all vertex pairs.
     Raises :class:`NotSeriesParallelError` when no tried pair admits a
-    complete reduction, when the graph is disconnected, or when it has no
-    edges.
+    complete reduction, when the graph is disconnected (including when it
+    has more vertices than edges plus one), or when it has no edges.
     """
     if graph.edge_count == 0:
         raise NotSeriesParallelError("graph has no edges")
-    if not _connected(graph):
+    # A connected graph has at most m + 1 vertices; checking that first
+    # keeps a huge declared vertex count from reaching per-vertex lists.
+    if graph.vertex_count > graph.edge_count + 1 or not _connected(graph):
         raise NotSeriesParallelError("graph is disconnected")
     tried = []
     best_witness: ReductionWitness | None = None

@@ -13,14 +13,16 @@ A flow of value v from source to sink corresponds to the root tuple placing
 queries. Series nodes combine children in one forced way; parallel nodes
 minimize over an integer split of the a-residue between the two children.
 
-Tables are dense numpy arrays, one axis per free coordinate, each axis
-ranging over the node's residue domain: integers in [-Fn, Fn] where
+Tables are dense numpy arrays, one axis per free coordinate. The a-slot
+axis ranges over the node's residue domain: integers in [-Fn, Fn] where
 Fn = min(F, total capacity of the subgraph), optionally intersected with an
-explicit residue set (see solve_lattice). Infeasible entries hold a cost
-sentinel larger than the whole graph's cost. A build may also pin the
-source/sink residues to a single query value, which collapses every table
-to one axis; the budget-feasibility probe used by the approximation scheme
-relies on this.
+explicit residue set (see solve_lattice). Each special axis
+(``NodeTable.special_axes``) ranges over the same domain, unless the build
+is pinned to one query value v: then the source axis holds only -v and the
+sink axis only +v, so every special axis has length one and the table
+answers that single flow query; the budget-feasibility probe used by the
+approximation scheme relies on this.
+Infeasible entries hold a cost sentinel larger than the whole graph's cost.
 """
 
 from __future__ import annotations
@@ -32,14 +34,18 @@ import numpy as np
 
 from .decompose import DecompNode, DecompTree, decompose
 from .errors import InfeasibleError
-from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
+from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution, infinity_sentinel
 from .flow import max_flow, solution_from_edges
 
 _SPECIAL_ORDER = ("s", "t")
+_SPECIAL_SIGN = {"s": -1, "t": 1}  # residue of each special per unit of flow
 
 
 class ResidueDomain:
-    """Sorted, negation-symmetric set of residue values for one table axis."""
+    """Sorted set of residue values for one table axis.
+
+    Node domains are symmetric under negation; a pinned special axis holds
+    a single value."""
 
     __slots__ = ("values", "radius", "_contiguous", "_index")
 
@@ -52,6 +58,10 @@ class ResidueDomain:
     @staticmethod
     def range(radius: int) -> "ResidueDomain":
         return ResidueDomain(np.arange(-radius, radius + 1, dtype=np.int64), True)
+
+    @staticmethod
+    def single(value: int) -> "ResidueDomain":
+        return ResidueDomain(np.array([value], dtype=np.int64), False)
 
     @staticmethod
     def explicit(values: Iterable[int]) -> "ResidueDomain":
@@ -76,9 +86,10 @@ class ResidueDomain:
         if self._contiguous:
             pos = vals + self.radius
             valid = (vals >= -self.radius) & (vals <= self.radius)
-            return np.clip(pos, 0, len(self.values) - 1), valid
+            # Clamped with ufuncs: np.clip costs several times more per call here.
+            return np.minimum(np.maximum(pos, 0), len(self.values) - 1), valid
         pos = np.searchsorted(self.values, vals)
-        pos_c = np.clip(pos, 0, len(self.values) - 1)
+        pos_c = np.minimum(pos, len(self.values) - 1)
         valid = (pos < len(self.values)) & (self.values[pos_c] == vals)
         return pos_c, valid
 
@@ -154,8 +165,8 @@ class DPEntry:
 class NodeTable:
     node_id: int
     specials: tuple[str, ...]  # interior specials, in ("s", "t") order
-    domain: ResidueDomain
-    f_node: int
+    domain: ResidueDomain  # the a-slot axis
+    special_axes: tuple[ResidueDomain, ...]  # one axis per interior special
     cost: np.ndarray
     split: np.ndarray | None
     admissible: int
@@ -191,21 +202,11 @@ def all_case_labels() -> list[str]:
 class DPTable:
     """Built tables for every tree node, plus query and reconstruction."""
 
-    def __init__(
-        self,
-        tree: DecompTree,
-        f_bound: int,
-        infinity: int,
-        capacities: dict[str, int],
-        pinned: dict[str, int] | None,
-        pin_value: int | None,
-    ):
+    def __init__(self, tree: DecompTree, f_bound: int, infinity: int, pin: int | None):
         self.tree = tree
         self.f_bound = f_bound
         self.infinity = infinity
-        self.capacities = capacities
-        self.pinned = pinned  # pinned residue per special label, or None
-        self.pin_value = pin_value
+        self.pin = pin  # the single flow value a pinned build answers, or None
         self.tables: dict[int, NodeTable] = {}
         self.case_counts: dict[str, int] = {}
 
@@ -227,20 +228,16 @@ class DPTable:
             raise ValueError(
                 f"tuple specials {rt.specials()} do not match node {node.id} specials {want}"
             )
-        if self.pinned is not None:
-            for lab in want:
-                if rt.special_value(lab) != self.pinned[lab]:
-                    raise ValueError(
-                        f"table was built with {lab} pinned to {self.pinned[lab]}, "
-                        f"got {rt.special_value(lab)}"
-                    )
+        if self.pin is not None and any(
+            rt.special_value(lab) != _SPECIAL_SIGN[lab] * self.pin for lab in want
+        ):
+            raise ValueError(f"table was built pinned to flow value {self.pin}, got {rt}")
 
     def _coords(self, nt: NodeTable, rt: ResidueTuple) -> tuple[int, ...] | None:
         coords = [nt.domain.pos_of(rt.r_a)]
-        if self.pinned is None:
-            for lab in nt.specials:
-                coords.append(nt.domain.pos_of(rt.special_value(lab)))
-        if any(c is None for c in coords):
+        for lab, axis in zip(nt.specials, nt.special_axes):
+            coords.append(axis.pos_of(rt.special_value(lab)))
+        if None in coords:
             return None
         return tuple(coords)
 
@@ -347,18 +344,14 @@ class DPTable:
         s, t = self.tree.source, self.tree.sink
         r_a = (-v if s == a else 0) + (v if t == a else 0)
         r_b = (-v if s == b else 0) + (v if t == b else 0)
-        kw = {}
-        if "s" in root.interior_specials:
-            kw["r_s"] = -v
-        if "t" in root.interior_specials:
-            kw["r_t"] = v
+        kw = {f"r_{lab}": _SPECIAL_SIGN[lab] * v for lab in root.interior_specials}
         return ResidueTuple(r_a=r_a, r_b=r_b, **kw)
 
     def query_cost(self, v: int) -> int:
         if v < 0 or v > self.f_bound:
             raise ValueError(f"flow value {v} out of range [0, {self.f_bound}]")
-        if self.pin_value is not None and v != self.pin_value:
-            raise ValueError(f"table was built pinned to flow value {self.pin_value}, got {v}")
+        if self.pin is not None and v != self.pin:
+            raise ValueError(f"table was built pinned to flow value {self.pin}, got {v}")
         return self.cost_of(self.tree.root, self.root_tuple(v))
 
     def query(self, v: int) -> tuple[int, frozenset[str] | None]:
@@ -437,18 +430,21 @@ def combine_parallel(table: DPTable, node_id: int, rt: ResidueTuple) -> DPEntry:
 # -- vectorized build -----------------------------------------------------
 
 
-def _axis_values(dom: ResidueDomain, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = len(dom)
-    return dom.values.reshape(shape)
+def _grid(dom: ResidueDomain, specials: tuple[str, ...], axes: tuple[ResidueDomain, ...]):
+    """Table shape, a-slot values and each special's values, every one
+
+    as an array broadcast along its own axis."""
+    shape = (len(dom), *(len(ax) for ax in axes))
+    arrays = []
+    for i, ax in enumerate((dom, *axes)):
+        dims = [1] * len(shape)
+        dims[i] = -1
+        arrays.append(ax.values.reshape(dims))
+    return shape, arrays[0], dict(zip(specials, arrays[1:]))
 
 
 def _build_leaf(
-    node: DecompNode,
-    dom: ResidueDomain,
-    cost: int,
-    capacity: int,
-    sentinel: int,
+    dom: ResidueDomain, cost: int, capacity: int, sentinel: int
 ) -> tuple[np.ndarray, int]:
     vals = dom.values
     arr = np.where(
@@ -459,6 +455,28 @@ def _build_leaf(
     return arr, len(vals)
 
 
+def _special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool]:
+    """Positions of a parent's special values on a child's special axes,
+
+    with their joint validity; they do not depend on the a-slot."""
+    positions, valid = [], True
+    for lab, axis in zip(nt.specials, nt.special_axes):
+        pos, ok = axis.positions(svals[lab])
+        positions.append(pos)
+        valid = valid & ok
+    return positions, valid
+
+
+def _gather(nt: NodeTable, a_vals, positions: list, special_ok):
+    """Look up a child table at a-slot values ``a_vals`` (array or int) and
+
+    at its :func:`_special_coords`. Returns (cost, valid)."""
+    pos_a, valid = nt.domain.positions(a_vals)
+    if positions:  # children without specials need no extra mask op
+        valid = valid & special_ok
+    return nt.cost[(pos_a, *positions)], valid
+
+
 class _Builder:
     def __init__(
         self,
@@ -466,71 +484,53 @@ class _Builder:
         f_bound: int,
         capacities: dict[str, int],
         base_domain: ResidueDomain | None,
-        pin_value: int | None,
+        pin: int | None,
     ):
         self.tree = tree
         self.f_bound = f_bound
         self.capacities = capacities
         self.base_domain = base_domain
-        self.pin_value = pin_value
-        graph = tree.graph
-        self.sentinel = graph.total_cost() + 1
-        self.pinned = None if pin_value is None else {"s": -pin_value, "t": pin_value}
-        self.table = DPTable(tree, f_bound, self.sentinel, capacities, self.pinned, pin_value)
+        self.sentinel = infinity_sentinel(tree.graph)
+        self.table = DPTable(tree, f_bound, self.sentinel, pin)
 
     def domain_for(self, f_node: int) -> ResidueDomain:
         if self.base_domain is None:
             return ResidueDomain.range(f_node)
         return self.base_domain.clipped(f_node)
 
+    def special_axes(
+        self, specials: tuple[str, ...], dom: ResidueDomain
+    ) -> tuple[ResidueDomain, ...]:
+        """Each special's axis: the node domain, or the special's one
+
+        pinned residue when the build answers a single flow query."""
+        pin = self.table.pin
+        if pin is None:
+            return (dom,) * len(specials)
+        return tuple(ResidueDomain.single(_SPECIAL_SIGN[lab] * pin) for lab in specials)
+
     def build(self) -> DPTable:
         table = self.table
+        edges = self.tree.graph.edge_map()
         u_total: dict[int, int] = {}
         for node in (self.tree.node(i) for i in self.tree.postorder_ids()):
             if node.kind == "leaf":
                 u_total[node.id] = self.capacities[node.edge_id]
             else:
                 u_total[node.id] = u_total[node.left] + u_total[node.right]
-            f_node = min(self.f_bound, u_total[node.id])
-            dom = self.domain_for(f_node)
+            dom = self.domain_for(min(self.f_bound, u_total[node.id]))
             if node.kind == "leaf":
-                edge = self.tree.graph.edge_by_id(node.edge_id)
                 cost, admissible = _build_leaf(
-                    node, dom, edge.cost, self.capacities[edge.id], self.sentinel
+                    dom, edges[node.edge_id].cost, self.capacities[node.edge_id], self.sentinel
                 )
-                table.tables[node.id] = NodeTable(node.id, (), dom, f_node, cost, None, admissible)
+                table.tables[node.id] = NodeTable(node.id, (), dom, (), cost, None, admissible)
                 continue
             label = table.case_label(node)
             table.case_counts[label] = table.case_counts.get(label, 0) + 1
-            if node.kind == "series":
-                nt = self._build_series(node, dom, f_node)
-            else:
-                nt = self._build_parallel(node, dom, f_node)
-            table.tables[node.id] = nt
+            specials = table._node_specials(node)
+            combine = self._build_series if node.kind == "series" else self._build_parallel
+            table.tables[node.id] = combine(node, specials, dom, self.special_axes(specials, dom))
         return table
-
-    # Per-special value within the combination formulas: a broadcastable
-    # axis array in full mode, a plain pinned int otherwise.
-    def _special_values(self, specials, dom, ndim):
-        if self.pinned is not None:
-            return {lab: self.pinned[lab] for lab in specials}
-        return {
-            lab: _axis_values(dom, 1 + specials.index(lab), ndim) for lab in specials
-        }
-
-    def _child_gather(self, child_id: int, a_vals, specials_vals: dict):
-        """Look up a child table at a-slot values ``a_vals`` (array or int)
-
-        and at the child's own special coordinates. Returns (cost, valid)."""
-        nt = self.table.tables[child_id]
-        pos_a, valid = nt.domain.positions(a_vals)
-        idx = [pos_a]
-        if self.pinned is None:
-            for lab in nt.specials:
-                pos, ok = nt.domain.positions(specials_vals[lab])
-                idx.append(pos)
-                valid = valid & ok
-        return nt.cost[tuple(idx)], valid
 
     def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
         rb = -(va + sum(svals.values())) if svals else -va
@@ -538,45 +538,36 @@ class _Builder:
         ok = np.broadcast_to(ok, shape)
         return ok, int(ok.sum())
 
-    def _build_series(self, node: DecompNode, dom: ResidueDomain, f_node: int) -> NodeTable:
+    def _build_series(self, node: DecompNode, specials, dom, axes) -> NodeTable:
         table = self.table
-        specials = table._node_specials(node)
-        ndim = 1 if self.pinned is not None else 1 + len(specials)
-        shape = (len(dom),) * ndim
-        va = _axis_values(dom, 0, ndim)
-        svals = self._special_values(specials, dom, ndim)
+        shape, va, svals = _grid(dom, specials, axes)
         place = table.placements(node)
-        left_ids = [lab for lab in specials if place[lab] == "left"]
-        join_ids = [lab for lab in specials if place[lab] == "join"]
-        sum_left = sum((svals[lab] for lab in left_ids), np.int64(0))
-        r_join = sum((svals[lab] for lab in join_ids), np.int64(0))
-        left_cost, left_ok = self._child_gather(node.left, va, svals)
-        y = r_join + va + sum_left
-        right_cost, right_ok = self._child_gather(node.right, y, svals)
+        left_nt, right_nt = table.tables[node.left], table.tables[node.right]
+        left_cost, left_ok = _gather(left_nt, va, *_special_coords(left_nt, svals))
+        # The join residue seen by the right child: a, the left specials, the join.
+        y = va + sum((svals[lab] for lab in specials if place[lab] != "right"), np.int64(0))
+        right_cost, right_ok = _gather(right_nt, y, *_special_coords(right_nt, svals))
         total = np.minimum(left_cost + right_cost, self.sentinel)
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)
         cost = np.where(left_ok & right_ok & ok_mask, total, np.int64(self.sentinel))
         cost = np.ascontiguousarray(np.broadcast_to(cost, shape))
-        return NodeTable(node.id, specials, dom, f_node, cost, None, admissible)
+        return NodeTable(node.id, specials, dom, axes, cost, None, admissible)
 
-    def _build_parallel(self, node: DecompNode, dom: ResidueDomain, f_node: int) -> NodeTable:
-        table = self.table
-        specials = table._node_specials(node)
-        ndim = 1 if self.pinned is not None else 1 + len(specials)
-        shape = (len(dom),) * ndim
-        va = _axis_values(dom, 0, ndim)
-        svals = self._special_values(specials, dom, ndim)
-        place = table.placements(node)
-        left_nt = self.table.tables[node.left]
+    def _build_parallel(self, node: DecompNode, specials, dom, axes) -> NodeTable:
+        shape, va, svals = _grid(dom, specials, axes)
+        left_nt, right_nt = self.table.tables[node.left], self.table.tables[node.right]
+        # The children's special coordinates are the same for every split.
+        left_idx = _special_coords(left_nt, svals)
+        right_idx = _special_coords(right_nt, svals)
         best = np.full(shape, self.sentinel, dtype=np.int64)
         split = np.zeros(shape, dtype=np.int64)
         sentinel = self.sentinel
         for r in left_nt.domain.values.tolist():
-            left_cost, left_ok = self._child_gather(node.left, r, svals)
+            left_cost, left_ok = _gather(left_nt, r, *left_idx)
             left_cost = np.where(left_ok, left_cost, sentinel)
             if np.all(left_cost >= sentinel):
                 continue
-            right_cost, right_ok = self._child_gather(node.right, va - r, svals)
+            right_cost, right_ok = _gather(right_nt, va - r, *right_idx)
             cand = np.minimum(left_cost + np.where(right_ok, right_cost, sentinel), sentinel)
             better = cand < best
             if better.any():
@@ -585,7 +576,7 @@ class _Builder:
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)
         best = np.ascontiguousarray(np.broadcast_to(np.where(ok_mask, best, sentinel), shape))
         split = np.ascontiguousarray(np.broadcast_to(split, shape))
-        return NodeTable(node.id, specials, dom, f_node, best, split, admissible)
+        return NodeTable(node.id, specials, dom, axes, best, split, admissible)
 
 
 def build_table(
@@ -602,8 +593,9 @@ def build_table(
     the effective capacities. ``capacity_override`` substitutes capacities
     by edge id without touching costs. ``residue_values`` restricts every
     tuple coordinate and every parallel split to an explicit residue set.
-    ``pin`` fixes the source residue to -pin and the sink residue to +pin,
-    building single-axis tables that only answer that one flow query.
+    ``pin`` gives the source axis the one value -pin and the sink axis the
+    one value +pin, so each special axis has length one and the tables
+    answer only the flow query ``pin``.
     """
     graph = tree.graph
     capacities = {e.id: e.capacity for e in graph.edges}
@@ -680,7 +672,8 @@ def solve_capndp(
     if edges is None:
         raise InfeasibleError(f"demand {demand} is not attainable")
     solution = solution_from_edges(instance, edges)
-    assert solution.total_cost == cost and solution.achieved_flow >= demand
+    if solution.total_cost != cost or solution.achieved_flow < demand:
+        raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, demand {demand}")
     return solution
 
 
@@ -706,8 +699,12 @@ def solve_bcmfp(
         else:
             hi = mid - 1
     cost, edges = table.query(lo)
-    assert edges is not None and cost <= budget
-    return solution_from_edges(instance, edges)
+    if edges is None or cost > budget:
+        raise RuntimeError(f"flow {lo} passed the budget search at cost {cost} > budget {budget}")
+    solution = solution_from_edges(instance, edges)
+    if solution.total_cost != cost or solution.achieved_flow < lo:
+        raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, flow {lo}")
+    return solution
 
 
 def feasible(

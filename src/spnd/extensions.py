@@ -132,7 +132,8 @@ def solve_lattice_detailed(
             raise InfeasibleError(f"demand {demand} is not attainable")
         edges = table.reconstruct(table.tree.root, table.root_tuple(best[1]))
         solution = solution_from_edges(instance, edges)
-        assert solution.achieved_flow >= demand
+        if solution.total_cost != best[0] or solution.achieved_flow < demand:
+            raise RuntimeError(f"re-check failed: {solution} vs cost {best[0]}, demand {demand}")
         return LatticeOutcome(solution, table, tuple(queried))
     budget = instance.budget
     assert budget is not None
@@ -284,9 +285,8 @@ def map_back(solution: Solution, gmap: GadgetMap) -> UpgradePlan:
 
     original = gmap.original
     interp_edges: list[EdgeRecord] = list(original.graph.edges)
-    interp_purchased = {
-        eid for eid in solution.purchased if original.graph.edge_map().get(eid)
-    }
+    original_ids = original.graph.edge_map()
+    interp_purchased = {eid for eid in solution.purchased if eid in original_ids}
     for g in gmap.gadgets:
         idx = choices[g.upgrade_id]
         if idx == 0:
@@ -303,10 +303,10 @@ def map_back(solution: Solution, gmap: GadgetMap) -> UpgradePlan:
         declared_terminals=original.graph.declared_terminals,
     )
     flow, _ = max_flow(interp_graph, interp_purchased)
-    cost = sum(interp_graph.edge_by_id(eid).cost for eid in interp_purchased)
-    assert cost <= solution.total_cost and flow >= solution.achieved_flow, (
-        "gadget interpretation lost value; the purchase set is inconsistent"
-    )
+    interp_ids = interp_graph.edge_map()
+    cost = sum(interp_ids[eid].cost for eid in interp_purchased)
+    if cost > solution.total_cost or flow < solution.achieved_flow:
+        raise RuntimeError("gadget interpretation lost value; the purchase set is inconsistent")
     return UpgradePlan(
         choices=choices,
         normalized_purchased=frozenset(purchased),

@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface."""
 
+import importlib
+
 import pytest
 
 from spnd import cli
@@ -79,6 +81,17 @@ def test_not_series_parallel_exits_three(run):
         assert code == 3
         assert err.splitlines()[0] == "ERROR 3 not series-parallel"
     code, _, err = run("decompose", text=K4)
+    assert code == 3
+    assert err.splitlines()[0] == "ERROR 3 not series-parallel"
+
+
+def test_huge_vertex_count_exits_three(run, monkeypatch):
+    def per_vertex(graph):
+        raise AssertionError("per-vertex connectivity scan reached")
+
+    monkeypatch.setattr(importlib.import_module("spnd.decompose"), "_connected", per_vertex)
+    text = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
+    code, _, err = run("solve", text=text)
     assert code == 3
     assert err.splitlines()[0] == "ERROR 3 not series-parallel"
 

@@ -1,5 +1,8 @@
 """Series-parallel recognition, parse trees, and recomposition."""
 
+import importlib
+import time
+
 import pytest
 
 from spnd import (
@@ -12,6 +15,9 @@ from spnd import (
     tree_text,
 )
 from conftest import K4_TEXT, WHEEL4_TEXT
+
+# The package re-exports the function under the module's name.
+decompose_module = importlib.import_module("spnd.decompose")
 
 
 def test_single_edge_tree(single_edge):
@@ -127,6 +133,23 @@ def test_rejects_disconnected_and_edgeless():
     edgeless = parse_instance("graph 2\nsource 0\nsink 1\nbudget 0\n")
     with pytest.raises(NotSeriesParallelError):
         decompose(edgeless.graph)
+
+
+HUGE_VERTEX_COUNT = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
+
+
+def test_rejects_huge_vertex_count_before_per_vertex_work(monkeypatch):
+    # More vertices than edges + 1 cannot be connected; the rejection must
+    # come before anything sized by the vertex count.
+    def per_vertex(graph):
+        raise AssertionError("per-vertex connectivity scan reached")
+
+    monkeypatch.setattr(decompose_module, "_connected", per_vertex)
+    graph = parse_instance(HUGE_VERTEX_COUNT).graph
+    start = time.perf_counter()
+    with pytest.raises(NotSeriesParallelError, match="disconnected"):
+        decompose(graph)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_is_deterministic(diamond):
