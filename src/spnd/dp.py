@@ -12,6 +12,12 @@ A flow of value v from source to sink corresponds to the root tuple placing
 -v on the source slot and +v on the sink slot; both solvers reduce to such
 queries. Series nodes combine children in one forced way; parallel nodes
 minimize over an integer split of the a-residue between the two children.
+That split scan is a blocked (min, +) reduction: the left child's costs for
+every split are gathered at once, the split on a leading axis, and the
+splits are walked in blocks of about ``CELLS`` candidate cells. Each block's
+minimum, with the smallest split reaching it, merges into the running best
+by a strict <, so ties go to the smallest split and a cell that stays
+infeasible keeps split 0.
 
 Tables are dense numpy arrays, one axis per free coordinate. The a-slot
 axis ranges over the node's residue domain: integers in [-Fn, Fn] where
@@ -39,6 +45,8 @@ from .flow import max_flow, solution_from_edges
 
 _SPECIAL_ORDER = ("s", "t")
 _SPECIAL_SIGN = {"s": -1, "t": 1}  # residue of each special per unit of flow
+CELLS = 1 << 16  # candidate cells one block of the parallel split scan holds
+_NO_SPLIT = np.iinfo(np.int64).max
 
 
 class ResidueDomain:
@@ -379,54 +387,6 @@ class DPTable:
         return frozenset(purchased)
 
 
-# -- scalar reference combinators ----------------------------------------
-
-
-def leaf_cost(edge: EdgeRecord, rt: ResidueTuple, infinity: int, capacity: int | None = None) -> int:
-    """Cost of routing residue (r, -r) across a single purchasable edge."""
-    if rt.specials():
-        raise ValueError("leaf nodes cannot contain source or sink strictly inside")
-    cap = edge.capacity if capacity is None else capacity
-    r = rt.r_a
-    if r == 0:
-        return 0
-    return edge.cost if abs(r) <= cap else infinity
-
-
-def combine_series(table: DPTable, node_id: int, rt: ResidueTuple) -> DPEntry:
-    """Recompute a series entry from child tables (single forced combination)."""
-    node = table.tree.node(node_id)
-    assert node.kind == "series"
-    table._check_tuple(node, rt)
-    left_rt, right_rt = table.series_children(node, rt)
-    if any(abs(e) > table.f_bound for e in left_rt.entries() + right_rt.entries()):
-        return DPEntry(table.infinity, None)
-    cost = table.cost_of(node.left, left_rt) + table.cost_of(node.right, right_rt)
-    if cost >= table.infinity:
-        return DPEntry(table.infinity, None)
-    return DPEntry(cost, SeriesChoice(left_rt, right_rt))
-
-
-def combine_parallel(table: DPTable, node_id: int, rt: ResidueTuple) -> DPEntry:
-    """Recompute a parallel entry by scanning every admissible a-split.
-
-    Ties prefer the smallest split value, matching the stored tables.
-    """
-    node = table.tree.node(node_id)
-    assert node.kind == "parallel"
-    table._check_tuple(node, rt)
-    left_dom = table.tables[node.left].domain
-    best = DPEntry(table.infinity, None)
-    for r in left_dom.values.tolist():
-        left_rt, right_rt = table.parallel_children(node, rt, r)
-        if any(abs(e) > table.f_bound for e in left_rt.entries() + right_rt.entries()):
-            continue
-        cost = table.cost_of(node.left, left_rt) + table.cost_of(node.right, right_rt)
-        if cost < best.cost:
-            best = DPEntry(cost, ParallelChoice(r, left_rt, right_rt))
-    return best
-
-
 # -- vectorized build -----------------------------------------------------
 
 
@@ -468,7 +428,7 @@ def _special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool
 
 
 def _gather(nt: NodeTable, a_vals, positions: list, special_ok):
-    """Look up a child table at a-slot values ``a_vals`` (array or int) and
+    """Look up a child table at the a-slot values ``a_vals`` and
 
     at its :func:`_special_coords`. Returns (cost, valid)."""
     pos_a, valid = nt.domain.positions(a_vals)
@@ -556,26 +516,40 @@ class _Builder:
     def _build_parallel(self, node: DecompNode, specials, dom, axes) -> NodeTable:
         shape, va, svals = _grid(dom, specials, axes)
         left_nt, right_nt = self.table.tables[node.left], self.table.tables[node.right]
-        # The children's special coordinates are the same for every split.
-        left_idx = _special_coords(left_nt, svals)
-        right_idx = _special_coords(right_nt, svals)
-        best = np.full(shape, self.sentinel, dtype=np.int64)
-        split = np.zeros(shape, dtype=np.int64)
         sentinel = self.sentinel
-        for r in left_nt.domain.values.tolist():
-            left_cost, left_ok = _gather(left_nt, r, *left_idx)
-            left_cost = np.where(left_ok, left_cost, sentinel)
-            if np.all(left_cost >= sentinel):
-                continue
-            right_cost, right_ok = _gather(right_nt, va - r, *right_idx)
-            cand = np.minimum(left_cost + np.where(right_ok, right_cost, sentinel), sentinel)
-            better = cand < best
-            if better.any():
-                best = np.where(better, cand, best)
-                split = np.where(better, np.int64(r), split)
+        # Taken before the scan allocates its buffers, so that the mask's
+        # full-size temporaries do not stack on top of them.
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)
-        best = np.ascontiguousarray(np.broadcast_to(np.where(ok_mask, best, sentinel), shape))
-        split = np.ascontiguousarray(np.broadcast_to(split, shape))
+        # Every split's left costs at once, the split on a leading axis; a
+        # split whose left slab is all sentinel cannot improve any cell.
+        splits = left_nt.domain.values.reshape(-1, *(1,) * len(shape))
+        left_cost, left_ok = _gather(left_nt, splits, *_special_coords(left_nt, svals))
+        np.copyto(left_cost, sentinel, where=~left_ok)
+        live = np.flatnonzero((left_cost < sentinel).reshape(len(splits), -1).any(axis=1))
+        right_idx = _special_coords(right_nt, svals)
+        best = np.full(shape, sentinel, dtype=np.int64)
+        split = np.zeros(shape, dtype=np.int64)
+        step = max(1, CELLS // best.size)
+        # One block's candidates, their minimum and its first split; reused
+        # by every block, so the scan's scratch stays a few blocks in size.
+        block = np.empty((min(step, len(live)), *shape), dtype=np.int64)
+        low = np.empty(shape, dtype=np.int64)
+        arg = np.empty(shape, dtype=np.int64)
+        for lo in range(0, len(live), step):
+            rows = live[lo : lo + step]
+            r = splits[rows]
+            right_cost, right_ok = _gather(right_nt, va - r, *right_idx)
+            right_cost = np.where(right_ok, right_cost, sentinel)
+            # Unclamped: a candidate at or above the sentinel never beats best.
+            cand = np.add(left_cost[rows], right_cost, out=block[: len(rows)])
+            np.min(cand, axis=0, out=low)
+            # The smallest split of the block reaching its minimum; the strict
+            # merge keeps ties on the earlier blocks' smaller splits.
+            np.min(np.where(cand == low, r, _NO_SPLIT), axis=0, out=arg)
+            better = low < best
+            np.copyto(best, low, where=better)
+            np.copyto(split, arg, where=better)
+        np.copyto(best, sentinel, where=~ok_mask)
         return NodeTable(node.id, specials, dom, axes, best, split, admissible)
 
 

@@ -15,6 +15,13 @@ from typing import Iterable, Mapping
 from .instance import MultiGraph, ProblemInstance, Solution, purchased_edges
 
 
+def _relabel(vertices: Iterable[int]) -> dict[int, int]:
+    """Ids 0..k-1 for the k distinct vertices a network touches, so that its
+
+    size follows the purchased edges, not the declared vertex count."""
+    return {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+
+
 class _FlowNet:
     """Adjacency-list residual network (Edmonds-Karp)."""
 
@@ -91,11 +98,12 @@ def max_flow(
         edges = list(graph.edges)
     else:
         edges = purchased_edges(graph, purchased)
-    net = _FlowNet(graph.vertex_count)
+    ids = _relabel([s, t, *(x for e in edges for x in (e.u, e.v))])
+    net = _FlowNet(len(ids))
     fwd_index = {}
     for e in edges:
-        fwd_index[e.id] = net.add_pair(e.u, e.v, e.capacity, e.capacity)
-    value = net.max_flow(s, t)
+        fwd_index[e.id] = net.add_pair(ids[e.u], ids[e.v], e.capacity, e.capacity)
+    value = net.max_flow(ids[s], ids[t])
     assignment: dict[str, tuple[int, int, int]] = {}
     for e in edges:
         ai = fwd_index[e.id]
@@ -133,18 +141,19 @@ def circulation_feasible(
     if total != 0:
         raise ValueError("residues must sum to zero")
     edges = purchased_edges(graph, purchased)
-    n = graph.vertex_count
+    ids = _relabel([*(x for e in edges for x in (e.u, e.v)), *residues])
+    n = len(ids)
     net = _FlowNet(n + 2)
     super_source, super_sink = n, n + 1
     for e in edges:
-        net.add_pair(e.u, e.v, e.capacity, e.capacity)
+        net.add_pair(ids[e.u], ids[e.v], e.capacity, e.capacity)
     need = 0
     for v, r in residues.items():
         if r < 0:
-            net.add_pair(super_source, v, -r, 0)
+            net.add_pair(super_source, ids[v], -r, 0)
             need += -r
         elif r > 0:
-            net.add_pair(v, super_sink, r, 0)
+            net.add_pair(ids[v], super_sink, r, 0)
     return net.max_flow(super_source, super_sink) == need
 
 

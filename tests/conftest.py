@@ -5,6 +5,8 @@ exhaustive enumeration over all edge subsets, so they are safe anchors for
 testing the solver itself.
 """
 
+import importlib
+
 import pytest
 
 from spnd import parse_instance
@@ -56,6 +58,10 @@ edge e4 0 3 1 1
 budget 4
 """
 
+# One edge on a declared trillion vertices: work or memory per declared
+# vertex would never finish.
+HUGE_VERTEX_COUNT_TEXT = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
+
 # Complete graph on 4 vertices: the canonical non-series-parallel input.
 K4_TEXT = """\
 graph 4
@@ -105,3 +111,19 @@ def diamond_undeclared():
 @pytest.fixture
 def ring():
     return parse_instance(RING_TEXT)
+
+
+@pytest.fixture
+def small_flow_networks(monkeypatch):
+    """Make a flow network of more than eight vertices fail instead of
+
+    allocating, so a network sized by the declared vertex count shows."""
+    flow_module = importlib.import_module("spnd.flow")
+    real = flow_module._FlowNet
+
+    def bounded(n):
+        if n > 8:
+            raise AssertionError(f"flow network of {n} vertices")
+        return real(n)
+
+    monkeypatch.setattr(flow_module, "_FlowNet", bounded)

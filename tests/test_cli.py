@@ -6,6 +6,8 @@ import pytest
 
 from spnd import cli
 
+from conftest import HUGE_VERTEX_COUNT_TEXT
+
 DIAMOND_DEMAND = (
     "graph 3\nterminals 0 2\nsource 0\nsink 2\n"
     "edge e1 0 1 1 2\nedge e2 1 2 1 2\nedge e3 0 2 3 1\ndemand 1\n"
@@ -90,10 +92,15 @@ def test_huge_vertex_count_exits_three(run, monkeypatch):
         raise AssertionError("per-vertex connectivity scan reached")
 
     monkeypatch.setattr(importlib.import_module("spnd.decompose"), "_connected", per_vertex)
-    text = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
-    code, _, err = run("solve", text=text)
+    code, _, err = run("solve", text=HUGE_VERTEX_COUNT_TEXT)
     assert code == 3
     assert err.splitlines()[0] == "ERROR 3 not series-parallel"
+
+
+def test_verify_on_huge_vertex_count_reports(run, small_flow_networks):
+    code, out, _ = run("verify", "--edges", "e1", text=HUGE_VERTEX_COUNT_TEXT)
+    assert code == 0
+    assert out.splitlines()[-1] == "VERIFY ok"
 
 
 def test_infeasible_demand_exits_two(run):

@@ -14,7 +14,7 @@ from spnd import (
     recompose,
     tree_text,
 )
-from conftest import K4_TEXT, WHEEL4_TEXT
+from conftest import HUGE_VERTEX_COUNT_TEXT, K4_TEXT, WHEEL4_TEXT
 
 # The package re-exports the function under the module's name.
 decompose_module = importlib.import_module("spnd.decompose")
@@ -135,9 +135,6 @@ def test_rejects_disconnected_and_edgeless():
         decompose(edgeless.graph)
 
 
-HUGE_VERTEX_COUNT = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
-
-
 def test_rejects_huge_vertex_count_before_per_vertex_work(monkeypatch):
     # More vertices than edges + 1 cannot be connected; the rejection must
     # come before anything sized by the vertex count.
@@ -145,7 +142,7 @@ def test_rejects_huge_vertex_count_before_per_vertex_work(monkeypatch):
         raise AssertionError("per-vertex connectivity scan reached")
 
     monkeypatch.setattr(decompose_module, "_connected", per_vertex)
-    graph = parse_instance(HUGE_VERTEX_COUNT).graph
+    graph = parse_instance(HUGE_VERTEX_COUNT_TEXT).graph
     start = time.perf_counter()
     with pytest.raises(NotSeriesParallelError, match="disconnected"):
         decompose(graph)

@@ -5,7 +5,9 @@ circulation-feasibility check; the DP is never allowed to vouch for itself.
 """
 
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from spnd import (
@@ -14,21 +16,22 @@ from spnd import (
     ResidueTuple,
     build_table,
     circulation_feasible,
-    combine_parallel,
-    combine_series,
     decompose,
     dp_query,
     feasible,
     feasible_detailed,
     generate_sp,
-    leaf_cost,
+    parse_instance,
     solve_bcmfp,
     solve_capndp,
     subset_profiles,
     upper_bound_flow,
 )
+from spnd import dp as dp_module
 from spnd.dp import all_case_labels, effective_max_flow
 from spnd.instance import EdgeRecord
+
+from dp_reference import combine_parallel, combine_series, leaf_cost
 
 
 def _table_for(instance, f_bound=None):
@@ -39,15 +42,16 @@ def _table_for(instance, f_bound=None):
 
 
 def _admissible_tuples(table, nid):
-    """Every tuple a full (unpinned) table stores an admissible entry for:
+    """Every tuple a table stores an admissible entry for: free coordinates
 
-    free coordinates range over the node's domain and the implied terminal
-    residue must itself lie in the domain."""
+    range over their axes (the node's domain, or one pinned value on a
+    special axis) and the implied terminal residue must lie in the domain."""
     nt = table.tables[nid]
     vals = [int(v) for v in nt.domain.values]
+    special_vals = [[int(v) for v in axis.values] for axis in nt.special_axes]
     out = []
     for r_a in vals:
-        for combo in itertools.product(vals, repeat=len(nt.specials)):
+        for combo in itertools.product(*special_vals):
             r_b = -(r_a + sum(combo))
             if nt.domain.pos_of(r_b) is None:
                 continue
@@ -266,10 +270,7 @@ def test_pinned_build_rejects_other_queries(diamond):
 # -- combination rules recomputed independently ----------------------------
 
 
-@pytest.mark.parametrize("seed", range(1, 31))
-def test_combiners_match_stored_tables(seed):
-    instance = generate_sp(seed, edge_budget=6, cap_max=3)
-    tree, table = _table_for(instance)
+def _assert_combiners_match(tree, table, where):
     for nid in tree.postorder_ids():
         node = tree.node(nid)
         if node.kind == "leaf":
@@ -277,9 +278,81 @@ def test_combiners_match_stored_tables(seed):
         recompute = combine_series if node.kind == "series" else combine_parallel
         for rt in _admissible_tuples(table, nid):
             entry = recompute(table, nid, rt)
-            assert entry.cost == table.cost_of(nid, rt), f"seed {seed} node {nid} {rt}"
+            assert entry.cost == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
             if node.kind == "parallel" and entry.cost < table.infinity:
-                assert entry.choice.split == table.split_of(nid, rt)
+                assert entry.choice.split == table.split_of(nid, rt), f"{where} node {nid} {rt}"
+
+
+def _even_residues(f_bound):
+    return [r for r in range(-f_bound, f_bound + 1) if r % 2 == 0]
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_combiners_match_stored_tables(seed):
+    instance = generate_sp(seed, edge_budget=6, cap_max=3)
+    tree, table = _table_for(instance)
+    _assert_combiners_match(tree, table, f"seed {seed}")
+    for v in range(table.f_bound + 1):
+        _assert_combiners_match(tree, build_table(tree, v, pin=v), f"seed {seed} pin {v}")
+    f = table.f_bound
+    even = build_table(tree, f, residue_values=_even_residues(f))
+    _assert_combiners_match(tree, even, f"seed {seed} even residues")
+
+
+def _all_builds(tree, f_bound):
+    """The full build, a pinned build at every v and an even-residue build."""
+    yield build_table(tree, f_bound)
+    for v in range(f_bound + 1):
+        yield build_table(tree, v, pin=v)
+    yield build_table(tree, f_bound, residue_values=_even_residues(f_bound))
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 60])
+def test_split_blocks_do_not_change_tables(cells, monkeypatch):
+    # A block of one split is the split-by-split scan; small blocks put
+    # ties on both sides of a block boundary, which must still go to the
+    # smallest split.
+    for seed in range(1, 16):
+        instance = generate_sp(seed, edge_budget=8, cap_max=4)
+        tree = decompose(instance.graph)
+        f = upper_bound_flow(instance)
+        expected = list(_all_builds(tree, f))
+        with monkeypatch.context() as patch:
+            patch.setattr(dp_module, "CELLS", cells)
+            blocked = list(_all_builds(tree, f))
+        for want, got in zip(expected, blocked):
+            assert want.tables.keys() == got.tables.keys()
+            for nid, nt in want.tables.items():
+                assert np.array_equal(nt.cost, got.tables[nid].cost), (seed, nid)
+                if nt.split is None:
+                    assert got.tables[nid].split is None
+                else:
+                    assert np.array_equal(nt.split, got.tables[nid].split), (seed, nid)
+
+
+def test_split_scan_scratch_memory_is_bounded():
+    # Ring with source and sink strictly inside, F = 48: the root's parallel
+    # combine scans 97 splits over a 97^3 table. Its scratch must stay a few
+    # blocks in size; one candidate array for all splits would be 97 tables.
+    text = (
+        "graph 4\nterminals 0 3\nsource 1\nsink 2\nedge e1 0 1 1 24\n"
+        "edge e2 1 2 1 24\nedge e3 2 3 1 24\nedge e4 0 3 1 24\nbudget 1\n"
+    )
+    tree = decompose(parse_instance(text).graph)
+    tracemalloc.start()
+    try:
+        table = build_table(tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.f_bound == 48
+    kept = sum(
+        nt.cost.nbytes + (0 if nt.split is None else nt.split.nbytes)
+        for nt in table.tables.values()
+    )
+    largest = max(nt.cost.size for nt in table.tables.values())
+    assert largest == 97**3
+    assert peak - kept <= 8 * max(dp_module.CELLS, largest) * 8
 
 
 def test_series_children_sum_to_parent(ring):

@@ -9,10 +9,13 @@ from spnd import (
     generate_sp,
     max_flow,
     min_cut_value,
+    parse_instance,
     solution_from_edges,
     verify_solution,
 )
 from spnd.instance import Solution
+
+from conftest import HUGE_VERTEX_COUNT_TEXT
 
 
 def test_max_flow_single_edge(single_edge):
@@ -26,6 +29,14 @@ def test_max_flow_diamond(diamond):
     assert max_flow(diamond.graph, {"e3"})[0] == 1
     assert max_flow(diamond.graph, {"e1"})[0] == 0
     assert max_flow(diamond.graph, set())[0] == 0
+
+
+def test_max_flow_sizes_network_by_touched_vertices(small_flow_networks):
+    graph = parse_instance(HUGE_VERTEX_COUNT_TEXT).graph
+    assert max_flow(graph) == (1, {"e1": (0, 1, 1)})
+    assert max_flow(graph, set()) == (0, {})
+    assert circulation_feasible(graph, {"e1"}, {0: -1, 1: 1})
+    assert not circulation_feasible(graph, {"e1"}, {0: -1, 999_999_999_999: 1})
 
 
 def test_max_flow_assignment_is_consistent(diamond):
