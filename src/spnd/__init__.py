@@ -14,7 +14,6 @@ from .decompose import (
     tree_text,
 )
 from .dp import (
-    DPEntry,
     DPTable,
     ResidueDomain,
     ResidueTuple,
@@ -85,7 +84,6 @@ __all__ = [
     "postorder",
     "recompose",
     "tree_text",
-    "DPEntry",
     "DPTable",
     "ResidueDomain",
     "ResidueTuple",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .decompose import decompose, tree_text
@@ -74,29 +75,34 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
-    problem = _resolve_problem(instance, args.problem)
-    upgrade_lines: list[str] = []
+def _solve_and_print(instance: ProblemInstance, solve, fmt: str) -> int:
+    """Solve, with any upgrade menus expanded first and each menu's choice
+
+    reported on an ``UPGRADE`` line."""
     gmap = None
     if instance.upgrades:
         instance, gmap = expand_upgrades(instance)
-    if (args.lattice is None) != (args.K is None):
-        raise _UsageError("--lattice and --K must be given together")
-    if args.lattice is not None:
-        spec = LatticeSpec(basis=tuple(args.lattice), bound=args.K)
-        solution = solve_lattice(instance, spec)
-    elif problem == "bcmfp":
-        solution = solve_bcmfp(instance)
-    else:
-        solution = solve_capndp(instance)
+    solution = solve(instance)
+    upgrade_lines: list[str] = []
     if gmap is not None:
         plan = map_back(solution, gmap)
         upgrade_lines = [
             f"UPGRADE {gid} choice={idx}" for gid, idx in sorted(plan.choices.items())
         ]
-    _print_solution(solution, args.format, upgrade_lines)
+    _print_solution(solution, fmt, upgrade_lines)
     return 0
+
+
+def _cmd_solve(args) -> int:
+    instance = _load_instance(args.instance)
+    problem = _resolve_problem(instance, args.problem)
+    if (args.lattice is None) != (args.K is None):
+        raise _UsageError("--lattice and --K must be given together")
+    if args.lattice is not None:
+        solve = partial(solve_lattice, spec=LatticeSpec(basis=tuple(args.lattice), bound=args.K))
+    else:
+        solve = solve_bcmfp if problem == "bcmfp" else solve_capndp
+    return _solve_and_print(instance, solve, args.format)
 
 
 def _cmd_fptas(args) -> int:
@@ -117,19 +123,8 @@ def _cmd_fptas(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = _load_instance(args.instance)
-    problem = _resolve_problem(instance, args.problem)
-    upgrade_lines: list[str] = []
-    gmap = None
-    if instance.upgrades:
-        instance, gmap = expand_upgrades(instance)
-    solution = oracle_bcmfp(instance) if problem == "bcmfp" else oracle_capndp(instance)
-    if gmap is not None:
-        plan = map_back(solution, gmap)
-        upgrade_lines = [
-            f"UPGRADE {gid} choice={idx}" for gid, idx in sorted(plan.choices.items())
-        ]
-    _print_solution(solution, args.format, upgrade_lines)
-    return 0
+    solve = oracle_bcmfp if _resolve_problem(instance, args.problem) == "bcmfp" else oracle_capndp
+    return _solve_and_print(instance, solve, args.format)
 
 
 def _cmd_gen(args) -> int:

@@ -91,16 +91,20 @@ class DecompTree:
 
     def subtree_edge_ids(self, node_id: int) -> tuple[str, ...]:
         """Leaf edge ids under a node, in left-to-right order."""
-        out: list[str] = []
-        stack = [node_id]
-        while stack:
-            node = self.nodes[stack.pop()]
-            if node.kind == "leaf":
-                out.append(node.edge_id)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return tuple(out)
+        return _leaf_edge_ids(self.nodes, node_id)
+
+
+def _leaf_edge_ids(nodes: list[DecompNode], node_id: int) -> tuple[str, ...]:
+    out: list[str] = []
+    stack = [node_id]
+    while stack:
+        node = nodes[stack.pop()]
+        if node.kind == "leaf":
+            out.append(node.edge_id)
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return tuple(out)
 
 
 def postorder(tree: DecompTree) -> list[DecompNode]:
@@ -247,24 +251,11 @@ class _Builder:
             return False, None
         return True, nid
 
-    def leaf_ids_under(self, nid: int) -> tuple[str, ...]:
-        out: list[str] = []
-        stack = [nid]
-        while stack:
-            node = self.nodes[stack.pop()]
-            if node.kind == "leaf":
-                out.append(node.edge_id)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return tuple(sorted(out))
-
     def witness(self) -> ReductionWitness:
         rows = []
         for nid in sorted(self.live, key=self.live.get):
-            node = self.nodes[nid]
-            x, y = node.terminals
-            rows.append((x, y, self.leaf_ids_under(nid)))
+            x, y = self.nodes[nid].terminals
+            rows.append((x, y, tuple(sorted(_leaf_edge_ids(self.nodes, nid)))))
         return ReductionWitness(self.protected, tuple(rows))
 
 

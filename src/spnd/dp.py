@@ -19,6 +19,12 @@ minimum, with the smallest split reaching it, merges into the running best
 by a strict <, so ties go to the smallest split and a cell that stays
 infeasible keeps split 0.
 
+Each child sees its parent's source and sink residues unchanged, so only
+the a-slot residue differs from node to node (series: :func:`_join_residue`;
+parallel: the stored split and the rest). Reconstruction walks (node, a-slot
+residue) pairs down from a feasible entry and buys a leaf iff its residue
+is nonzero.
+
 Tables are dense numpy arrays, one axis per free coordinate. The a-slot
 axis ranges over the node's residue domain: integers in [-Fn, Fn] where
 Fn = min(F, total capacity of the subgraph), optionally intersected with an
@@ -91,15 +97,19 @@ class ResidueDomain:
     def positions(self, vals):
         """Clipped positions plus a validity mask, for elementwise gathers."""
         vals = np.asarray(vals, dtype=np.int64)
-        if self._contiguous:
-            pos = vals + self.radius
-            valid = (vals >= -self.radius) & (vals <= self.radius)
-            # Clamped with ufuncs: np.clip costs several times more per call here.
-            return np.minimum(np.maximum(pos, 0), len(self.values) - 1), valid
-        pos = np.searchsorted(self.values, vals)
-        pos_c = np.minimum(pos, len(self.values) - 1)
-        valid = (pos < len(self.values)) & (self.values[pos_c] == vals)
-        return pos_c, valid
+        if not self._contiguous:
+            # A value past the last one is clamped onto it and compares unequal.
+            pos = np.minimum(np.searchsorted(self.values, vals), len(self.values) - 1)
+            return pos, self.values[pos] == vals
+        # Clamped with ufuncs: np.clip costs several times more per call here.
+        pos = np.minimum(np.maximum(vals + self.radius, 0), len(self.values) - 1)
+        return pos, self.contains(vals)
+
+    def contains(self, vals) -> np.ndarray:
+        """Membership mask alone; a contiguous axis needs no positions for it."""
+        if not self._contiguous:
+            return self.positions(vals)[1]
+        return (vals >= -self.radius) & (vals <= self.radius)
 
     def pos_of(self, value: int) -> int | None:
         if self._contiguous:
@@ -123,50 +133,25 @@ class ResidueTuple:
             raise ValueError(f"residue tuple does not sum to zero: {self}")
 
     def entries(self) -> tuple[int, ...]:
-        out = [self.r_a]
-        if self.r_s is not None:
-            out.append(self.r_s)
-        if self.r_t is not None:
-            out.append(self.r_t)
-        out.append(self.r_b)
-        return tuple(out)
+        return (self.r_a, *self.special_values().values(), self.r_b)
 
     def specials(self) -> tuple[str, ...]:
-        labels = []
-        if self.r_s is not None:
-            labels.append("s")
-        if self.r_t is not None:
-            labels.append("t")
-        return tuple(labels)
+        return tuple(self.special_values())
 
     def special_value(self, label: str) -> int:
         value = self.r_s if label == "s" else self.r_t
-        assert value is not None
+        if value is None:
+            raise ValueError(f"tuple {self} has no {label!r} residue")
         return value
 
-
-@dataclass(frozen=True)
-class LeafChoice:
-    buy: bool
-
-
-@dataclass(frozen=True)
-class SeriesChoice:
-    left: ResidueTuple
-    right: ResidueTuple
-
-
-@dataclass(frozen=True)
-class ParallelChoice:
-    split: int
-    left: ResidueTuple
-    right: ResidueTuple
-
-
-@dataclass(frozen=True)
-class DPEntry:
-    cost: int
-    choice: LeafChoice | SeriesChoice | ParallelChoice | None
+    def special_values(self) -> dict[str, int]:
+        """The present special residues by label, in ("s", "t") order."""
+        out = {}
+        if self.r_s is not None:
+            out["s"] = self.r_s
+        if self.r_t is not None:
+            out["t"] = self.r_t
+        return out
 
 
 @dataclass
@@ -241,27 +226,21 @@ class DPTable:
         ):
             raise ValueError(f"table was built pinned to flow value {self.pin}, got {rt}")
 
-    def _coords(self, nt: NodeTable, rt: ResidueTuple) -> tuple[int, ...] | None:
-        coords = [nt.domain.pos_of(rt.r_a)]
-        for lab, axis in zip(nt.specials, nt.special_axes):
-            coords.append(axis.pos_of(rt.special_value(lab)))
-        if None in coords:
-            return None
-        return tuple(coords)
-
     def cost_of(self, node_id: int, rt: ResidueTuple) -> int:
         node = self.tree.node(node_id)
         self._check_tuple(node, rt)
         nt = self.tables[node_id]
-        coords = self._coords(nt, rt)
+        coords = _coords(nt, rt.r_a, rt.special_values())
         if coords is None:
             return self.infinity
         return int(nt.cost[coords])
 
     def split_of(self, node_id: int, rt: ResidueTuple) -> int:
+        self._check_tuple(self.tree.node(node_id), rt)
         nt = self.tables[node_id]
-        coords = self._coords(nt, rt)
-        assert coords is not None and nt.split is not None
+        coords = _coords(nt, rt.r_a, rt.special_values())
+        if coords is None or nt.split is None:
+            raise ValueError(f"node {node_id} stores no split for {rt}")
         return int(nt.split[coords])
 
     # -- structure helpers ----------------------------------------------
@@ -277,9 +256,10 @@ class DPTable:
                 out[lab] = "join"
             elif lab in left.interior_specials:
                 out[lab] = "left"
-            else:
-                assert lab in right.interior_specials, "special lost between children"
+            elif lab in right.interior_specials:
                 out[lab] = "right"
+            else:
+                raise RuntimeError(f"special {lab!r} of node {node.id} is in neither child")
         return out
 
     def case_label(self, node: DecompNode) -> str:
@@ -291,57 +271,6 @@ class DPTable:
             where = place[lab]
             parts.append(f"{lab}@join" if where == "join" else f"{lab}{'L' if where == 'left' else 'R'}")
         return f"{node.kind}:{'+'.join(parts) or 'none'}"
-
-    def series_children(self, node: DecompNode, rt: ResidueTuple) -> tuple[ResidueTuple, ResidueTuple]:
-        """The forced child tuples of a series combination."""
-        place = self.placements(node)
-        sum_left = sum(rt.special_value(lab) for lab, w in place.items() if w == "left")
-        r_join = sum(rt.special_value(lab) for lab, w in place.items() if w == "join")
-        x = -(rt.r_a + sum_left)
-        y = r_join + rt.r_a + sum_left
-        left_kw = {}
-        right_kw = {}
-        for lab, where in place.items():
-            if where == "left":
-                left_kw[f"r_{lab}"] = rt.special_value(lab)
-            elif where == "right":
-                right_kw[f"r_{lab}"] = rt.special_value(lab)
-        left_rt = ResidueTuple(r_a=rt.r_a, r_b=x, **left_kw)
-        right_rt = ResidueTuple(r_a=y, r_b=rt.r_b, **right_kw)
-        return left_rt, right_rt
-
-    def parallel_children(
-        self, node: DecompNode, rt: ResidueTuple, split: int
-    ) -> tuple[ResidueTuple, ResidueTuple]:
-        """Child tuples of a parallel combination for a given a-split."""
-        place = self.placements(node)
-        sum_left = sum(rt.special_value(lab) for lab, w in place.items() if w == "left")
-        b_left = -(split + sum_left)
-        left_kw = {}
-        right_kw = {}
-        for lab, where in place.items():
-            if where == "left":
-                left_kw[f"r_{lab}"] = rt.special_value(lab)
-            else:
-                right_kw[f"r_{lab}"] = rt.special_value(lab)
-        left_rt = ResidueTuple(r_a=split, r_b=b_left, **left_kw)
-        right_rt = ResidueTuple(r_a=rt.r_a - split, r_b=rt.r_b - b_left, **right_kw)
-        return left_rt, right_rt
-
-    def entry(self, node_id: int, rt: ResidueTuple) -> DPEntry:
-        """Cost plus the reconstruction choice behind it."""
-        node = self.tree.node(node_id)
-        cost = self.cost_of(node_id, rt)
-        if cost >= self.infinity:
-            return DPEntry(self.infinity, None)
-        if node.kind == "leaf":
-            return DPEntry(cost, LeafChoice(buy=rt.r_a != 0))
-        if node.kind == "series":
-            left_rt, right_rt = self.series_children(node, rt)
-            return DPEntry(cost, SeriesChoice(left_rt, right_rt))
-        split = self.split_of(node_id, rt)
-        left_rt, right_rt = self.parallel_children(node, rt, split)
-        return DPEntry(cost, ParallelChoice(split, left_rt, right_rt))
 
     # -- queries ---------------------------------------------------------
 
@@ -370,21 +299,51 @@ class DPTable:
         return cost, self.reconstruct(self.tree.root, self.root_tuple(v))
 
     def reconstruct(self, node_id: int, rt: ResidueTuple) -> frozenset[str]:
-        """Walk the stored choices and collect the purchased edge ids."""
+        """Purchased edge ids behind the entry ``rt`` of a node.
+
+        Walks (node, a-slot residue) pairs; the special residues are the
+        same at every node below. Only the starting entry is checked: a
+        feasible entry's cost is the sum of its children's, so they are
+        feasible too."""
+        if self.cost_of(node_id, rt) >= self.infinity:
+            raise ValueError(f"node {node_id} has no feasible entry for {rt}")
+        special = rt.special_values()
         purchased: list[str] = []
-        stack: list[tuple[int, ResidueTuple]] = [(node_id, rt)]
+        stack = [(node_id, rt.r_a)]
         while stack:
-            nid, cur = stack.pop()
+            nid, r_a = stack.pop()
             node = self.tree.node(nid)
-            entry = self.entry(nid, cur)
-            assert entry.choice is not None, "reconstructing an infeasible entry"
             if node.kind == "leaf":
-                if entry.choice.buy:
+                if r_a != 0:
                     purchased.append(node.edge_id)
+            elif node.kind == "series":
+                stack.append((node.left, r_a))
+                stack.append((node.right, _join_residue(r_a, self.placements(node), special)))
             else:
-                stack.append((node.left, entry.choice.left))
-                stack.append((node.right, entry.choice.right))
+                nt = self.tables[nid]
+                split = int(nt.split[_coords(nt, r_a, special)])
+                stack.append((node.left, split))
+                stack.append((node.right, r_a - split))
         return frozenset(purchased)
+
+
+def _coords(nt: NodeTable, r_a: int, special: Mapping[str, int]) -> tuple[int, ...] | None:
+    """The cell of ``nt`` at a-slot residue ``r_a`` and the special residues
+
+    ``special`` (by label), or None when one lies off its axis."""
+    coords = [nt.domain.pos_of(r_a)]
+    for lab, axis in zip(nt.specials, nt.special_axes):
+        coords.append(axis.pos_of(special[lab]))
+    return None if None in coords else tuple(coords)
+
+
+def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
+    """The series rule: the residue at the join, which is the right child's
+
+    a-slot, is the parent's a-slot plus the residues of its specials at the
+    join or in the left child; the left child keeps the parent's a-slot.
+    Takes integers or broadcast arrays alike."""
+    return r_a + sum(special[lab] for lab, where in place.items() if where != "right")
 
 
 # -- vectorized build -----------------------------------------------------
@@ -493,19 +452,17 @@ class _Builder:
         return table
 
     def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
-        rb = -(va + sum(svals.values())) if svals else -va
-        _, ok = dom.positions(rb)
-        ok = np.broadcast_to(ok, shape)
+        """Mask of the cells whose implied b-slot residue is in the domain, and its count."""
+        rb = va + sum(svals.values(), np.int64(0))
+        ok = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
         return ok, int(ok.sum())
 
     def _build_series(self, node: DecompNode, specials, dom, axes) -> NodeTable:
         table = self.table
         shape, va, svals = _grid(dom, specials, axes)
-        place = table.placements(node)
         left_nt, right_nt = table.tables[node.left], table.tables[node.right]
         left_cost, left_ok = _gather(left_nt, va, *_special_coords(left_nt, svals))
-        # The join residue seen by the right child: a, the left specials, the join.
-        y = va + sum((svals[lab] for lab in specials if place[lab] != "right"), np.int64(0))
+        y = _join_residue(va, table.placements(node), svals)
         right_cost, right_ok = _gather(right_nt, y, *_special_coords(right_nt, svals))
         total = np.minimum(left_cost + right_cost, self.sentinel)
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)

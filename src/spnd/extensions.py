@@ -136,13 +136,17 @@ def solve_lattice_detailed(
             raise RuntimeError(f"re-check failed: {solution} vs cost {best[0]}, demand {demand}")
         return LatticeOutcome(solution, table, tuple(queried))
     budget = instance.budget
-    assert budget is not None
+    if budget is None:
+        raise ValueError("instance has neither a demand nor a budget")
     queried = []
     for v in reversed(flows):
         queried.append(v)
-        if table.query_cost(v) <= budget:
+        cost = table.query_cost(v)
+        if cost <= budget:
             edges = table.reconstruct(table.tree.root, table.root_tuple(v))
             solution = solution_from_edges(instance, edges)
+            if solution.total_cost != cost or solution.achieved_flow < v:
+                raise RuntimeError(f"re-check failed: {solution} vs cost {cost}, flow {v}")
             return LatticeOutcome(solution, table, tuple(queried))
     raise AssertionError("flow value 0 is always affordable")
 

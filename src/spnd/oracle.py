@@ -114,7 +114,8 @@ def oracle_bcmfp(instance: ProblemInstance) -> Solution:
             best = (*key, mask)
         elif key == best[:3] and _ids_of(graph, mask) < _ids_of(graph, best[3]):
             best = (*key, mask)
-    assert best is not None  # the empty subset always qualifies
+    if best is None:  # the empty subset qualifies at any budget >= 0
+        raise ValueError(f"no purchase fits budget {budget}")
     neg_flow, cost, _, mask = best
     return _solution(instance, mask, cost, -neg_flow)
 

@@ -1,5 +1,6 @@
 """The package's public surface and the benchmark tracer's view of it."""
 
+import ast
 import builtins
 import importlib.util
 import re
@@ -40,6 +41,17 @@ def test_all_exports_every_documented_name():
     documented = _documented_names()
     assert {"parse_instance", "build_table", "solve_lattice", "LatticeSpec", "generate_sp"} <= documented
     assert sorted(documented - set(spnd.__all__)) == []
+
+
+def test_package_has_no_assert_statements():
+    # Guards must hold under ``python -O``, which strips asserts.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "spnd").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _load_tracer():

@@ -31,7 +31,14 @@ from spnd import dp as dp_module
 from spnd.dp import all_case_labels, effective_max_flow
 from spnd.instance import EdgeRecord
 
-from dp_reference import combine_parallel, combine_series, leaf_cost
+from dp_reference import combine_parallel, combine_series, leaf_cost, series_children
+
+# Ring with source and sink strictly inside, F = 48: the two inner nodes
+# above the sink join hold 97^3 cells.
+RING48_TEXT = (
+    "graph 4\nterminals 0 3\nsource 1\nsink 2\nedge e1 0 1 1 24\n"
+    "edge e2 1 2 1 24\nedge e3 2 3 1 24\nedge e4 0 3 1 24\nbudget 1\n"
+)
 
 
 def _table_for(instance, f_bound=None):
@@ -275,12 +282,14 @@ def _assert_combiners_match(tree, table, where):
         node = tree.node(nid)
         if node.kind == "leaf":
             continue
-        recompute = combine_series if node.kind == "series" else combine_parallel
         for rt in _admissible_tuples(table, nid):
-            entry = recompute(table, nid, rt)
-            assert entry.cost == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
-            if node.kind == "parallel" and entry.cost < table.infinity:
-                assert entry.choice.split == table.split_of(nid, rt), f"{where} node {nid} {rt}"
+            if node.kind == "series":
+                assert combine_series(table, nid, rt) == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
+                continue
+            cost, split = combine_parallel(table, nid, rt)
+            assert cost == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
+            if cost < table.infinity:
+                assert split == table.split_of(nid, rt), f"{where} node {nid} {rt}"
 
 
 def _even_residues(f_bound):
@@ -331,14 +340,10 @@ def test_split_blocks_do_not_change_tables(cells, monkeypatch):
 
 
 def test_split_scan_scratch_memory_is_bounded():
-    # Ring with source and sink strictly inside, F = 48: the root's parallel
-    # combine scans 97 splits over a 97^3 table. Its scratch must stay a few
-    # blocks in size; one candidate array for all splits would be 97 tables.
-    text = (
-        "graph 4\nterminals 0 3\nsource 1\nsink 2\nedge e1 0 1 1 24\n"
-        "edge e2 1 2 1 24\nedge e3 2 3 1 24\nedge e4 0 3 1 24\nbudget 1\n"
-    )
-    tree = decompose(parse_instance(text).graph)
+    # The root's parallel combine scans 97 splits over a 97^3 table. Its
+    # scratch must stay a few blocks in size; one candidate array for all
+    # splits would be 97 tables.
+    tree = decompose(parse_instance(RING48_TEXT).graph)
     tracemalloc.start()
     try:
         table = build_table(tree)
@@ -355,12 +360,35 @@ def test_split_scan_scratch_memory_is_bounded():
     assert peak - kept <= 8 * max(dp_module.CELLS, largest) * 8
 
 
+def test_admissibility_mask_memory_is_bounded(monkeypatch):
+    # The mask of admissible cells is one byte a cell; computing it may
+    # take one full-size residue array and a few masks, not positions.
+    real = dp_module._Builder._admissibility
+    peaks = {}
+
+    def measured(self, dom, va, svals, shape):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = real(self, dom, va, svals, shape)
+        peaks[shape] = max(peaks.get(shape, 0), tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(dp_module._Builder, "_admissibility", measured)
+    tree = decompose(parse_instance(RING48_TEXT).graph)
+    tracemalloc.start()
+    try:
+        build_table(tree)
+    finally:
+        tracemalloc.stop()
+    assert peaks[(97, 97, 97)] <= 16 * 97**3
+
+
 def test_series_children_sum_to_parent(ring):
     tree, table = _table_for(ring)
     root = tree.node(tree.root)
     outer = tree.node(root.left)
     rt = ResidueTuple(0, 0, r_s=2, r_t=-2)
-    left_rt, right_rt = table.series_children(outer, rt)
+    left_rt, right_rt = series_children(table, outer, rt)
     # The join hosts the sink here, so the right child absorbs its residue.
     assert sum(left_rt.entries()) == 0 and sum(right_rt.entries()) == 0
     assert table.cost_of(outer.id, rt) == table.cost_of(outer.left, left_rt) + table.cost_of(

@@ -43,6 +43,10 @@ CASES = {
     "capndp": (spnd.dp, lambda inst: solve_capndp(inst)),
     "bcmfp": (spnd.dp, lambda inst: solve_bcmfp(inst.with_budget(5))),
     "lattice": (spnd.extensions, lambda inst: solve_lattice_detailed(inst, LatticeSpec((1,), 2))),
+    "lattice-budget": (
+        spnd.extensions,
+        lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
+    ),
 }
 
 
