@@ -9,7 +9,6 @@ from .decompose import (
     DecompNode,
     DecompTree,
     decompose,
-    postorder,
     recompose,
     tree_text,
 )
@@ -19,7 +18,6 @@ from .dp import (
     ResidueTuple,
     all_case_labels,
     build_table,
-    dp_query,
     feasible,
     feasible_detailed,
     solve_bcmfp,
@@ -44,7 +42,6 @@ from .flow import (
     VerificationReport,
     circulation_feasible,
     max_flow,
-    min_cut_value,
     solution_from_edges,
     verify_solution,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "DecompNode",
     "DecompTree",
     "decompose",
-    "postorder",
     "recompose",
     "tree_text",
     "DPTable",
@@ -89,7 +85,6 @@ __all__ = [
     "ResidueTuple",
     "all_case_labels",
     "build_table",
-    "dp_query",
     "feasible",
     "feasible_detailed",
     "solve_bcmfp",
@@ -109,7 +104,6 @@ __all__ = [
     "VerificationReport",
     "circulation_feasible",
     "max_flow",
-    "min_cut_value",
     "solution_from_edges",
     "verify_solution",
     "FptasOutcome",

@@ -107,11 +107,6 @@ def _leaf_edge_ids(nodes: list[DecompNode], node_id: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def postorder(tree: DecompTree) -> list[DecompNode]:
-    """Nodes with every child before its parent, left children first."""
-    return [tree.nodes[i] for i in tree.postorder_ids()]
-
-
 def tree_text(tree: DecompTree) -> str:
     """Parenthesized form: L(id), S(left,right)@join, P(left,right)."""
     rendered: dict[int, str] = {}
@@ -185,7 +180,7 @@ class _Builder:
         if node.terminals == (want[1], want[0]):
             self._flip(nid)
             return nid
-        raise AssertionError("super-edge endpoints do not match requested orientation")
+        raise RuntimeError("super-edge endpoints do not match requested orientation")
 
     def _try_parallel(self) -> bool:
         groups: dict[frozenset[int], list[tuple[int, int]]] = {}

@@ -10,7 +10,11 @@ a-slot plus one coordinate per interior special, the b-slot being implied.
 
 A flow of value v from source to sink corresponds to the root tuple placing
 -v on the source slot and +v on the sink slot; both solvers reduce to such
-queries. Series nodes combine children in one forced way; parallel nodes
+queries at the flow values the table holds, the root domain's values in
+[0, F] (every integer there, or the lattice points of a lattice table). The
+cost never falls as the flow rises, so a demand D is answered at the least
+such value >= D, and a budget by a binary search for the largest affordable
+one. Series nodes combine children in one forced way; parallel nodes
 minimize over an integer split of the a-residue between the two children.
 That split scan is a blocked (min, +) reduction: the left child's costs for
 every split are gathered at once, the split on a leading axis, and the
@@ -571,9 +575,39 @@ def upper_bound_flow(instance: ProblemInstance) -> int:
     return value
 
 
-def dp_query(table: DPTable, v: int) -> tuple[int, frozenset[str] | None]:
-    """Min cost of an edge subset supporting flow value v, with witness."""
-    return table.query(v)
+def last_accepted(hi: int, accept) -> tuple[int, object]:
+    """Largest k in [0, hi] that ``accept`` takes, by binary search.
+
+    ``accept(k)`` returns (ok, result); it must take every k below one it
+    takes, and k = 0 is taken without a call. Returns k and the result of
+    the call that took it, None for k = 0."""
+    lo, found = 0, None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        ok, result = accept(mid)
+        if ok:
+            lo, found = mid, result
+        else:
+            hi = mid - 1
+    return lo, found
+
+
+def _flow_values(table: DPTable) -> np.ndarray:
+    """The flow values ``table`` answers: its root domain's values >= 0,
+
+    the upper half of a domain symmetric about 0."""
+    values = table.tables[table.tree.root].domain.values
+    return values[len(values) // 2 :]
+
+
+def _rechecked(instance: ProblemInstance, cost: int, edges: frozenset[str], v: int) -> Solution:
+    """The purchase re-evaluated from scratch: it must cost what the table
+
+    says and carry flow v."""
+    solution = solution_from_edges(instance, edges)
+    if solution.total_cost != cost or solution.achieved_flow < v:
+        raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, flow {v}")
+    return solution
 
 
 def solve_capndp(
@@ -582,30 +616,27 @@ def solve_capndp(
     tree: DecompTree | None = None,
     table: DPTable | None = None,
 ) -> Solution:
-    """Cheapest purchase whose max flow meets the demand."""
+    """Cheapest purchase whose max flow meets the demand D: the table's least
+
+    flow value >= D, since the cost never falls as the flow rises."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
     if tree is None:
         tree = decompose(instance.graph)
     demand = instance.demand
+    f_bound = upper_bound_flow(instance) if table is None else table.f_bound
+    if demand > f_bound:
+        raise InfeasibleError(f"demand {demand} exceeds the best attainable flow {f_bound}")
     if table is None:
-        f_bound = upper_bound_flow(instance)
-        if demand > f_bound:
-            raise InfeasibleError(
-                f"demand {demand} exceeds the best attainable flow {f_bound}"
-            )
         table = build_table(tree, f_bound)
-    elif demand > table.f_bound:
-        raise InfeasibleError(
-            f"demand {demand} exceeds the best attainable flow {table.f_bound}"
-        )
-    cost, edges = table.query(demand)
-    if edges is None:
-        raise InfeasibleError(f"demand {demand} is not attainable")
-    solution = solution_from_edges(instance, edges)
-    if solution.total_cost != cost or solution.achieved_flow < demand:
-        raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, demand {demand}")
-    return solution
+    flows = _flow_values(table)
+    at = int(np.searchsorted(flows, demand))
+    if at < len(flows):
+        v = int(flows[at])
+        cost, edges = table.query(v)
+        if edges is not None:
+            return _rechecked(instance, cost, edges, v)
+    raise InfeasibleError(f"demand {demand} is not attainable")
 
 
 def solve_bcmfp(
@@ -614,7 +645,9 @@ def solve_bcmfp(
     tree: DecompTree | None = None,
     table: DPTable | None = None,
 ) -> Solution:
-    """Max attainable flow within the budget (largest affordable query)."""
+    """Max attainable flow within the budget: a binary search for the
+
+    table's largest affordable flow value."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
     if tree is None:
@@ -622,20 +655,15 @@ def solve_bcmfp(
     if table is None:
         table = build_table(tree, upper_bound_flow(instance))
     budget = instance.budget
-    lo, hi = 0, table.f_bound
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if table.query_cost(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    cost, edges = table.query(lo)
+    flows = _flow_values(table)
+    at, _ = last_accepted(
+        len(flows) - 1, lambda i: (table.query_cost(int(flows[i])) <= budget, None)
+    )
+    v = int(flows[at])
+    cost, edges = table.query(v)
     if edges is None or cost > budget:
-        raise RuntimeError(f"flow {lo} passed the budget search at cost {cost} > budget {budget}")
-    solution = solution_from_edges(instance, edges)
-    if solution.total_cost != cost or solution.achieved_flow < lo:
-        raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, flow {lo}")
-    return solution
+        raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")
+    return _rechecked(instance, cost, edges, v)
 
 
 def feasible(

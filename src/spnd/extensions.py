@@ -7,10 +7,11 @@ small basis d_1..d_k with coefficients bounded by K, a max flow of any
 purchased subgraph decomposes into paths that each saturate some edge, so
 every flow value (and hence every residue the DP can need, including the
 parallel split variable) lies in { sum a_i*d_i : |a_i| <= m^2*K }. The DP
-then ranges over that set instead of all integers in [-F, F], and both
-solvers answer queries only at lattice values: the cheapest subset meeting
-a demand has a max flow in the set, so scanning lattice flow values >= D
-(or <= budget-affordable, for the flow-maximizing problem) loses nothing.
+then ranges over that set instead of all integers in [-F, F], and the exact
+solvers answer from the lattice values in [0, F] of that table: the
+cheapest subset meeting a demand D has a max flow in the set, so the least
+lattice value >= D answers it, and a binary search over the lattice values
+finds the largest affordable flow.
 
 Upgrade gadget: an edge with menu (c1,u1)..(ck,uk), capacities sorted
 non-decreasing, becomes a series-parallel gadget of k + 2(k-1) edges and 2k
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import DecompTree, decompose
-from .dp import DPTable, build_table, upper_bound_flow
-from .errors import InfeasibleError
-from .flow import max_flow, solution_from_edges
+from .dp import DPTable, build_table, solve_bcmfp, solve_capndp, upper_bound_flow
+from .flow import max_flow
+from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
 
 STATE_BUDGET_DEFAULT = 10**7
@@ -99,12 +100,14 @@ def validate_lattice(graph: MultiGraph, spec: LatticeSpec) -> None:
 class LatticeOutcome:
     solution: Solution
     table: DPTable
-    queried: tuple[int, ...]  # lattice flow values whose cost was inspected
 
 
 def solve_lattice_detailed(
     instance: ProblemInstance, spec: LatticeSpec, *, tree: DecompTree | None = None
 ) -> LatticeOutcome:
+    """Build the table over the lattice residues, then answer from it with
+
+    the exact solver of the instance's problem."""
     graph = instance.graph
     validate_lattice(graph, spec)
     if tree is None:
@@ -112,43 +115,8 @@ def solve_lattice_detailed(
     f_bound = upper_bound_flow(instance)
     residues = lattice_residues(spec, graph.edge_count, f_bound)
     table = build_table(tree, f_bound, residue_values=residues.tolist())
-    flows = [int(v) for v in residues.tolist() if v >= 0]
-    if instance.demand is not None:
-        demand = instance.demand
-        if demand > f_bound:
-            raise InfeasibleError(
-                f"demand {demand} exceeds the best attainable flow {f_bound}"
-            )
-        best: tuple[int, int] | None = None  # (cost, flow value)
-        queried = []
-        for v in flows:
-            if v < demand:
-                continue
-            queried.append(v)
-            cost = table.query_cost(v)
-            if cost < table.infinity and (best is None or cost < best[0]):
-                best = (cost, v)
-        if best is None:
-            raise InfeasibleError(f"demand {demand} is not attainable")
-        edges = table.reconstruct(table.tree.root, table.root_tuple(best[1]))
-        solution = solution_from_edges(instance, edges)
-        if solution.total_cost != best[0] or solution.achieved_flow < demand:
-            raise RuntimeError(f"re-check failed: {solution} vs cost {best[0]}, demand {demand}")
-        return LatticeOutcome(solution, table, tuple(queried))
-    budget = instance.budget
-    if budget is None:
-        raise ValueError("instance has neither a demand nor a budget")
-    queried = []
-    for v in reversed(flows):
-        queried.append(v)
-        cost = table.query_cost(v)
-        if cost <= budget:
-            edges = table.reconstruct(table.tree.root, table.root_tuple(v))
-            solution = solution_from_edges(instance, edges)
-            if solution.total_cost != cost or solution.achieved_flow < v:
-                raise RuntimeError(f"re-check failed: {solution} vs cost {cost}, flow {v}")
-            return LatticeOutcome(solution, table, tuple(queried))
-    raise AssertionError("flow value 0 is always affordable")
+    solve = solve_bcmfp if instance.problem == "bcmfp" else solve_capndp
+    return LatticeOutcome(solve(instance, tree=tree, table=table), table)
 
 
 def solve_lattice(
@@ -323,8 +291,6 @@ def solve_with_upgrades(
     instance: ProblemInstance,
 ) -> tuple[Solution, UpgradePlan, GadgetMap]:
     """Expand, solve the expanded instance exactly, and map the choice back."""
-    from .dp import solve_bcmfp, solve_capndp
-
     expanded, gmap = expand_upgrades(instance)
     if expanded.problem == "bcmfp":
         solution = solve_bcmfp(expanded)

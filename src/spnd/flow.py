@@ -115,12 +115,6 @@ def max_flow(
     return value, assignment
 
 
-def min_cut_value(graph: MultiGraph, purchased: Iterable[str] | None = None) -> int:
-    """Value of a minimum source-sink cut (equals the max flow)."""
-    value, _ = max_flow(graph, purchased)
-    return value
-
-
 def circulation_feasible(
     graph: MultiGraph,
     purchased: Iterable[str],

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .decompose import DecompTree, decompose
-from .dp import feasible_detailed, upper_bound_flow
+from .dp import feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
 from .instance import MultiGraph, ProblemInstance, Solution
 
@@ -107,10 +107,6 @@ class FptasOutcome:
         return Fraction(self.solution.achieved_flow) * (1 + self.params.epsilon)
 
 
-def _empty_solution(instance: ProblemInstance) -> Solution:
-    return solution_from_edges(instance, frozenset())
-
-
 def _ladder_top(ratio: Fraction, f_bound: int) -> int:
     """Largest j with ratio**j <= f_bound (ratio > 1, f_bound >= 1)."""
     guess = max(0, int(math.log(f_bound) / math.log(float(ratio))))
@@ -133,6 +129,7 @@ def fptas_bcmfp_detailed(
     budget = instance.budget
     f_bound = upper_bound_flow(instance)
     probes: list[ProbeRecord] = []
+    ratio = 1 + params.epsilon_prime
 
     def probe(flow_target: int, caps: Mapping[str, int] | None, level):
         ok, edges, stats = feasible_detailed(
@@ -142,19 +139,14 @@ def fptas_bcmfp_detailed(
         return ok, edges
 
     def exact_flow_search(hi: int) -> Solution:
-        lo = 0
-        witness: frozenset[str] = frozenset()
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            ok, edges = probe(mid, None, None)
-            if ok:
-                lo = mid
-                witness = edges
-            else:
-                hi = mid - 1
-        if lo == 0:
-            return _empty_solution(instance)
-        return solution_from_edges(instance, witness)
+        _, witness = last_accepted(hi, lambda v: probe(v, None, None))
+        return solution_from_edges(instance, witness or frozenset())
+
+    def rung(j: int):
+        """The probe at ladder level M = ratio**j."""
+        level = ratio**j
+        caps = scale_capacities(graph, level, params.epsilon_prime)
+        return probe(params.target_r, caps, level)
 
     exact = False
     m_prime: Fraction | None = None
@@ -162,35 +154,16 @@ def fptas_bcmfp_detailed(
         solution = exact_flow_search(f_bound)
         exact = True
     else:
-        ratio = 1 + params.epsilon_prime
-        ok0, witness = probe(
-            params.target_r, scale_capacities(graph, 1, params.epsilon_prime), Fraction(1)
-        )
+        ok0, witness = rung(0)
         if not ok0:
             # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact probe at
             # flow value 1 decides between 0 and 1.
-            ok1, edges1 = probe(1, None, None)
-            solution = (
-                solution_from_edges(instance, edges1) if ok1 else _empty_solution(instance)
-            )
+            solution = exact_flow_search(1)
             exact = True
         else:
-            lo, hi = 0, _ladder_top(ratio, f_bound)
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                level = ratio**mid
-                ok, edges = probe(
-                    params.target_r,
-                    scale_capacities(graph, level, params.epsilon_prime),
-                    level,
-                )
-                if ok:
-                    lo = mid
-                    witness = edges
-                else:
-                    hi = mid - 1
-            m_prime = ratio**lo
-            solution = solution_from_edges(instance, witness)
+            j, found = last_accepted(_ladder_top(ratio, f_bound), rung)
+            m_prime = ratio**j
+            solution = solution_from_edges(instance, witness if found is None else found)
 
     # Buying everything is the best possible answer whenever it is
     # affordable; prefer it if the scheme's witness fell short of it.

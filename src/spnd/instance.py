@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -29,13 +29,6 @@ class EdgeRecord:
     v: int
     cost: int
     capacity: int
-
-    @property
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def touches(self, vertex: int) -> bool:
-        return vertex == self.u or vertex == self.v
 
 
 @dataclass(frozen=True)
@@ -85,9 +78,6 @@ class MultiGraph:
 
     def total_cost(self) -> int:
         return sum(e.cost for e in self.edges)
-
-    def total_capacity(self) -> int:
-        return sum(e.capacity for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -314,10 +304,6 @@ def format_instance(instance: ProblemInstance) -> str:
     else:
         lines.append(f"demand {instance.demand}")
     return "\n".join(lines) + "\n"
-
-
-def residues_sum_zero(residues: Mapping[int, int]) -> bool:
-    return sum(residues.values()) == 0
 
 
 def purchased_edges(graph: MultiGraph, ids: Iterable[str]) -> list[EdgeRecord]:

@@ -43,13 +43,21 @@ def test_all_exports_every_documented_name():
     assert sorted(documented - set(spnd.__all__)) == []
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    # Guards must hold under ``python -O``, which strips asserts.
+    # Guards must hold under ``python -O``, which strips asserts, and raise
+    # a real error type: a raised AssertionError is an assert in all but name.
     found = [
         f"{path.relative_to(ROOT)}:{node.lineno}"
         for path in sorted((ROOT / "src" / "spnd").rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 

@@ -10,7 +10,6 @@ from spnd import (
     decompose,
     generate_sp,
     parse_instance,
-    postorder,
     recompose,
     tree_text,
 )
@@ -76,7 +75,7 @@ def test_ring_tree_and_interior_specials(ring):
 
 def test_postorder_diamond(diamond):
     tree = decompose(diamond.graph)
-    nodes = postorder(tree)
+    nodes = [tree.node(i) for i in tree.postorder_ids()]
     assert [n.kind for n in nodes] == ["leaf", "leaf", "series", "leaf", "parallel"]
     assert [n.edge_id for n in nodes] == ["e1", "e2", None, "e3", None]
     assert len(nodes) == 2 * diamond.graph.edge_count - 1

@@ -17,7 +17,6 @@ from spnd import (
     build_table,
     circulation_feasible,
     decompose,
-    dp_query,
     feasible,
     feasible_detailed,
     generate_sp,
@@ -181,21 +180,21 @@ def test_cost_of_checks_tuple_shape(diamond):
 
 def test_dp_query_diamond(diamond):
     _, table = _table_for(diamond)
-    assert dp_query(table, 3) == (5, frozenset({"e1", "e2", "e3"}))
-    assert dp_query(table, 0) == (0, frozenset())
-    assert dp_query(table, 1) == (2, frozenset({"e1", "e2"}))
+    assert table.query(3) == (5, frozenset({"e1", "e2", "e3"}))
+    assert table.query(0) == (0, frozenset())
+    assert table.query(1) == (2, frozenset({"e1", "e2"}))
     with pytest.raises(ValueError):
-        dp_query(table, 4)
+        table.query(4)
     with pytest.raises(ValueError):
-        dp_query(table, -1)
+        table.query(-1)
 
 
 def test_dp_query_ring(ring):
     _, table = _table_for(ring)
-    cost, edges = dp_query(table, 3)
+    cost, edges = table.query(3)
     assert cost == 4
     assert edges == frozenset({"e1", "e2", "e3", "e4"})
-    assert dp_query(table, 2)[0] == 1
+    assert table.query(2)[0] == 1
 
 
 def test_solve_capndp_diamond(diamond):
@@ -219,6 +218,22 @@ def test_solve_bcmfp_diamond(diamond):
 def test_solve_bcmfp_single_edge(single_edge):
     assert solve_bcmfp(single_edge).achieved_flow == 7
     assert solve_bcmfp(single_edge.with_budget(4)).achieved_flow == 0
+
+
+def test_last_accepted_bisects_from_the_top_half():
+    calls = []
+
+    def accept(k):
+        calls.append(k)
+        return k <= 5, f"witness {k}"
+
+    assert dp_module.last_accepted(10, accept) == (5, "witness 5")
+    assert calls == [5, 8, 6]
+    calls.clear()
+    # k = 0 is taken without a call and has no result.
+    assert dp_module.last_accepted(3, lambda k: (calls.append(k), False)) == (0, None)
+    assert calls == [2, 1]
+    assert dp_module.last_accepted(0, accept) == (0, None)
 
 
 def test_missing_objective_rejected(diamond):
@@ -533,5 +548,5 @@ def test_pinned_queries_equal_full_tables(seed):
 
 def test_reconstruction_is_deterministic(diamond):
     _, table = _table_for(diamond)
-    assert dp_query(table, 2) == dp_query(table, 2)
-    assert dp_query(table, 2)[1] == frozenset({"e1", "e2"})
+    assert table.query(2) == table.query(2)
+    assert table.query(2)[1] == frozenset({"e1", "e2"})

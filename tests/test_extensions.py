@@ -180,6 +180,31 @@ def test_lattice_solve_equals_unrestricted(seed):
     else:
         assert outcome.table.state_count == full.state_count, f"seed {seed}"
 
+    # The lattice path answers a demand D from the least lattice value >= D
+    # and a budget by binary search, which needs the root cost nondecreasing
+    # in the flow value; D need not be a lattice point.
+    costs = [outcome.table.query_cost(v) for v in allowed.tolist() if v >= 0]
+    assert costs == sorted(costs), f"seed {seed}"
+    for d in range(f + 2):
+        demand = inst.with_demand(d)
+        lattice = _outcome(solve_lattice, demand, spec, tree=tree)
+        unrestricted = _outcome(solve_capndp, demand, tree=tree, table=full)
+        assert lattice[0] == unrestricted[0], f"seed {seed} demand {d}"
+    for b in range(inst.graph.total_cost() + 1):
+        budget = inst.with_budget(b)
+        lattice = _outcome(solve_lattice, budget, spec, tree=tree)
+        unrestricted = _outcome(solve_bcmfp, budget, tree=tree, table=full)
+        assert lattice == unrestricted, f"seed {seed} budget {b}"
+
+
+def _outcome(solve, *args, **kwargs):
+    """Cost and flow of a solve, or the type and message of its error."""
+    try:
+        sol = solve(*args, **kwargs)
+    except InfeasibleError as exc:
+        return type(exc), str(exc)
+    return sol.total_cost, sol.achieved_flow
+
 
 # -- upgrade menus and gadgets ------------------------------------------------
 

@@ -8,7 +8,6 @@ from spnd import (
     circulation_feasible,
     generate_sp,
     max_flow,
-    min_cut_value,
     parse_instance,
     solution_from_edges,
     verify_solution,
@@ -77,7 +76,6 @@ def test_max_flow_equals_exhaustive_min_cut(seed):
     graph = generate_sp(seed, edge_budget=8).graph
     value, _ = max_flow(graph)
     assert value == _exhaustive_min_cut(graph)
-    assert value == min_cut_value(graph)
 
 
 def test_circulation_feasible_examples(single_edge, diamond):
@@ -101,7 +99,7 @@ def test_circulation_matches_max_flow(seed):
     graph = generate_sp(seed, edge_budget=6).graph
     value, _ = max_flow(graph)
     s, t = graph.source, graph.sink
-    for v in range(graph.total_capacity() + 1):
+    for v in range(sum(e.capacity for e in graph.edges) + 1):
         expected = v <= value
         got = circulation_feasible(graph, [e.id for e in graph.edges], {s: -v, t: v})
         assert got == expected, f"seed {seed}, v={v}"

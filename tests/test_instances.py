@@ -13,7 +13,6 @@ from spnd import (
     parse_instance,
     purchased_edges,
 )
-from spnd.instance import residues_sum_zero
 from conftest import DIAMOND_TEXT, SINGLE_EDGE_TEXT
 
 
@@ -129,7 +128,6 @@ def test_graph_accessors(diamond):
     with pytest.raises(KeyError):
         g.edge_by_id("nope")
     assert g.total_cost() == 5
-    assert g.total_capacity() == 5
     assert infinity_sentinel(g) == 6
     assert [e.id for e in purchased_edges(g, ["e3", "e1"])] == ["e3", "e1"]
     with pytest.raises(KeyError):
@@ -143,18 +141,6 @@ def test_objective_switch(diamond):
     back = as_budget.with_demand(2)
     assert back.problem == "capndp"
     assert back.demand == 2 and back.budget is None
-
-
-def test_edge_record_helpers():
-    e = EdgeRecord("e9", 3, 1, 2, 4)
-    assert e.endpoints == (3, 1)
-    assert e.touches(3) and e.touches(1) and not e.touches(0)
-
-
-def test_residues_sum_zero_helper():
-    assert residues_sum_zero({0: -2, 2: 2})
-    assert not residues_sum_zero({0: -2, 2: 1})
-    assert residues_sum_zero({})
 
 
 def test_solution_is_frozen():

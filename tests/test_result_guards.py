@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import spnd.dp
-import spnd.extensions
 from spnd import (
     LatticeSpec,
     expand_upgrades,
@@ -39,22 +38,20 @@ def _inflated(real):
     return fake
 
 
+# Every solver, the lattice path included, re-checks in ``spnd.dp``.
 CASES = {
-    "capndp": (spnd.dp, lambda inst: solve_capndp(inst)),
-    "bcmfp": (spnd.dp, lambda inst: solve_bcmfp(inst.with_budget(5))),
-    "lattice": (spnd.extensions, lambda inst: solve_lattice_detailed(inst, LatticeSpec((1,), 2))),
-    "lattice-budget": (
-        spnd.extensions,
-        lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
-    ),
+    "capndp": lambda inst: solve_capndp(inst),
+    "bcmfp": lambda inst: solve_bcmfp(inst.with_budget(5)),
+    "lattice": lambda inst: solve_lattice_detailed(inst, LatticeSpec((1,), 2)),
+    "lattice-budget": lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_inconsistent_recheck_raises(case, diamond, monkeypatch):
-    module, solve = CASES[case]
+    solve = CASES[case]
     solve(diamond)  # consistent without the patch
-    monkeypatch.setattr(module, "solution_from_edges", _inflated(module.solution_from_edges))
+    monkeypatch.setattr(spnd.dp, "solution_from_edges", _inflated(spnd.dp.solution_from_edges))
     with pytest.raises(RuntimeError, match="re-check"):
         solve(diamond)
 
