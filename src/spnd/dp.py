@@ -1,22 +1,30 @@
 """Dynamic program over the decomposition tree.
 
 Subproblem: for a tree node spanning subgraph G' with terminals (a, b), and
-a residue tuple assigning net inflow-minus-outflow targets to a, b and to
-whichever of source/sink lie strictly inside G' (every other vertex gets 0),
-the table entry is the minimum purchase cost of an edge subset of G' that
-can route those residues. Tuples sum to zero and every entry is bounded by
-the flow bound F, so an entry is addressed by its free coordinates: the
-a-slot plus one coordinate per interior special, the b-slot being implied.
+residues (net inflow-minus-outflow targets) at a, b and at whichever of
+source/sink lie strictly inside G' (every other vertex gets 0), the table
+cell is the minimum purchase cost of an edge subset of G' that can route
+those residues.
 
-A flow of value v from source to sink corresponds to the root tuple placing
--v on the source slot and +v on the sink slot; both solvers reduce to such
-queries at the flow values the table holds, the root domain's values in
-[0, F] (every integer there, or the lattice points of a lattice table). The
-cost never falls as the flow rises, so a demand D is answered at the least
-such value >= D, and a budget by a binary search for the largest affordable
-one. Series nodes combine children in one forced way; parallel nodes
-minimize over an integer split of the a-residue between the two children.
-That split scan is a blocked (min, +) reduction: the left child's costs for
+A cell is addressed by integers: the node id, the a-slot residue r_a, and
+the source and sink residues r_s and r_t, each ignored at a node where that
+special is not interior (:meth:`DPTable.cost_of`). The b-slot residue r_b
+is never passed: the residues of a routable cell sum to zero, so r_b is
+-(r_a + the interior specials' residues), and the build already stores the
+sentinel in every cell whose implied r_b lies off the node's domain. The
+free coordinates are thus the table's axes and nothing needs re-checking.
+
+A flow of value v from source to sink is the root cell at (r_s, r_t) =
+(-v, +v), whose r_a is -v if the source is the root's a terminal and +v if
+the sink is. Both solvers reduce to such queries at the flow values the
+table holds, the root domain's values in [0, F] (every integer there, or
+the lattice points of a lattice table). The cost never falls as the flow
+rises, so a demand D is answered at the least such value >= D, and a
+budget by a binary search for the largest affordable one.
+
+Series nodes combine children in one forced way; parallel nodes minimize
+over an integer split of the a-residue between the two children. That
+split scan is a blocked (min, +) reduction: the left child's costs for
 every split are gathered at once, the split on a leading axis, and the
 splits are walked in blocks of about ``CELLS`` candidate cells. Each block's
 minimum, with the smallest split reaching it, merges into the running best
@@ -26,7 +34,7 @@ infeasible keeps split 0.
 Each child sees its parent's source and sink residues unchanged, so only
 the a-slot residue differs from node to node (series: :func:`_join_residue`;
 parallel: the stored split and the rest). Reconstruction walks (node, a-slot
-residue) pairs down from a feasible entry and buys a leaf iff its residue
+residue) pairs down from a feasible cell and buys a leaf iff its residue
 is nonzero.
 
 Tables are dense numpy arrays, one axis per free coordinate. The a-slot
@@ -38,7 +46,7 @@ is pinned to one query value v: then the source axis holds only -v and the
 sink axis only +v, so every special axis has length one and the table
 answers that single flow query; the budget-feasibility probe used by the
 approximation scheme relies on this.
-Infeasible entries hold a cost sentinel larger than the whole graph's cost.
+Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ import numpy as np
 
 from .decompose import DecompNode, DecompTree, decompose
 from .errors import InfeasibleError
-from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution, infinity_sentinel
+from .instance import ProblemInstance, Solution, infinity_sentinel
 from .flow import max_flow, solution_from_edges
 
 _SPECIAL_ORDER = ("s", "t")
@@ -123,41 +131,6 @@ class ResidueDomain:
         return self._index.get(int(value))
 
 
-@dataclass(frozen=True)
-class ResidueTuple:
-    """Residues at (a, [s], [t], b); present entries sum to zero."""
-
-    r_a: int
-    r_b: int
-    r_s: int | None = None
-    r_t: int | None = None
-
-    def __post_init__(self):
-        if sum(self.entries()) != 0:
-            raise ValueError(f"residue tuple does not sum to zero: {self}")
-
-    def entries(self) -> tuple[int, ...]:
-        return (self.r_a, *self.special_values().values(), self.r_b)
-
-    def specials(self) -> tuple[str, ...]:
-        return tuple(self.special_values())
-
-    def special_value(self, label: str) -> int:
-        value = self.r_s if label == "s" else self.r_t
-        if value is None:
-            raise ValueError(f"tuple {self} has no {label!r} residue")
-        return value
-
-    def special_values(self) -> dict[str, int]:
-        """The present special residues by label, in ("s", "t") order."""
-        out = {}
-        if self.r_s is not None:
-            out["s"] = self.r_s
-        if self.r_t is not None:
-            out["t"] = self.r_t
-        return out
-
-
 @dataclass
 class NodeTable:
     node_id: int
@@ -219,32 +192,23 @@ class DPTable:
     def _node_specials(self, node: DecompNode) -> tuple[str, ...]:
         return tuple(lab for lab in _SPECIAL_ORDER if lab in node.interior_specials)
 
-    def _check_tuple(self, node: DecompNode, rt: ResidueTuple) -> None:
-        want = self._node_specials(node)
-        if rt.specials() != want:
-            raise ValueError(
-                f"tuple specials {rt.specials()} do not match node {node.id} specials {want}"
-            )
-        if self.pin is not None and any(
-            rt.special_value(lab) != _SPECIAL_SIGN[lab] * self.pin for lab in want
-        ):
-            raise ValueError(f"table was built pinned to flow value {self.pin}, got {rt}")
+    def cost_of(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
+        """Cost of the cell at a-slot residue ``r_a`` and source and sink
 
-    def cost_of(self, node_id: int, rt: ResidueTuple) -> int:
-        node = self.tree.node(node_id)
-        self._check_tuple(node, rt)
+        residues ``r_s``, ``r_t`` (each ignored where that special is not
+        interior); the sentinel for a cell off the node's axes."""
         nt = self.tables[node_id]
-        coords = _coords(nt, rt.r_a, rt.special_values())
+        coords = _coords(nt, r_a, r_s, r_t)
         if coords is None:
             return self.infinity
         return int(nt.cost[coords])
 
-    def split_of(self, node_id: int, rt: ResidueTuple) -> int:
-        self._check_tuple(self.tree.node(node_id), rt)
+    def split_of(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
+        """The a-slot residue a parallel node's cell sends into its left child."""
         nt = self.tables[node_id]
-        coords = _coords(nt, rt.r_a, rt.special_values())
+        coords = _coords(nt, r_a, r_s, r_t)
         if coords is None or nt.split is None:
-            raise ValueError(f"node {node_id} stores no split for {rt}")
+            raise ValueError(f"node {node_id} stores no split for r_a={r_a}, r_s={r_s}, r_t={r_t}")
         return int(nt.split[coords])
 
     # -- structure helpers ----------------------------------------------
@@ -278,42 +242,39 @@ class DPTable:
 
     # -- queries ---------------------------------------------------------
 
-    def root_tuple(self, v: int) -> ResidueTuple:
-        """Tuple demanding a flow of value v from source to sink."""
-        root = self.tree.node(self.tree.root)
-        a, b = root.terminals
-        s, t = self.tree.source, self.tree.sink
-        r_a = (-v if s == a else 0) + (v if t == a else 0)
-        r_b = (-v if s == b else 0) + (v if t == b else 0)
-        kw = {f"r_{lab}": _SPECIAL_SIGN[lab] * v for lab in root.interior_specials}
-        return ResidueTuple(r_a=r_a, r_b=r_b, **kw)
+    def _root_a(self, v: int) -> int:
+        """The root's a-slot residue for flow v: -v if the source is that
+
+        terminal, +v if the sink is."""
+        a = self.tree.node(self.tree.root).terminals[0]
+        return (v if a == self.tree.sink else 0) - (v if a == self.tree.source else 0)
 
     def query_cost(self, v: int) -> int:
         if v < 0 or v > self.f_bound:
             raise ValueError(f"flow value {v} out of range [0, {self.f_bound}]")
         if self.pin is not None and v != self.pin:
             raise ValueError(f"table was built pinned to flow value {self.pin}, got {v}")
-        return self.cost_of(self.tree.root, self.root_tuple(v))
+        return self.cost_of(self.tree.root, self._root_a(v), -v, v)
 
     def query(self, v: int) -> tuple[int, frozenset[str] | None]:
         """Min cost of supporting flow v, with a witness edge set."""
         cost = self.query_cost(v)
         if cost >= self.infinity:
             return self.infinity, None
-        return cost, self.reconstruct(self.tree.root, self.root_tuple(v))
+        return cost, self.reconstruct(self.tree.root, self._root_a(v), -v, v)
 
-    def reconstruct(self, node_id: int, rt: ResidueTuple) -> frozenset[str]:
-        """Purchased edge ids behind the entry ``rt`` of a node.
+    def reconstruct(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> frozenset[str]:
+        """Purchased edge ids behind a node's cell (see :meth:`cost_of`).
 
         Walks (node, a-slot residue) pairs; the special residues are the
-        same at every node below. Only the starting entry is checked: a
-        feasible entry's cost is the sum of its children's, so they are
+        same at every node below. Only the starting cell is checked: a
+        feasible cell's cost is the sum of its children's, so they are
         feasible too."""
-        if self.cost_of(node_id, rt) >= self.infinity:
-            raise ValueError(f"node {node_id} has no feasible entry for {rt}")
-        special = rt.special_values()
+        if self.cost_of(node_id, r_a, r_s, r_t) >= self.infinity:
+            raise ValueError(f"node {node_id} has no feasible cell at r_a={r_a}, r_s={r_s}, r_t={r_t}")
+        special = {"s": r_s, "t": r_t}
         purchased: list[str] = []
-        stack = [(node_id, rt.r_a)]
+        stack = [(node_id, r_a)]
         while stack:
             nid, r_a = stack.pop()
             node = self.tree.node(nid)
@@ -324,20 +285,19 @@ class DPTable:
                 stack.append((node.left, r_a))
                 stack.append((node.right, _join_residue(r_a, self.placements(node), special)))
             else:
-                nt = self.tables[nid]
-                split = int(nt.split[_coords(nt, r_a, special)])
+                split = self.split_of(nid, r_a, r_s, r_t)
                 stack.append((node.left, split))
                 stack.append((node.right, r_a - split))
         return frozenset(purchased)
 
 
-def _coords(nt: NodeTable, r_a: int, special: Mapping[str, int]) -> tuple[int, ...] | None:
-    """The cell of ``nt`` at a-slot residue ``r_a`` and the special residues
+def _coords(nt: NodeTable, r_a: int, r_s: int, r_t: int) -> tuple[int, ...] | None:
+    """The cell of ``nt`` at a-slot residue ``r_a`` and source and sink
 
-    ``special`` (by label), or None when one lies off its axis."""
+    residues ``r_s``, ``r_t``, or None when one lies off its axis."""
     coords = [nt.domain.pos_of(r_a)]
     for lab, axis in zip(nt.specials, nt.special_axes):
-        coords.append(axis.pos_of(special[lab]))
+        coords.append(axis.pos_of(r_s if lab == "s" else r_t))
     return None if None in coords else tuple(coords)
 
 
@@ -516,7 +476,7 @@ class _Builder:
 
 def build_table(
     tree: DecompTree,
-    f_bound: int | None = None,
+    f_bound: int,
     *,
     capacity_override: Mapping[str, int] | None = None,
     residue_values: Iterable[int] | None = None,
@@ -524,16 +484,15 @@ def build_table(
 ) -> DPTable:
     """Build DP tables for every node in postorder.
 
-    ``f_bound`` defaults to the max flow of the fully purchased graph under
-    the effective capacities. ``capacity_override`` substitutes capacities
+    ``f_bound`` bounds every residue, usually the all-edges max flow F
+    (:func:`upper_bound_flow`). ``capacity_override`` substitutes capacities
     by edge id without touching costs. ``residue_values`` restricts every
-    tuple coordinate and every parallel split to an explicit residue set.
+    cell coordinate and every parallel split to an explicit residue set.
     ``pin`` gives the source axis the one value -pin and the sink axis the
     one value +pin, so each special axis has length one and the tables
     answer only the flow query ``pin``.
     """
-    graph = tree.graph
-    capacities = {e.id: e.capacity for e in graph.edges}
+    capacities = {e.id: e.capacity for e in tree.graph.edges}
     if capacity_override is not None:
         for eid, cap in capacity_override.items():
             if eid not in capacities:
@@ -541,8 +500,6 @@ def build_table(
             if cap < 0:
                 raise ValueError("capacities cannot be negative")
             capacities[eid] = cap
-    if f_bound is None:
-        f_bound = effective_max_flow(graph, capacities)
     if f_bound < 0:
         raise ValueError("flow bound cannot be negative")
     if pin is not None and not (0 <= pin <= f_bound):
@@ -551,22 +508,6 @@ def build_table(
     if residue_values is not None:
         base = ResidueDomain.explicit(residue_values)
     return _Builder(tree, f_bound, capacities, base, pin).build()
-
-
-def effective_max_flow(graph: MultiGraph, capacities: Mapping[str, int]) -> int:
-    """Max source-sink flow with every edge purchased, capacities overridden."""
-    edges = tuple(
-        EdgeRecord(e.id, e.u, e.v, e.cost, capacities[e.id]) for e in graph.edges
-    )
-    patched = MultiGraph(
-        vertex_count=graph.vertex_count,
-        edges=edges,
-        source=graph.source,
-        sink=graph.sink,
-        declared_terminals=graph.declared_terminals,
-    )
-    value, _ = max_flow(patched)
-    return value
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -610,6 +551,12 @@ def _rechecked(instance: ProblemInstance, cost: int, edges: frozenset[str], v: i
     return solution
 
 
+def check_demand(demand: int, f_bound: int) -> None:
+    """A demand above the all-edges max flow F is infeasible, whatever is bought."""
+    if demand > f_bound:
+        raise InfeasibleError(f"demand {demand} exceeds the best attainable flow {f_bound}")
+
+
 def solve_capndp(
     instance: ProblemInstance,
     *,
@@ -625,8 +572,7 @@ def solve_capndp(
         tree = decompose(instance.graph)
     demand = instance.demand
     f_bound = upper_bound_flow(instance) if table is None else table.f_bound
-    if demand > f_bound:
-        raise InfeasibleError(f"demand {demand} exceeds the best attainable flow {f_bound}")
+    check_demand(demand, f_bound)
     if table is None:
         table = build_table(tree, f_bound)
     flows = _flow_values(table)

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import DecompTree, decompose
-from .dp import DPTable, build_table, solve_bcmfp, solve_capndp, upper_bound_flow
+from .dp import DPTable, build_table, check_demand, solve_bcmfp, solve_capndp, upper_bound_flow
 from .flow import max_flow
 from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
 
-STATE_BUDGET_DEFAULT = 10**7
+STATE_BUDGET = 10**7  # lattice combinations past which lattice_residues warns
 
 
 # -- lattice capacities ----------------------------------------------------
@@ -68,16 +68,16 @@ def _combinations(basis: tuple[int, ...], alpha_bound: int) -> np.ndarray:
     return values
 
 
-def lattice_residues(spec: LatticeSpec, m: int, f_bound: int, *, state_budget: int = STATE_BUDGET_DEFAULT) -> np.ndarray:
+def lattice_residues(spec: LatticeSpec, m: int, f_bound: int) -> np.ndarray:
     """The residue values the DP must consider: lattice points within the
 
     flow bound, with coefficients up to m^2 * K."""
     alpha_bound = m * m * spec.bound
     raw_size = (2 * alpha_bound + 1) ** len(spec.basis)
-    if raw_size > state_budget:
+    if raw_size > STATE_BUDGET:
         warnings.warn(
             f"lattice residue enumeration visits {raw_size} combinations, "
-            f"over the advisory budget of {state_budget}",
+            f"over the advisory budget of {STATE_BUDGET}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -113,6 +113,8 @@ def solve_lattice_detailed(
     if tree is None:
         tree = decompose(graph)
     f_bound = upper_bound_flow(instance)
+    if instance.demand is not None:
+        check_demand(instance.demand, f_bound)
     residues = lattice_residues(spec, graph.edge_count, f_bound)
     table = build_table(tree, f_bound, residue_values=residues.tolist())
     solve = solve_bcmfp if instance.problem == "bcmfp" else solve_capndp

@@ -82,9 +82,6 @@ class _FlowNet:
 def max_flow(
     graph: MultiGraph,
     purchased: Iterable[str] | None = None,
-    *,
-    source: int | None = None,
-    sink: int | None = None,
 ) -> tuple[int, dict[str, tuple[int, int, int]]]:
     """Exact max source-sink flow of the purchased subgraph.
 
@@ -92,8 +89,7 @@ def max_flow(
     per-edge directed assignment ``id -> (tail, head, amount)`` with only
     nonzero amounts listed.
     """
-    s = graph.source if source is None else source
-    t = graph.sink if sink is None else sink
+    s, t = graph.source, graph.sink
     if purchased is None:
         edges = list(graph.edges)
     else:

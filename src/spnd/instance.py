@@ -94,6 +94,10 @@ class ProblemInstance:
     def __post_init__(self):
         if (self.budget is None) == (self.demand is None):
             raise ValueError("exactly one of budget/demand must be set")
+        for name in ("budget", "demand"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} cannot be negative ({value})")
 
     @property
     def problem(self) -> str:

@@ -20,7 +20,6 @@ from spnd import (
     MultiGraph,
     ProblemInstance,
     UpgradeRecord,
-    all_case_labels,
     build_table,
     cli,
     decompose,
@@ -28,7 +27,6 @@ from spnd import (
     fptas_bcmfp,
     fptas_bcmfp_detailed,
     generate_sp,
-    lattice_residues,
     oracle_bcmfp,
     oracle_capndp,
     parse_instance,
@@ -39,8 +37,11 @@ from spnd import (
     solve_with_upgrades,
     subset_profiles,
     upper_bound_flow,
-    validate_lattice,
 )
+from spnd.dp import all_case_labels
+from spnd.extensions import lattice_residues, validate_lattice
+
+
 def _edge_signature(graph):
     return sorted(
         (e.id, frozenset((e.u, e.v)), e.cost, e.capacity) for e in graph.edges

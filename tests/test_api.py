@@ -43,6 +43,38 @@ def test_all_exports_every_documented_name():
     assert sorted(documented - set(spnd.__all__)) == []
 
 
+def _bench_names() -> set[str]:
+    """Names the benchmark reaches on the package: ``spnd.X`` in its code
+
+    and ``("spnd", "X")`` tracer sites."""
+    names = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "spnd":
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Tuple)
+                and len(node.elts) == 2
+                and all(isinstance(e, ast.Constant) for e in node.elts)
+                and node.elts[0].value == "spnd"
+            ):
+                names.add(node.elts[1].value)
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_all_is_exactly_the_documented_and_benchmarked_surface():
+    bench = _bench_names()
+    assert {"parse_instance", "upper_bound_flow", "feasible", "solution_from_edges"} <= bench
+    errors = {"InfeasibleError", "NotSeriesParallelError", "ParseError"}
+    assert sorted(spnd.__all__) == sorted(_documented_names() | bench | errors)
+    public = {
+        name
+        for name, value in vars(spnd).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(spnd.__all__)) == []
+
+
 def _raises_assertion_error(node) -> bool:
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False

@@ -11,8 +11,8 @@ from spnd import (
     generate_sp,
     parse_instance,
     recompose,
-    tree_text,
 )
+from spnd.decompose import tree_text
 from conftest import HUGE_VERTEX_COUNT_TEXT, K4_TEXT, WHEEL4_TEXT
 
 # The package re-exports the function under the module's name.

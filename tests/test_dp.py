@@ -12,13 +12,9 @@ import pytest
 
 from spnd import (
     InfeasibleError,
-    ResidueDomain,
-    ResidueTuple,
     build_table,
-    circulation_feasible,
     decompose,
     feasible,
-    feasible_detailed,
     generate_sp,
     parse_instance,
     solve_bcmfp,
@@ -27,10 +23,11 @@ from spnd import (
     upper_bound_flow,
 )
 from spnd import dp as dp_module
-from spnd.dp import all_case_labels, effective_max_flow
+from spnd.dp import ResidueDomain, all_case_labels, feasible_detailed
+from spnd.flow import circulation_feasible
 from spnd.instance import EdgeRecord
 
-from dp_reference import combine_parallel, combine_series, leaf_cost, series_children
+from dp_reference import cell_of, combine_parallel, combine_series, leaf_cost, series_children
 
 # Ring with source and sink strictly inside, F = 48: the two inner nodes
 # above the sink join hold 97^3 cells.
@@ -47,11 +44,12 @@ def _table_for(instance, f_bound=None):
     return tree, build_table(tree, f_bound)
 
 
-def _admissible_tuples(table, nid):
-    """Every tuple a table stores an admissible entry for: free coordinates
+def _admissible_cells(table, nid):
+    """Every (r_a, r_s, r_t) cell a table stores an admissible entry for:
 
-    range over their axes (the node's domain, or one pinned value on a
-    special axis) and the implied terminal residue must lie in the domain."""
+    free coordinates range over their axes (the node's domain, or one pinned
+    value on a special axis), a special that is not interior reads 0, and
+    the implied terminal residue must lie in the domain."""
     nt = table.tables[nid]
     vals = [int(v) for v in nt.domain.values]
     special_vals = [[int(v) for v in axis.values] for axis in nt.special_axes]
@@ -61,19 +59,25 @@ def _admissible_tuples(table, nid):
             r_b = -(r_a + sum(combo))
             if nt.domain.pos_of(r_b) is None:
                 continue
-            kw = {("r_s" if lab == "s" else "r_t"): val for lab, val in zip(nt.specials, combo)}
-            out.append(ResidueTuple(r_a=r_a, r_b=r_b, **kw))
+            special = dict(zip(nt.specials, combo))
+            out.append((r_a, special.get("s", 0), special.get("t", 0)))
     return out
 
 
-def _residue_map(tree, node, rt):
-    res = {node.terminals[0]: rt.r_a, node.terminals[1]: rt.r_b}
-    for lab in rt.specials():
-        res[tree.source if lab == "s" else tree.sink] = rt.special_value(lab)
+def _residue_map(tree, table, nid, cell):
+    """Vertex residues of a cell: the a-slot, the interior specials, and the
+
+    b-slot that balances them."""
+    r_a, r_s, r_t = cell
+    a, b = tree.node(nid).terminals
+    res = {a: r_a}
+    for lab in table.tables[nid].specials:
+        res[tree.source if lab == "s" else tree.sink] = r_s if lab == "s" else r_t
+    res[b] = -sum(res.values())
     return res
 
 
-# -- residue domains and tuples -------------------------------------------
+# -- residue domains ---------------------------------------------------------
 
 
 def test_residue_domain_range_and_lookup():
@@ -94,17 +98,6 @@ def test_residue_domain_explicit_validation():
         ResidueDomain.explicit([-1, 1])  # zero missing
 
 
-def test_residue_tuple_validation():
-    rt = ResidueTuple(r_a=1, r_b=-3, r_s=2)
-    assert rt.entries() == (1, 2, -3)
-    assert rt.specials() == ("s",)
-    assert rt.special_value("s") == 2
-    with pytest.raises(ValueError):
-        ResidueTuple(r_a=1, r_b=1)
-    with pytest.raises(ValueError):
-        ResidueTuple(r_a=0, r_b=1, r_s=2, r_t=-2)
-
-
 def test_case_label_catalogue():
     labels = all_case_labels()
     assert len(labels) == 24
@@ -119,13 +112,11 @@ def test_case_label_catalogue():
 
 def test_leaf_cost_contract():
     edge = EdgeRecord("e1", 0, 1, 5, 7)
-    assert leaf_cost(edge, ResidueTuple(0, 0), infinity=99) == 0
-    assert leaf_cost(edge, ResidueTuple(7, -7), infinity=99) == 5
-    assert leaf_cost(edge, ResidueTuple(-7, 7), infinity=99) == 5
-    assert leaf_cost(edge, ResidueTuple(8, -8), infinity=99) == 99
-    assert leaf_cost(edge, ResidueTuple(8, -8), infinity=99, capacity=9) == 5
-    with pytest.raises(ValueError):
-        leaf_cost(edge, ResidueTuple(1, -3, r_s=2), infinity=99)
+    assert leaf_cost(edge, 0, infinity=99) == 0
+    assert leaf_cost(edge, 7, infinity=99) == 5
+    assert leaf_cost(edge, -7, infinity=99) == 5
+    assert leaf_cost(edge, 8, infinity=99) == 99
+    assert leaf_cost(edge, 8, infinity=99, capacity=9) == 5
 
 
 def test_single_edge_table(single_edge):
@@ -134,7 +125,7 @@ def test_single_edge_table(single_edge):
     leaf = tree.root
     for r in range(-7, 8):
         expected = 0 if r == 0 else 5
-        assert table.cost_of(leaf, ResidueTuple(r, -r)) == expected
+        assert table.cost_of(leaf, r) == expected
 
 
 # -- hand-checked table entries -------------------------------------------
@@ -149,30 +140,30 @@ def test_upper_bound_flow(single_edge, diamond, ring):
 def test_diamond_table_entries(diamond):
     tree, table = _table_for(diamond)
     root = tree.root
-    assert table.cost_of(root, ResidueTuple(3, -3)) == 5
-    assert table.cost_of(root, ResidueTuple(2, -2)) == 2
-    assert table.cost_of(root, ResidueTuple(1, -1)) == 2
-    assert table.cost_of(root, ResidueTuple(0, 0)) == 0
+    assert table.cost_of(root, 3) == 5
+    assert table.cost_of(root, 2) == 2
+    assert table.cost_of(root, 1) == 2
+    assert table.cost_of(root, 0) == 0
     series = tree.node(root).left
-    assert table.cost_of(series, ResidueTuple(2, -2)) == 2
+    assert table.cost_of(series, 2) == 2
     # Parallel split choices: 3 units must send 2 via the path, 1 direct.
-    assert table.split_of(root, ResidueTuple(3, -3)) == 2
+    assert table.split_of(root, 3) == 2
 
 
 def test_ring_interior_terminal_entries(ring):
     tree, table = _table_for(ring)
     root = tree.root
-    assert table.cost_of(root, ResidueTuple(0, 0, r_s=3, r_t=-3)) == 4
-    assert table.cost_of(root, ResidueTuple(0, 0, r_s=-3, r_t=3)) == 4
-    assert table.cost_of(root, ResidueTuple(0, 0, r_s=0, r_t=0)) == 0
-    assert table.cost_of(root, ResidueTuple(0, 0, r_s=2, r_t=-2)) == 1
+    assert table.cost_of(root, 0, r_s=3, r_t=-3) == 4
+    assert table.cost_of(root, 0, r_s=-3, r_t=3) == 4
+    assert table.cost_of(root, 0, r_s=0, r_t=0) == 0
+    assert table.cost_of(root, 0, r_s=2, r_t=-2) == 1
 
 
 def test_cost_of_checks_tuple_shape(diamond):
     tree, table = _table_for(diamond)
-    with pytest.raises(ValueError):
-        table.cost_of(tree.root, ResidueTuple(1, -3, r_s=2))
-    assert table.cost_of(tree.root, ResidueTuple(9, -9)) == table.infinity
+    # Source and sink are the diamond's terminals: their residues are ignored.
+    assert table.cost_of(tree.root, 3, r_s=2, r_t=-5) == table.cost_of(tree.root, 3) == 5
+    assert table.cost_of(tree.root, 9) == table.infinity
 
 
 # -- queries and solvers ---------------------------------------------------
@@ -272,13 +263,6 @@ def test_capacity_override_changes_answers(diamond):
         build_table(tree, 3, capacity_override={"e3": -1})
 
 
-def test_effective_max_flow(diamond):
-    caps = {e.id: e.capacity for e in diamond.graph.edges}
-    assert effective_max_flow(diamond.graph, caps) == 3
-    caps["e3"] = 0
-    assert effective_max_flow(diamond.graph, caps) == 2
-
-
 def test_pinned_build_rejects_other_queries(diamond):
     tree = decompose(diamond.graph)
     table = build_table(tree, 2, pin=2)
@@ -297,14 +281,14 @@ def _assert_combiners_match(tree, table, where):
         node = tree.node(nid)
         if node.kind == "leaf":
             continue
-        for rt in _admissible_tuples(table, nid):
+        for cell in _admissible_cells(table, nid):
             if node.kind == "series":
-                assert combine_series(table, nid, rt) == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
+                assert combine_series(table, nid, cell) == table.cost_of(nid, *cell), f"{where} node {nid} {cell}"
                 continue
-            cost, split = combine_parallel(table, nid, rt)
-            assert cost == table.cost_of(nid, rt), f"{where} node {nid} {rt}"
+            cost, split = combine_parallel(table, nid, cell)
+            assert cost == table.cost_of(nid, *cell), f"{where} node {nid} {cell}"
             if cost < table.infinity:
-                assert split == table.split_of(nid, rt), f"{where} node {nid} {rt}"
+                assert split == table.split_of(nid, *cell), f"{where} node {nid} {cell}"
 
 
 def _even_residues(f_bound):
@@ -358,10 +342,11 @@ def test_split_scan_scratch_memory_is_bounded():
     # The root's parallel combine scans 97 splits over a 97^3 table. Its
     # scratch must stay a few blocks in size; one candidate array for all
     # splits would be 97 tables.
-    tree = decompose(parse_instance(RING48_TEXT).graph)
+    instance = parse_instance(RING48_TEXT)
+    tree = decompose(instance.graph)
     tracemalloc.start()
     try:
-        table = build_table(tree)
+        table = build_table(tree, upper_bound_flow(instance))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,10 +374,11 @@ def test_admissibility_mask_memory_is_bounded(monkeypatch):
         return out
 
     monkeypatch.setattr(dp_module._Builder, "_admissibility", measured)
-    tree = decompose(parse_instance(RING48_TEXT).graph)
+    instance = parse_instance(RING48_TEXT)
+    tree = decompose(instance.graph)
     tracemalloc.start()
     try:
-        build_table(tree)
+        build_table(tree, upper_bound_flow(instance))
     finally:
         tracemalloc.stop()
     assert peaks[(97, 97, 97)] <= 16 * 97**3
@@ -402,12 +388,12 @@ def test_series_children_sum_to_parent(ring):
     tree, table = _table_for(ring)
     root = tree.node(tree.root)
     outer = tree.node(root.left)
-    rt = ResidueTuple(0, 0, r_s=2, r_t=-2)
-    left_rt, right_rt = series_children(table, outer, rt)
+    cell = (0, 2, -2)
+    left, right = series_children(table, outer, cell)
     # The join hosts the sink here, so the right child absorbs its residue.
-    assert sum(left_rt.entries()) == 0 and sum(right_rt.entries()) == 0
-    assert table.cost_of(outer.id, rt) == table.cost_of(outer.left, left_rt) + table.cost_of(
-        outer.right, right_rt
+    assert sum(left.values()) == 0 and sum(right.values()) == 0
+    assert table.cost_of(outer.id, *cell) == table.cost_of(outer.left, *cell_of(left)) + table.cost_of(
+        outer.right, *cell_of(right)
     )
 
 
@@ -420,7 +406,7 @@ def test_tuple_enumeration_matches_state_count(seed):
     tree, table = _table_for(instance)
     per_node = table.per_node_states()
     for nid in tree.postorder_ids():
-        assert len(_admissible_tuples(table, nid)) == per_node[nid]
+        assert len(_admissible_cells(table, nid)) == per_node[nid]
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
@@ -434,20 +420,13 @@ def test_monotone_zero_and_symmetry_properties(seed):
 
     for nid in tree.postorder_ids():
         node = tree.node(nid)
-        zero_kw = {("r_s" if lab == "s" else "r_t"): 0 for lab in table.tables[nid].specials}
-        zero = ResidueTuple(0, 0, **zero_kw)
-        assert table.cost_of(nid, zero) == 0
-        assert table.reconstruct(nid, zero) == frozenset()
+        assert table.cost_of(nid, 0, 0, 0) == 0
+        assert table.reconstruct(nid, 0, 0, 0) == frozenset()
         if node.kind == "leaf":
             continue
-        for rt in _admissible_tuples(table, nid)[::7]:
-            mirrored = ResidueTuple(
-                -rt.r_a,
-                -rt.r_b,
-                r_s=None if rt.r_s is None else -rt.r_s,
-                r_t=None if rt.r_t is None else -rt.r_t,
-            )
-            assert table.cost_of(nid, rt) == table.cost_of(nid, mirrored)
+        for cell in _admissible_cells(table, nid)[::7]:
+            mirrored = tuple(-r for r in cell)
+            assert table.cost_of(nid, *cell) == table.cost_of(nid, *mirrored)
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
@@ -469,49 +448,47 @@ def test_entry_soundness(seed):
     tree, table = _table_for(instance)
     graph = instance.graph
     for nid in tree.postorder_ids():
-        node = tree.node(nid)
-        for rt in _admissible_tuples(table, nid):
-            cost = table.cost_of(nid, rt)
+        for cell in _admissible_cells(table, nid):
+            cost = table.cost_of(nid, *cell)
             if cost >= table.infinity:
                 continue
-            edges = table.reconstruct(nid, rt)
+            edges = table.reconstruct(nid, *cell)
             assert sum(graph.edge_by_id(e).cost for e in edges) == cost
             assert set(edges) <= set(tree.subtree_edge_ids(nid))
-            assert circulation_feasible(graph, edges, _residue_map(tree, node, rt)), (
-                f"seed {seed} node {nid} {rt}"
+            assert circulation_feasible(graph, edges, _residue_map(tree, table, nid, cell)), (
+                f"seed {seed} node {nid} {cell}"
             )
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_entry_minimality_by_exhaustion(seed):
     # On very small instances, no subset of a node's subtree edges may beat
-    # the stored cost (sampled tuples on the larger nodes to keep this fast).
+    # the stored cost (sampled cells on the larger nodes to keep this fast).
     instance = generate_sp(seed, edge_budget=4, cap_max=2)
     tree, table = _table_for(instance)
     graph = instance.graph
     for nid in tree.postorder_ids():
-        node = tree.node(nid)
         ids = tree.subtree_edge_ids(nid)
         subsets = [
             frozenset(combo)
             for k in range(len(ids) + 1)
             for combo in itertools.combinations(ids, k)
         ]
-        tuples = _admissible_tuples(table, nid)
-        if len(tuples) > 240:
-            tuples = tuples[:: len(tuples) // 240 + 1]
-        for rt in tuples:
-            residues = _residue_map(tree, node, rt)
+        cells = _admissible_cells(table, nid)
+        if len(cells) > 240:
+            cells = cells[:: len(cells) // 240 + 1]
+        for cell in cells:
+            residues = _residue_map(tree, table, nid, cell)
             best = None
             for subset in subsets:
                 if circulation_feasible(graph, subset, residues):
                     cost = sum(graph.edge_by_id(e).cost for e in subset)
                     best = cost if best is None else min(best, cost)
-            stored = table.cost_of(nid, rt)
+            stored = table.cost_of(nid, *cell)
             if best is None:
-                assert stored == table.infinity, f"seed {seed} node {nid} {rt}"
+                assert stored == table.infinity, f"seed {seed} node {nid} {cell}"
             else:
-                assert stored == best, f"seed {seed} node {nid} {rt}"
+                assert stored == best, f"seed {seed} node {nid} {cell}"
 
 
 @pytest.mark.parametrize("seed", range(1, 121))

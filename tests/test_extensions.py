@@ -17,7 +17,6 @@ from spnd import (
     decompose,
     expand_upgrades,
     generate_sp,
-    lattice_residues,
     map_back,
     oracle_bcmfp,
     oracle_capndp,
@@ -29,9 +28,9 @@ from spnd import (
     solve_lattice_detailed,
     solve_with_upgrades,
     upper_bound_flow,
-    validate_lattice,
 )
-from spnd.extensions import normalize_menu
+from spnd import extensions as extensions_module
+from spnd.extensions import lattice_residues, normalize_menu, validate_lattice
 
 
 # -- lattice residues --------------------------------------------------------
@@ -57,9 +56,10 @@ def test_lattice_spec_validation():
         LatticeSpec((2,), 0)
 
 
-def test_lattice_residue_budget_warning():
+def test_lattice_residue_budget_warning(monkeypatch):
+    monkeypatch.setattr(extensions_module, "STATE_BUDGET", 100)
     with pytest.warns(RuntimeWarning):
-        lattice_residues(LatticeSpec((1, 2), 5), m=10, f_bound=50, state_budget=100)
+        lattice_residues(LatticeSpec((1, 2), 5), m=10, f_bound=50)
 
 
 def test_validate_lattice(diamond):
@@ -79,6 +79,21 @@ def test_lattice_solve_matches_unrestricted_on_diamond(diamond):
     unrestricted = solve_capndp(inst)
     assert restricted.total_cost == unrestricted.total_cost == 5
     assert restricted.achieved_flow == unrestricted.achieved_flow
+
+
+def test_lattice_rejects_demand_above_f_before_building(diamond, monkeypatch):
+    inst = diamond.with_demand(4)  # F = 3
+    with pytest.raises(InfeasibleError) as want:
+        solve_capndp(inst)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a lattice table for a demand above F")
+
+    monkeypatch.setattr(extensions_module, "build_table", no_build)
+    monkeypatch.setattr(extensions_module, "lattice_residues", no_build)
+    with pytest.raises(InfeasibleError) as got:
+        solve_lattice(inst, LatticeSpec((1,), 2))
+    assert str(got.value) == str(want.value)
 
 
 def _with_capacities(instance, caps):

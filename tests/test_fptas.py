@@ -9,18 +9,16 @@ from spnd import (
     EdgeRecord,
     MultiGraph,
     ProblemInstance,
-    ScaleParams,
-    as_fraction,
     decompose,
     feasible,
     fptas_bcmfp,
     fptas_bcmfp_detailed,
     generate_sp,
     oracle_bcmfp,
-    scale_capacities,
     upper_bound_flow,
-    verify_solution,
 )
+from spnd.flow import verify_solution
+from spnd.fptas import ScaleParams, as_fraction, scale_capacities
 
 
 def _instance(edge_specs, budget, vertex_count=None):

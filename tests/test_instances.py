@@ -5,14 +5,14 @@ import pytest
 from spnd import (
     EdgeRecord,
     ParseError,
+    ProblemInstance,
     Solution,
     UpgradeRecord,
     format_instance,
     generate_sp,
-    infinity_sentinel,
     parse_instance,
-    purchased_edges,
 )
+from spnd.instance import infinity_sentinel, purchased_edges
 from conftest import DIAMOND_TEXT, SINGLE_EDGE_TEXT
 
 
@@ -141,6 +141,18 @@ def test_objective_switch(diamond):
     back = as_budget.with_demand(2)
     assert back.problem == "capndp"
     assert back.demand == 2 and back.budget is None
+
+
+def test_negative_objective_rejected(diamond):
+    # The parser refuses negative numbers; the model refuses them too, so a
+    # solver never sees a budget no purchase can meet.
+    with pytest.raises(ValueError, match="budget cannot be negative"):
+        diamond.with_budget(-1)
+    with pytest.raises(ValueError, match="demand cannot be negative"):
+        diamond.with_demand(-1)
+    with pytest.raises(ValueError, match="budget cannot be negative"):
+        ProblemInstance(diamond.graph, budget=-5)
+    assert diamond.with_budget(0).budget == 0 and diamond.with_demand(0).demand == 0
 
 
 def test_solution_is_frozen():

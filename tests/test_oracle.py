@@ -8,7 +8,6 @@ never from the solver.
 import pytest
 
 from spnd import (
-    ORACLE_EDGE_LIMIT,
     InfeasibleError,
     MultiGraph,
     EdgeRecord,
@@ -19,8 +18,9 @@ from spnd import (
     oracle_bcmfp,
     oracle_capndp,
     subset_profiles,
-    verify_solution,
 )
+from spnd.flow import verify_solution
+from spnd.oracle import ORACLE_EDGE_LIMIT
 
 
 def test_diamond_subset_profiles(diamond):
