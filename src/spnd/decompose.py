@@ -6,6 +6,12 @@ contracting a non-terminal vertex of degree exactly two. The reduction order
 is deterministic (parallel before series, ties by smallest edge key), which
 makes the resulting binary decomposition tree deterministic as well.
 
+Each attempt keeps its live super-edges indexed by parallel class and by
+vertex, with lazy min-heaps of the candidate parallel merges and degree-2
+contractions (the worklist of Valdes, Tarjan & Lawler, SIAM J. Comput.
+1982). A step touches one class and at most two vertices, so one terminal
+pair costs O(m log m) for m edges.
+
 Tree nodes are oriented: a series node with terminals (a, b) and join c has
 a left child spanning (a, c) and a right child spanning (c, b); a parallel
 node's children both span the node's own terminal pair.
@@ -13,6 +19,7 @@ node's children both span the node's own terminal pair.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -142,17 +149,38 @@ def _connected(graph: MultiGraph) -> bool:
 
 
 class _Builder:
-    """One reduction attempt for a fixed protected terminal pair."""
+    """One reduction attempt for a fixed protected terminal pair.
+
+    Live super-edges are indexed two ways: by unordered endpoint pair (a
+    parallel class, kept as a heap of ``(key, node id)``) and by vertex
+    (node id -> key). Two lazy heaps hold the reductions that may apply:
+    ``(k1, k2, endpoints)`` for a class with two or more members and
+    ``(k1, k2, v)`` for an unprotected vertex of degree two, k1 < k2 being
+    the two smallest keys involved. A step updates one class and at most
+    two vertices, pushes the candidates it creates, and checks a popped
+    candidate against the current state, so stale entries are dropped.
+    """
 
     def __init__(self, graph: MultiGraph, protected: tuple[int, int]):
-        self.graph = graph
         self.protected = protected
         self.nodes: list[DecompNode] = []
         # live super-edges: node id -> key (smallest original edge index inside)
         self.live: dict[int, int] = {}
+        self.classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.incident: dict[int, dict[int, int]] = {}
         for idx, e in enumerate(graph.edges):
             nid = self._new_node("leaf", (e.u, e.v), edge_id=e.id)
             self.live[nid] = idx
+            # Appending in key order leaves each class a valid heap.
+            self.classes.setdefault(_ends(e.u, e.v), []).append((idx, nid))
+            self.incident.setdefault(e.u, {})[nid] = idx
+            self.incident.setdefault(e.v, {})[nid] = idx
+        self.parallel_heap: list[tuple[int, int, tuple[int, int]]] = []
+        self.series_heap: list[tuple[int, int, int]] = []
+        for ends in self.classes:
+            self._push_parallel(ends)
+        for v in self.incident:
+            self._push_series(v)
 
     def _new_node(self, kind: str, terminals: tuple[int, int], **kw) -> int:
         nid = len(self.nodes)
@@ -182,55 +210,87 @@ class _Builder:
             return nid
         raise RuntimeError("super-edge endpoints do not match requested orientation")
 
+    def _parallel_keys(self, ends: tuple[int, int]) -> tuple[int, int] | None:
+        """The two smallest keys of a class that can merge, else None."""
+        members = self.classes.get(ends)
+        if members is None or len(members) < 2:
+            return None
+        # A heap's second smallest entry is one of its root's children.
+        return members[0][0], min(members[1:3])[0]
+
+    def _series_keys(self, v: int) -> tuple[int, int] | None:
+        """The two keys at a vertex that can be contracted, else None."""
+        edges = self.incident.get(v)
+        if edges is None or len(edges) != 2 or v in self.protected:
+            return None
+        k1, k2 = sorted(edges.values())
+        return k1, k2
+
+    def _push_parallel(self, ends: tuple[int, int]) -> None:
+        keys = self._parallel_keys(ends)
+        if keys is not None:
+            heapq.heappush(self.parallel_heap, (*keys, ends))
+
+    def _push_series(self, v: int) -> None:
+        keys = self._series_keys(v)
+        if keys is not None:
+            heapq.heappush(self.series_heap, (*keys, v))
+
     def _try_parallel(self) -> bool:
-        groups: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for nid, key in self.live.items():
-            ends = frozenset(self.nodes[nid].terminals)
-            groups.setdefault(ends, []).append((key, nid))
-        best = None
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            members.sort()
-            cand = (members[0][0], members[1][0], members[0][1], members[1][1])
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        if best is None:
+        heap = self.parallel_heap
+        while heap and self._parallel_keys(heap[0][2]) != heap[0][:2]:
+            heapq.heappop(heap)
+        if not heap:
             return False
-        key1, key2, nid1, nid2 = best
+        key1, _key2, ends = heapq.heappop(heap)
+        members = self.classes[ends]
+        _, nid1 = heapq.heappop(members)
+        _, nid2 = heapq.heappop(members)
         left = self.nodes[nid1]
         self._oriented(nid2, left.terminals)
         new = self._new_node("parallel", left.terminals, left=nid1, right=nid2)
+        heapq.heappush(members, (key1, new))
         del self.live[nid1]
         del self.live[nid2]
         self.live[new] = key1
+        for v in ends:
+            edges = self.incident[v]
+            del edges[nid1]
+            del edges[nid2]
+            edges[new] = key1
+            self._push_series(v)
+        self._push_parallel(ends)
         return True
 
     def _try_series(self) -> bool:
-        incident: dict[int, list[tuple[int, int]]] = {}
-        for nid, key in self.live.items():
-            for v in self.nodes[nid].terminals:
-                incident.setdefault(v, []).append((key, nid))
-        best = None
-        for v, edges in incident.items():
-            if v in self.protected or len(edges) != 2:
-                continue
-            edges.sort()
-            cand = (edges[0][0], edges[1][0], v, edges[0][1], edges[1][1])
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        if best is None:
+        heap = self.series_heap
+        while heap and self._series_keys(heap[0][2]) != heap[0][:2]:
+            heapq.heappop(heap)
+        if not heap:
             return False
-        key1, _key2, c, nid1, nid2 = best
+        key1, _key2, c = heapq.heappop(heap)
+        nid1, nid2 = sorted(self.incident.pop(c), key=self.live.get)
         e1, e2 = self.nodes[nid1], self.nodes[nid2]
         p = e1.terminals[0] if e1.terminals[1] == c else e1.terminals[1]
         q = e2.terminals[0] if e2.terminals[1] == c else e2.terminals[1]
+        # Series steps run only when no class has two members, so both
+        # classes are singletons and p != q.
+        del self.classes[_ends(p, c)]
+        del self.classes[_ends(c, q)]
         self._oriented(nid1, (p, c))
         self._oriented(nid2, (c, q))
         new = self._new_node("series", (p, q), join=c, left=nid1, right=nid2)
         del self.live[nid1]
         del self.live[nid2]
         self.live[new] = key1
+        for v, old in ((p, nid1), (q, nid2)):
+            edges = self.incident[v]
+            del edges[old]
+            edges[new] = key1
+            self._push_series(v)
+        ends = _ends(p, q)
+        heapq.heappush(self.classes.setdefault(ends, []), (key1, new))
+        self._push_parallel(ends)
         return True
 
     def run(self) -> tuple[bool, int | None]:
@@ -252,6 +312,11 @@ class _Builder:
             x, y = self.nodes[nid].terminals
             rows.append((x, y, tuple(sorted(_leaf_edge_ids(self.nodes, nid)))))
         return ReductionWitness(self.protected, tuple(rows))
+
+
+def _ends(x: int, y: int) -> tuple[int, int]:
+    """The parallel-class key of a super-edge: its endpoints, unordered."""
+    return (x, y) if x < y else (y, x)
 
 
 def _candidate_pairs(graph: MultiGraph) -> Iterator[tuple[int, int]]:

@@ -47,7 +47,10 @@ class MultiGraph:
 
     Parallel edges are allowed, self-loops are not. ``declared_terminals``
     optionally pins the terminal pair used for the series-parallel
-    decomposition.
+    decomposition. Construction raises ``ValueError`` for a duplicate edge
+    id, a self-loop, a negative cost or capacity, or an endpoint, source,
+    sink or terminal outside ``[0, vertex_count)``; it allocates nothing per
+    vertex.
     """
 
     vertex_count: int
@@ -57,11 +60,26 @@ class MultiGraph:
     declared_terminals: tuple[int, int] | None = None
 
     def __post_init__(self):
+        n = self.vertex_count
+        specials = [("source", self.source), ("sink", self.sink)]
+        if self.declared_terminals is not None:
+            specials += [("terminal", v) for v in self.declared_terminals]
+        for what, v in specials:
+            if not 0 <= v < n:
+                raise ValueError(f"{what} {v} out of range [0, {n})")
         ids = set()
         for e in self.edges:
             if e.id in ids:
                 raise ValueError(f"duplicate edge id {e.id!r}")
             ids.add(e.id)
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise ValueError(f"edge {e.id!r} endpoint out of range [0, {n}): {e.u}-{e.v}")
+            if e.u == e.v:
+                raise ValueError(f"edge {e.id!r} is a self-loop on vertex {e.u}")
+            if e.cost < 0:
+                raise ValueError(f"edge {e.id!r} has negative cost {e.cost}")
+            if e.capacity < 0:
+                raise ValueError(f"edge {e.id!r} has negative capacity {e.capacity}")
 
     @property
     def edge_count(self) -> int:

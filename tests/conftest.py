@@ -8,8 +8,14 @@ testing the solver itself.
 import importlib
 
 import pytest
+from hypothesis import settings
 
 from spnd import parse_instance
+
+# Property tests draw the same examples on every run, untimed, with no
+# example database carried between runs.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None, max_examples=200)
+settings.load_profile("derandomized")
 
 # One edge, cost 5, capacity 7.
 SINGLE_EDGE_TEXT = """\

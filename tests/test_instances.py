@@ -1,9 +1,12 @@
 """Instance file parsing, serialization, and the core data model."""
 
+from dataclasses import replace
+
 import pytest
 
 from spnd import (
     EdgeRecord,
+    MultiGraph,
     ParseError,
     ProblemInstance,
     Solution,
@@ -159,3 +162,33 @@ def test_solution_is_frozen():
     sol = Solution(purchased=frozenset({"e1"}), total_cost=5, achieved_flow=7)
     with pytest.raises(AttributeError):
         sol.total_cost = 9
+
+
+@pytest.mark.parametrize(
+    "graph_changes,edge_changes,fragment",
+    [
+        ({}, {"cost": -5}, "negative cost"),
+        ({}, {"capacity": -1}, "negative capacity"),
+        ({}, {"v": 0}, "self-loop"),
+        ({}, {"v": 3}, "endpoint out of range"),
+        ({}, {"u": -1}, "endpoint out of range"),
+        ({"vertex_count": 4, "source": 9}, {}, "source 9 out of range"),
+        ({"sink": 3}, {}, "sink 3 out of range"),
+        ({"declared_terminals": (0, 5)}, {}, "terminal 5 out of range"),
+    ],
+    ids=["negative-cost", "negative-capacity", "self-loop", "endpoint-high",
+         "endpoint-negative", "source", "sink", "terminal"],
+)
+def test_graph_model_rejects_invalid_fields(diamond, graph_changes, edge_changes, fragment):
+    # The parser refuses these inputs with a line number; a graph built
+    # through the API must refuse them too, before any solver sees them.
+    g = diamond.graph
+    edges = (replace(g.edges[0], **edge_changes),) + g.edges[1:]
+    with pytest.raises(ValueError, match=fragment):
+        replace(g, edges=edges, **graph_changes)
+
+
+def test_graph_model_validation_allocates_nothing_per_vertex():
+    n = 10**12
+    graph = MultiGraph(n, (EdgeRecord("e1", 0, n - 1, 1, 1),), 0, n - 1)
+    assert graph.edge_count == 1
