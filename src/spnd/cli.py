@@ -75,21 +75,20 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _solve_and_print(instance: ProblemInstance, solve, fmt: str) -> int:
-    """Solve, with any upgrade menus expanded first and each menu's choice
+def _solve_and_print(instance: ProblemInstance, solve, fmt: str, extra_lines=()) -> int:
+    """Solve, with any upgrade menus expanded first, and print the solution
 
-    reported on an ``UPGRADE`` line."""
+    with ``extra_lines`` (read once ``solve`` has returned, so it may fill
+    them) and each menu's choice on an ``UPGRADE`` line."""
     gmap = None
     if instance.upgrades:
         instance, gmap = expand_upgrades(instance)
     solution = solve(instance)
-    upgrade_lines: list[str] = []
+    lines = list(extra_lines)
     if gmap is not None:
         plan = map_back(solution, gmap)
-        upgrade_lines = [
-            f"UPGRADE {gid} choice={idx}" for gid, idx in sorted(plan.choices.items())
-        ]
-    _print_solution(solution, fmt, upgrade_lines)
+        lines += [f"UPGRADE {gid} choice={idx}" for gid, idx in sorted(plan.choices.items())]
+    _print_solution(solution, fmt, lines)
     return 0
 
 
@@ -109,16 +108,15 @@ def _cmd_fptas(args) -> int:
     instance = _load_instance(args.instance)
     if instance.budget is None:
         raise _UsageError("fptas applies to budget instances only")
-    if instance.upgrades:
-        instance, _ = expand_upgrades(instance)
-    outcome = fptas_bcmfp_detailed(instance, args.epsilon)
-    m_prime = "exact" if outcome.m_prime is None else str(outcome.m_prime)
-    extra = [
-        "GUARANTEE flow*(1+eps) >= OPT",
-        f"M_PRIME={m_prime}",
-    ]
-    _print_solution(outcome.solution, "text", extra)
-    return 0
+    extra: list[str] = []
+
+    def solve(expanded: ProblemInstance) -> Solution:
+        outcome = fptas_bcmfp_detailed(expanded, args.epsilon)
+        m_prime = "exact" if outcome.m_prime is None else str(outcome.m_prime)
+        extra.extend(["GUARANTEE flow*(1+eps) >= OPT", f"M_PRIME={m_prime}"])
+        return outcome.solution
+
+    return _solve_and_print(instance, solve, "text", extra)
 
 
 def _cmd_oracle(args) -> int:

@@ -32,9 +32,11 @@ from .instance import EdgeRecord, MultiGraph
 class DecompNode:
     """One node of the decomposition tree.
 
-    ``interior_specials`` says which of the source ('s') / sink ('t') lie
-    strictly inside this node's subgraph, i.e. in it but not equal to either
-    terminal.
+    ``placements`` maps each of the source ('s') and sink ('t') that lies
+    strictly inside this node's subgraph (in it but not equal to either
+    terminal) to where it sits: "join" (a series node's join vertex),
+    "left" or "right" (interior to that child). Keys are in s-then-t order;
+    a leaf has none.
     """
 
     id: int
@@ -44,7 +46,11 @@ class DecompNode:
     join: int | None = None
     left: int | None = None
     right: int | None = None
-    interior_specials: frozenset[str] = frozenset()
+    placements: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def interior_specials(self) -> frozenset[str]:
+        return frozenset(self.placements)
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,8 @@ class DecompTree:
     graph: MultiGraph
     terminals: tuple[int, int]
 
-    def node(self, node_id: int) -> DecompNode:
-        return self.nodes[node_id]
+    def node(self, nid: int) -> DecompNode:
+        return self.nodes[nid]
 
     @property
     def source(self) -> int:
@@ -96,14 +102,14 @@ class DecompTree:
     def leaf_count(self) -> int:
         return sum(1 for n in self.nodes if n.kind == "leaf")
 
-    def subtree_edge_ids(self, node_id: int) -> tuple[str, ...]:
+    def subtree_edge_ids(self, nid: int) -> tuple[str, ...]:
         """Leaf edge ids under a node, in left-to-right order."""
-        return _leaf_edge_ids(self.nodes, node_id)
+        return _leaf_edge_ids(self.nodes, nid)
 
 
-def _leaf_edge_ids(nodes: list[DecompNode], node_id: int) -> tuple[str, ...]:
+def _leaf_edge_ids(nodes: list[DecompNode], nid: int) -> tuple[str, ...]:
     out: list[str] = []
-    stack = [node_id]
+    stack = [nid]
     while stack:
         node = nodes[stack.pop()]
         if node.kind == "leaf":
@@ -340,26 +346,28 @@ def _candidate_pairs(graph: MultiGraph) -> Iterator[tuple[int, int]]:
 
 
 def _annotate_specials(tree: DecompTree) -> None:
-    s, t = tree.graph.source, tree.graph.sink
+    """Fill every inner node's placements, children first: a special at a
+
+    series join sits there, else in the child it is interior to; one that
+    is a terminal of the node is not interior to it."""
+    specials = (("s", tree.graph.source), ("t", tree.graph.sink))
     for nid in tree.postorder_ids():
         node = tree.nodes[nid]
         if node.kind == "leaf":
-            node.interior_specials = frozenset()
             continue
-        left = tree.nodes[node.left]
-        right = tree.nodes[node.right]
-        labels = set(left.interior_specials) | set(right.interior_specials)
-        if node.kind == "series":
-            if node.join == s:
-                labels.add("s")
-            if node.join == t:
-                labels.add("t")
-        # A special equal to one of this node's own terminals is not interior.
-        if s in node.terminals:
-            labels.discard("s")
-        if t in node.terminals:
-            labels.discard("t")
-        node.interior_specials = frozenset(labels)
+        left = tree.nodes[node.left].placements
+        right = tree.nodes[node.right].placements
+        place = {}
+        for lab, v in specials:
+            if v in node.terminals:
+                continue
+            if node.kind == "series" and node.join == v:
+                place[lab] = "join"
+            elif lab in left:
+                place[lab] = "left"
+            elif lab in right:
+                place[lab] = "right"
+        node.placements = place
 
 
 def decompose(graph: MultiGraph) -> DecompTree:

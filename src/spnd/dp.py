@@ -31,6 +31,11 @@ minimum, with the smallest split reaching it, merges into the running best
 by a strict <, so ties go to the smallest split and a cell that stays
 infeasible keeps split 0.
 
+Where each interior special sits (at the series join, or inside the left
+or right child) is read from the tree: ``decompose`` records it once per
+node as ``DecompNode.placements``, and the build, the case labels
+(:func:`case_label`) and reconstruction all read it from there.
+
 Each child sees its parent's source and sink residues unchanged, so only
 the a-slot residue differs from node to node (series: :func:`_join_residue`;
 parallel: the stored split and the rest). Reconstruction walks (node, a-slot
@@ -41,16 +46,18 @@ Tables are dense numpy arrays, one axis per free coordinate. The a-slot
 axis ranges over the node's residue domain: integers in [-Fn, Fn] where
 Fn = min(F, total capacity of the subgraph), optionally intersected with an
 explicit residue set (see solve_lattice). Each special axis
-(``NodeTable.special_axes``) ranges over the same domain, unless the build
-is pinned to one query value v: then the source axis holds only -v and the
-sink axis only +v, so every special axis has length one and the table
-answers that single flow query; the budget-feasibility probe used by the
-approximation scheme relies on this.
+(``NodeTable.special_axes``, keyed by the special's label in s-then-t
+order) ranges over the same domain, unless the build is pinned to one
+query value v: then the source axis holds only -v and the sink axis only
++v, so every special axis has length one and the table answers that single
+flow query; the budget-feasibility probe used by the approximation scheme
+relies on this.
 Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -71,37 +78,36 @@ class ResidueDomain:
     """Sorted set of residue values for one table axis.
 
     Node domains are symmetric under negation; a pinned special axis holds
-    a single value."""
+    a single value. Consecutive values (a range, a single value, a dense
+    lattice set) are looked up by offset from the first; any other set by
+    binary search."""
 
-    __slots__ = ("values", "radius", "_contiguous", "_index")
+    __slots__ = ("values", "_lo", "_hi", "_dense")
 
-    def __init__(self, values: np.ndarray, contiguous: bool):
+    def __init__(self, values: np.ndarray):
         self.values = values
-        self.radius = int(values[-1]) if len(values) else 0
-        self._contiguous = contiguous
-        self._index = None
+        self._lo, self._hi = int(values[0]), int(values[-1])
+        self._dense = self._hi - self._lo + 1 == len(values)
 
     @staticmethod
     def range(radius: int) -> "ResidueDomain":
-        return ResidueDomain(np.arange(-radius, radius + 1, dtype=np.int64), True)
+        return ResidueDomain(np.arange(-radius, radius + 1, dtype=np.int64))
 
     @staticmethod
     def single(value: int) -> "ResidueDomain":
-        return ResidueDomain(np.array([value], dtype=np.int64), False)
+        return ResidueDomain(np.array([value], dtype=np.int64))
 
     @staticmethod
     def explicit(values: Iterable[int]) -> "ResidueDomain":
         arr = np.unique(np.asarray(list(values), dtype=np.int64))
         if len(arr) == 0 or 0 not in arr or not np.array_equal(arr, -arr[::-1]):
             raise ValueError("residue domain must contain 0 and be symmetric under negation")
-        return ResidueDomain(arr, False)
+        return ResidueDomain(arr)
 
     def clipped(self, radius: int) -> "ResidueDomain":
-        if self._contiguous:
-            return ResidueDomain.range(min(self.radius, radius))
         lo = np.searchsorted(self.values, -radius, side="left")
         hi = np.searchsorted(self.values, radius, side="right")
-        return ResidueDomain(self.values[lo:hi], False)
+        return ResidueDomain(self.values[lo:hi])
 
     def __len__(self) -> int:
         return len(self.values)
@@ -109,34 +115,31 @@ class ResidueDomain:
     def positions(self, vals):
         """Clipped positions plus a validity mask, for elementwise gathers."""
         vals = np.asarray(vals, dtype=np.int64)
-        if not self._contiguous:
+        if not self._dense:
             # A value past the last one is clamped onto it and compares unequal.
             pos = np.minimum(np.searchsorted(self.values, vals), len(self.values) - 1)
             return pos, self.values[pos] == vals
         # Clamped with ufuncs: np.clip costs several times more per call here.
-        pos = np.minimum(np.maximum(vals + self.radius, 0), len(self.values) - 1)
+        pos = np.minimum(np.maximum(vals - self._lo, 0), len(self.values) - 1)
         return pos, self.contains(vals)
 
     def contains(self, vals) -> np.ndarray:
-        """Membership mask alone; a contiguous axis needs no positions for it."""
-        if not self._contiguous:
+        """Membership mask alone; a dense axis needs no positions for it."""
+        if not self._dense:
             return self.positions(vals)[1]
-        return (vals >= -self.radius) & (vals <= self.radius)
+        return (vals >= self._lo) & (vals <= self._hi)
 
     def pos_of(self, value: int) -> int | None:
-        if self._contiguous:
-            return value + self.radius if -self.radius <= value <= self.radius else None
-        if self._index is None:
-            self._index = {int(v): i for i, v in enumerate(self.values)}
-        return self._index.get(int(value))
+        if self._dense:
+            return value - self._lo if self._lo <= value <= self._hi else None
+        pos = int(np.searchsorted(self.values, value))
+        return pos if pos < len(self.values) and self.values[pos] == value else None
 
 
 @dataclass
 class NodeTable:
-    node_id: int
-    specials: tuple[str, ...]  # interior specials, in ("s", "t") order
     domain: ResidueDomain  # the a-slot axis
-    special_axes: tuple[ResidueDomain, ...]  # one axis per interior special
+    special_axes: dict[str, ResidueDomain]  # interior special -> its axis, s then t
     cost: np.ndarray
     split: np.ndarray | None
     admissible: int
@@ -169,6 +172,17 @@ def all_case_labels() -> list[str]:
     return labels
 
 
+def case_label(node: DecompNode) -> str:
+    """The case of :func:`all_case_labels` an inner node falls in, read off
+
+    its placements."""
+    parts = [
+        f"{lab}@join" if where == "join" else f"{lab}{where[0].upper()}"
+        for lab, where in node.placements.items()
+    ]
+    return f"{node.kind}:{'+'.join(parts) or 'none'}"
+
+
 class DPTable:
     """Built tables for every tree node, plus query and reconstruction."""
 
@@ -178,7 +192,6 @@ class DPTable:
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
         self.tables: dict[int, NodeTable] = {}
-        self.case_counts: dict[str, int] = {}
 
     @property
     def state_count(self) -> int:
@@ -187,58 +200,31 @@ class DPTable:
     def per_node_states(self) -> dict[int, int]:
         return {nid: nt.admissible for nid, nt in self.tables.items()}
 
+    @property
+    def case_counts(self) -> dict[str, int]:
+        """How many inner nodes of the tree fall in each case label."""
+        return dict(Counter(case_label(n) for n in self.tree.nodes if n.kind != "leaf"))
+
     # -- lookups ---------------------------------------------------------
 
-    def _node_specials(self, node: DecompNode) -> tuple[str, ...]:
-        return tuple(lab for lab in _SPECIAL_ORDER if lab in node.interior_specials)
-
-    def cost_of(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
+    def cost_of(self, nid: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
         """Cost of the cell at a-slot residue ``r_a`` and source and sink
 
         residues ``r_s``, ``r_t`` (each ignored where that special is not
         interior); the sentinel for a cell off the node's axes."""
-        nt = self.tables[node_id]
+        nt = self.tables[nid]
         coords = _coords(nt, r_a, r_s, r_t)
         if coords is None:
             return self.infinity
         return int(nt.cost[coords])
 
-    def split_of(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
+    def split_of(self, nid: int, r_a: int, r_s: int = 0, r_t: int = 0) -> int:
         """The a-slot residue a parallel node's cell sends into its left child."""
-        nt = self.tables[node_id]
+        nt = self.tables[nid]
         coords = _coords(nt, r_a, r_s, r_t)
         if coords is None or nt.split is None:
-            raise ValueError(f"node {node_id} stores no split for r_a={r_a}, r_s={r_s}, r_t={r_t}")
+            raise ValueError(f"node {nid} stores no split for r_a={r_a}, r_s={r_s}, r_t={r_t}")
         return int(nt.split[coords])
-
-    # -- structure helpers ----------------------------------------------
-
-    def placements(self, node: DecompNode) -> dict[str, str]:
-        """Where each interior special of ``node`` sits: join/left/right."""
-        left = self.tree.node(node.left)
-        right = self.tree.node(node.right)
-        special_vertex = {"s": self.tree.source, "t": self.tree.sink}
-        out: dict[str, str] = {}
-        for lab in self._node_specials(node):
-            if node.kind == "series" and node.join == special_vertex[lab]:
-                out[lab] = "join"
-            elif lab in left.interior_specials:
-                out[lab] = "left"
-            elif lab in right.interior_specials:
-                out[lab] = "right"
-            else:
-                raise RuntimeError(f"special {lab!r} of node {node.id} is in neither child")
-        return out
-
-    def case_label(self, node: DecompNode) -> str:
-        place = self.placements(node)
-        parts = []
-        for lab in _SPECIAL_ORDER:
-            if lab not in place:
-                continue
-            where = place[lab]
-            parts.append(f"{lab}@join" if where == "join" else f"{lab}{'L' if where == 'left' else 'R'}")
-        return f"{node.kind}:{'+'.join(parts) or 'none'}"
 
     # -- queries ---------------------------------------------------------
 
@@ -263,18 +249,18 @@ class DPTable:
             return self.infinity, None
         return cost, self.reconstruct(self.tree.root, self._root_a(v), -v, v)
 
-    def reconstruct(self, node_id: int, r_a: int, r_s: int = 0, r_t: int = 0) -> frozenset[str]:
+    def reconstruct(self, nid: int, r_a: int, r_s: int = 0, r_t: int = 0) -> frozenset[str]:
         """Purchased edge ids behind a node's cell (see :meth:`cost_of`).
 
         Walks (node, a-slot residue) pairs; the special residues are the
         same at every node below. Only the starting cell is checked: a
         feasible cell's cost is the sum of its children's, so they are
         feasible too."""
-        if self.cost_of(node_id, r_a, r_s, r_t) >= self.infinity:
-            raise ValueError(f"node {node_id} has no feasible cell at r_a={r_a}, r_s={r_s}, r_t={r_t}")
+        if self.cost_of(nid, r_a, r_s, r_t) >= self.infinity:
+            raise ValueError(f"node {nid} has no feasible cell at r_a={r_a}, r_s={r_s}, r_t={r_t}")
         special = {"s": r_s, "t": r_t}
         purchased: list[str] = []
-        stack = [(node_id, r_a)]
+        stack = [(nid, r_a)]
         while stack:
             nid, r_a = stack.pop()
             node = self.tree.node(nid)
@@ -283,7 +269,7 @@ class DPTable:
                     purchased.append(node.edge_id)
             elif node.kind == "series":
                 stack.append((node.left, r_a))
-                stack.append((node.right, _join_residue(r_a, self.placements(node), special)))
+                stack.append((node.right, _join_residue(r_a, node.placements, special)))
             else:
                 split = self.split_of(nid, r_a, r_s, r_t)
                 stack.append((node.left, split))
@@ -296,7 +282,7 @@ def _coords(nt: NodeTable, r_a: int, r_s: int, r_t: int) -> tuple[int, ...] | No
 
     residues ``r_s``, ``r_t``, or None when one lies off its axis."""
     coords = [nt.domain.pos_of(r_a)]
-    for lab, axis in zip(nt.specials, nt.special_axes):
+    for lab, axis in nt.special_axes.items():
         coords.append(axis.pos_of(r_s if lab == "s" else r_t))
     return None if None in coords else tuple(coords)
 
@@ -313,17 +299,17 @@ def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
 # -- vectorized build -----------------------------------------------------
 
 
-def _grid(dom: ResidueDomain, specials: tuple[str, ...], axes: tuple[ResidueDomain, ...]):
+def _grid(dom: ResidueDomain, axes: dict[str, ResidueDomain]):
     """Table shape, a-slot values and each special's values, every one
 
     as an array broadcast along its own axis."""
-    shape = (len(dom), *(len(ax) for ax in axes))
+    shape = (len(dom), *(len(ax) for ax in axes.values()))
     arrays = []
-    for i, ax in enumerate((dom, *axes)):
+    for i, ax in enumerate((dom, *axes.values())):
         dims = [1] * len(shape)
         dims[i] = -1
         arrays.append(ax.values.reshape(dims))
-    return shape, arrays[0], dict(zip(specials, arrays[1:]))
+    return shape, arrays[0], dict(zip(axes, arrays[1:]))
 
 
 def _build_leaf(
@@ -343,7 +329,7 @@ def _special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool
 
     with their joint validity; they do not depend on the a-slot."""
     positions, valid = [], True
-    for lab, axis in zip(nt.specials, nt.special_axes):
+    for lab, axis in nt.special_axes.items():
         pos, ok = axis.positions(svals[lab])
         positions.append(pos)
         valid = valid & ok
@@ -381,16 +367,14 @@ class _Builder:
             return ResidueDomain.range(f_node)
         return self.base_domain.clipped(f_node)
 
-    def special_axes(
-        self, specials: tuple[str, ...], dom: ResidueDomain
-    ) -> tuple[ResidueDomain, ...]:
-        """Each special's axis: the node domain, or the special's one
+    def special_axes(self, node: DecompNode, dom: ResidueDomain) -> dict[str, ResidueDomain]:
+        """Each interior special's axis: the node domain, or the special's
 
-        pinned residue when the build answers a single flow query."""
+        one pinned residue when the build answers a single flow query."""
         pin = self.table.pin
         if pin is None:
-            return (dom,) * len(specials)
-        return tuple(ResidueDomain.single(_SPECIAL_SIGN[lab] * pin) for lab in specials)
+            return {lab: dom for lab in node.placements}
+        return {lab: ResidueDomain.single(_SPECIAL_SIGN[lab] * pin) for lab in node.placements}
 
     def build(self) -> DPTable:
         table = self.table
@@ -406,13 +390,10 @@ class _Builder:
                 cost, admissible = _build_leaf(
                     dom, edges[node.edge_id].cost, self.capacities[node.edge_id], self.sentinel
                 )
-                table.tables[node.id] = NodeTable(node.id, (), dom, (), cost, None, admissible)
+                table.tables[node.id] = NodeTable(dom, {}, cost, None, admissible)
                 continue
-            label = table.case_label(node)
-            table.case_counts[label] = table.case_counts.get(label, 0) + 1
-            specials = table._node_specials(node)
             combine = self._build_series if node.kind == "series" else self._build_parallel
-            table.tables[node.id] = combine(node, specials, dom, self.special_axes(specials, dom))
+            table.tables[node.id] = combine(node, dom, self.special_axes(node, dom))
         return table
 
     def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
@@ -421,21 +402,21 @@ class _Builder:
         ok = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
         return ok, int(ok.sum())
 
-    def _build_series(self, node: DecompNode, specials, dom, axes) -> NodeTable:
+    def _build_series(self, node: DecompNode, dom, axes) -> NodeTable:
         table = self.table
-        shape, va, svals = _grid(dom, specials, axes)
+        shape, va, svals = _grid(dom, axes)
         left_nt, right_nt = table.tables[node.left], table.tables[node.right]
         left_cost, left_ok = _gather(left_nt, va, *_special_coords(left_nt, svals))
-        y = _join_residue(va, table.placements(node), svals)
+        y = _join_residue(va, node.placements, svals)
         right_cost, right_ok = _gather(right_nt, y, *_special_coords(right_nt, svals))
         total = np.minimum(left_cost + right_cost, self.sentinel)
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)
         cost = np.where(left_ok & right_ok & ok_mask, total, np.int64(self.sentinel))
         cost = np.ascontiguousarray(np.broadcast_to(cost, shape))
-        return NodeTable(node.id, specials, dom, axes, cost, None, admissible)
+        return NodeTable(dom, axes, cost, None, admissible)
 
-    def _build_parallel(self, node: DecompNode, specials, dom, axes) -> NodeTable:
-        shape, va, svals = _grid(dom, specials, axes)
+    def _build_parallel(self, node: DecompNode, dom, axes) -> NodeTable:
+        shape, va, svals = _grid(dom, axes)
         left_nt, right_nt = self.table.tables[node.left], self.table.tables[node.right]
         sentinel = self.sentinel
         # Taken before the scan allocates its buffers, so that the mask's
@@ -471,7 +452,7 @@ class _Builder:
             np.copyto(best, low, where=better)
             np.copyto(split, arg, where=better)
         np.copyto(best, sentinel, where=~ok_mask)
-        return NodeTable(node.id, specials, dom, axes, best, split, admissible)
+        return NodeTable(dom, axes, best, split, admissible)
 
 
 def build_table(

@@ -32,7 +32,7 @@ def _parent(table: DPTable, node: DecompNode, cell) -> tuple[dict, dict, int]:
 
     parent's b-slot residue, which balances the others."""
     r_a, r_s, r_t = cell
-    place = table.placements(node)
+    place = node.placements
     special = {lab: (r_s if lab == "s" else r_t) for lab in place}
     return place, special, -(r_a + sum(special.values()))
 

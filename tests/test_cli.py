@@ -234,3 +234,17 @@ def test_upgrade_instance_reports_choice(run):
     lines = out.splitlines()
     assert "UPGRADE g1 choice=2" in lines
     assert lines[-1] == "RESULT cost=7 flow=20 edges=g1:c2,g1:g2a,g1:g2b"
+
+
+def test_fptas_upgrade_instance_reports_choice(run):
+    # The same menu solve reports: fptas must map its purchase back too.
+    text = "graph 3\nsource 0\nsink 2\nedge e1 0 1 1 10\nupedge g1 1 2 2 2 3 5 8\nbudget 6\n"
+    code, out, _ = run("solve", text=text)
+    assert code == 0
+    assert "UPGRADE g1 choice=2" in out.splitlines()
+    code, out, _ = run("fptas", "--epsilon", "1/2", text=text)
+    assert code == 0
+    lines = out.splitlines()
+    assert "UPGRADE g1 choice=2" in lines
+    assert "GUARANTEE flow*(1+eps) >= OPT" in lines
+    assert lines[-1].startswith("RESULT cost=6 flow=8 ")

@@ -188,7 +188,9 @@ def _subtree_vertices(tree, nid):
 def test_interior_special_flags_match_direct_derivation(seed):
     # A special is interior to a node iff it is a vertex of the node's
     # subgraph and differs from both terminals; the stored flags must agree
-    # with that definition recomputed from scratch.
+    # with that definition recomputed from scratch. So must each interior
+    # special's placement: at the join of a series node whose join it is,
+    # else left iff interior to the left child's subgraph, else right.
     tree = decompose(generate_sp(seed, edge_budget=9).graph)
     special_vertex = {"s": tree.source, "t": tree.sink}
     for nid in tree.postorder_ids():
@@ -200,6 +202,18 @@ def test_interior_special_flags_match_direct_derivation(seed):
             if v in vertices and v not in node.terminals
         )
         assert node.interior_specials == expected, f"seed {seed}, node {nid}"
+        place = {}
+        for lab, v in special_vertex.items():
+            if lab not in expected:
+                continue
+            if node.kind == "series" and node.join == v:
+                place[lab] = "join"
+            elif v in _subtree_vertices(tree, node.left) and v not in tree.node(node.left).terminals:
+                place[lab] = "left"
+            else:
+                place[lab] = "right"
+        assert node.placements == place, f"seed {seed}, node {nid}"
+        assert list(node.placements) == list(place), f"seed {seed}, node {nid}: key order"
 
 
 @pytest.mark.parametrize("seed", range(1, 41))

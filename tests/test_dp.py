@@ -52,14 +52,14 @@ def _admissible_cells(table, nid):
     the implied terminal residue must lie in the domain."""
     nt = table.tables[nid]
     vals = [int(v) for v in nt.domain.values]
-    special_vals = [[int(v) for v in axis.values] for axis in nt.special_axes]
+    special_vals = [[int(v) for v in axis.values] for axis in nt.special_axes.values()]
     out = []
     for r_a in vals:
         for combo in itertools.product(*special_vals):
             r_b = -(r_a + sum(combo))
             if nt.domain.pos_of(r_b) is None:
                 continue
-            special = dict(zip(nt.specials, combo))
+            special = dict(zip(nt.special_axes, combo))
             out.append((r_a, special.get("s", 0), special.get("t", 0)))
     return out
 
@@ -71,7 +71,7 @@ def _residue_map(tree, table, nid, cell):
     r_a, r_s, r_t = cell
     a, b = tree.node(nid).terminals
     res = {a: r_a}
-    for lab in table.tables[nid].specials:
+    for lab in table.tables[nid].special_axes:
         res[tree.source if lab == "s" else tree.sink] = r_s if lab == "s" else r_t
     res[b] = -sum(res.values())
     return res
@@ -87,6 +87,22 @@ def test_residue_domain_range_and_lookup():
     assert dom.pos_of(3) is None
     clipped = dom.clipped(1)
     assert list(clipped.values) == [-1, 0, 1]
+    # A pinned value, a dense explicit set and a sparse one: every lookup
+    # must agree with a plain dict over the values.
+    for dom in (
+        ResidueDomain.single(-3),
+        ResidueDomain.explicit([-1, 0, 1]),
+        ResidueDomain.explicit([-5, 0, 5]),
+    ):
+        index = {int(v): i for i, v in enumerate(dom.values)}
+        probe = np.arange(-7, 8)
+        pos, ok = dom.positions(probe)
+        assert ok.tolist() == [int(v) in index for v in probe]
+        assert dom.contains(probe).tolist() == ok.tolist()
+        for v, p, hit in zip(probe.tolist(), pos.tolist(), ok.tolist()):
+            assert dom.pos_of(v) == index.get(v)
+            if hit:
+                assert p == index[v]
 
 
 def test_residue_domain_explicit_validation():
