@@ -16,11 +16,19 @@ free coordinates are thus the table's axes and nothing needs re-checking.
 
 A flow of value v from source to sink is the root cell at (r_s, r_t) =
 (-v, +v), whose r_a is -v if the source is the root's a terminal and +v if
-the sink is. Both solvers reduce to such queries at the flow values the
+the sink is. Both solvers reduce to such queries at the flow values a
 table holds, the root domain's values in [0, F] (every integer there, or
 the lattice points of a lattice table). The cost never falls as the flow
 rises, so a demand D is answered at the least such value >= D, and a
 budget by a binary search for the largest affordable one.
+
+Given no table, the solvers never build every (r_s, r_t) pair: each query
+value v gets its own build pinned to v with the flow bound F (below), which
+answers that query with the full table's cost and witness. A demand takes
+one such build; a budget search one per probe. The special-free nodes, those
+with no interior special, have no special axis, so their tables do not
+depend on v: a solve builds them once and each later probe rebuilds only
+the nodes above the source or the sink (``reuse=`` of :func:`build_table`).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children. That
@@ -50,8 +58,8 @@ explicit residue set (see solve_lattice). Each special axis
 order) ranges over the same domain, unless the build is pinned to one
 query value v: then the source axis holds only -v and the sink axis only
 +v, so every special axis has length one and the table answers that single
-flow query; the budget-feasibility probe used by the approximation scheme
-relies on this.
+flow query. The exact solvers build such tables with the flow bound F; the
+budget-feasibility probe of the approximation scheme clips it to v.
 Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 """
 
@@ -186,12 +194,23 @@ def case_label(node: DecompNode) -> str:
 class DPTable:
     """Built tables for every tree node, plus query and reconstruction."""
 
-    def __init__(self, tree: DecompTree, f_bound: int, infinity: int, pin: int | None):
+    def __init__(
+        self,
+        tree: DecompTree,
+        f_bound: int,
+        infinity: int,
+        pin: int | None,
+        capacities: dict[str, int],
+        base_domain: ResidueDomain | None,
+    ):
         self.tree = tree
         self.f_bound = f_bound
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
+        self.capacities = capacities  # per edge id, after any override
+        self.base_domain = base_domain  # the residue set every axis is cut from, or None
         self.tables: dict[int, NodeTable] = {}
+        self.spine: list[int] = []  # inner nodes with an interior special, in postorder
 
     @property
     def state_count(self) -> int:
@@ -360,7 +379,7 @@ class _Builder:
         self.capacities = capacities
         self.base_domain = base_domain
         self.sentinel = infinity_sentinel(tree.graph)
-        self.table = DPTable(tree, f_bound, self.sentinel, pin)
+        self.table = DPTable(tree, f_bound, self.sentinel, pin, capacities, base_domain)
 
     def domain_for(self, f_node: int) -> ResidueDomain:
         if self.base_domain is None:
@@ -392,9 +411,25 @@ class _Builder:
                 )
                 table.tables[node.id] = NodeTable(dom, {}, cost, None, admissible)
                 continue
-            combine = self._build_series if node.kind == "series" else self._build_parallel
-            table.tables[node.id] = combine(node, dom, self.special_axes(node, dom))
+            if node.placements:
+                table.spine.append(node.id)
+            table.tables[node.id] = self._combine(node, dom)
         return table
+
+    def rebuild_spine(self, reuse: DPTable) -> DPTable:
+        """Share ``reuse``'s special-free node tables and build only its
+
+        spine, each node over the domain it had there."""
+        table = self.table
+        table.tables = dict(reuse.tables)
+        table.spine = reuse.spine
+        for nid in reuse.spine:
+            table.tables[nid] = self._combine(self.tree.node(nid), reuse.tables[nid].domain)
+        return table
+
+    def _combine(self, node: DecompNode, dom: ResidueDomain) -> NodeTable:
+        combine = self._build_series if node.kind == "series" else self._build_parallel
+        return combine(node, dom, self.special_axes(node, dom))
 
     def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
         """Mask of the cells whose implied b-slot residue is in the domain, and its count."""
@@ -462,6 +497,7 @@ def build_table(
     capacity_override: Mapping[str, int] | None = None,
     residue_values: Iterable[int] | None = None,
     pin: int | None = None,
+    reuse: DPTable | None = None,
 ) -> DPTable:
     """Build DP tables for every node in postorder.
 
@@ -472,6 +508,11 @@ def build_table(
     ``pin`` gives the source axis the one value -pin and the sink axis the
     one value +pin, so each special axis has length one and the tables
     answer only the flow query ``pin``.
+
+    ``reuse`` is an earlier table of the same tree, flow bound, capacities
+    and residue set. Its special-free node tables, which no pin changes,
+    are shared by the new table as they are, and only the nodes with an
+    interior special are built; any other table raises ``ValueError``.
     """
     capacities = {e.id: e.capacity for e in tree.graph.edges}
     if capacity_override is not None:
@@ -488,7 +529,34 @@ def build_table(
     base = None
     if residue_values is not None:
         base = ResidueDomain.explicit(residue_values)
-    return _Builder(tree, f_bound, capacities, base, pin).build()
+    builder = _Builder(tree, f_bound, capacities, base, pin)
+    if reuse is None:
+        return builder.build()
+    _check_reusable(reuse, tree, f_bound, capacities, base)
+    return builder.rebuild_spine(reuse)
+
+
+def _check_reusable(
+    reuse: DPTable,
+    tree: DecompTree,
+    f_bound: int,
+    capacities: dict[str, int],
+    base: ResidueDomain | None,
+) -> None:
+    """``reuse``'s special-free tables are this build's only if every input
+
+    they were built from is the same."""
+    if reuse.tree is not tree:
+        raise ValueError("reused table was built over another tree")
+    if reuse.f_bound != f_bound:
+        raise ValueError(f"reused table has flow bound {reuse.f_bound}, not {f_bound}")
+    if reuse.capacities != capacities:
+        raise ValueError("reused table was built with other capacities")
+    same_base = (reuse.base_domain is None) == (base is None) and (
+        base is None or np.array_equal(reuse.base_domain.values, base.values)
+    )
+    if not same_base:
+        raise ValueError("reused table was built over another residue set")
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -546,7 +614,10 @@ def solve_capndp(
 ) -> Solution:
     """Cheapest purchase whose max flow meets the demand D: the table's least
 
-    flow value >= D, since the cost never falls as the flow rises."""
+    flow value >= D, since the cost never falls as the flow rises.
+
+    Without ``table`` it answers from one build pinned to D with the flow
+    bound F; a ``table`` (a full or a lattice build) is read as it is."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
     if tree is None:
@@ -555,7 +626,7 @@ def solve_capndp(
     f_bound = upper_bound_flow(instance) if table is None else table.f_bound
     check_demand(demand, f_bound)
     if table is None:
-        table = build_table(tree, f_bound)
+        table = build_table(tree, f_bound, pin=demand)
     flows = _flow_values(table)
     at = int(np.searchsorted(flows, demand))
     if at < len(flows):
@@ -574,23 +645,46 @@ def solve_bcmfp(
 ) -> Solution:
     """Max attainable flow within the budget: a binary search for the
 
-    table's largest affordable flow value."""
+    table's largest affordable flow value.
+
+    Without ``table`` each probe v of the search is a build pinned to v with
+    the flow bound F, and every probe after the first rebuilds only the
+    nodes with an interior special; a ``table`` is read as it is."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
     if tree is None:
         tree = decompose(instance.graph)
-    if table is None:
-        table = build_table(tree, upper_bound_flow(instance))
     budget = instance.budget
-    flows = _flow_values(table)
-    at, _ = last_accepted(
-        len(flows) - 1, lambda i: (table.query_cost(int(flows[i])) <= budget, None)
-    )
-    v = int(flows[at])
+    if table is None:
+        v, table = _pinned_budget_search(tree, upper_bound_flow(instance), budget)
+    else:
+        flows = _flow_values(table)
+        at, _ = last_accepted(
+            len(flows) - 1, lambda i: (table.query_cost(int(flows[i])) <= budget, None)
+        )
+        v = int(flows[at])
     cost, edges = table.query(v)
     if edges is None or cost > budget:
         raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")
     return _rechecked(instance, cost, edges, v)
+
+
+def _pinned_budget_search(tree: DecompTree, f_bound: int, budget: int) -> tuple[int, DPTable]:
+    """The largest flow value in [0, F] affordable within ``budget``, and
+
+    the pinned build that answers it. Each build shares the special-free
+    tables of the one before."""
+    last = None
+
+    def probe(v: int):
+        nonlocal last
+        last = build_table(tree, f_bound, pin=v, reuse=last)
+        return last.query_cost(v) <= budget, last
+
+    v, table = last_accepted(f_bound, probe)
+    if table is None:  # v = 0 is taken without a probe
+        table = build_table(tree, f_bound, pin=0, reuse=last)
+    return v, table
 
 
 def feasible(

@@ -248,3 +248,26 @@ def test_fptas_upgrade_instance_reports_choice(run):
     assert "UPGRADE g1 choice=2" in lines
     assert "GUARANTEE flow*(1+eps) >= OPT" in lines
     assert lines[-1].startswith("RESULT cost=6 flow=8 ")
+
+
+# The gate-7 ring at F = 144: source and sink strictly inside the root pair.
+# The full (r_a, r_s, r_t) table over it takes tens of seconds and hundreds
+# of MB; a solve reads pinned builds only.
+RING144 = (
+    "graph 4\nterminals 0 3\nsource 1\nsink 2\n"
+    "edge e1 0 1 1 48\nedge e2 1 2 1 96\nedge e3 2 3 1 48\nedge e4 0 3 1 48\n"
+)
+
+
+@pytest.mark.parametrize(
+    "objective, result",
+    [
+        ("demand 144", "RESULT cost=4 flow=144 edges=e1,e2,e3,e4"),
+        ("budget 1", "RESULT cost=1 flow=96 edges=e2"),
+    ],
+    ids=["demand", "budget"],
+)
+def test_solve_large_flow_bound_ring(run, objective, result):
+    code, out, _ = run("solve", text=RING144 + objective + "\n")
+    assert code == 0
+    assert out.splitlines()[-1] == result

@@ -543,3 +543,105 @@ def test_reconstruction_is_deterministic(diamond):
     _, table = _table_for(diamond)
     assert table.query(2) == table.query(2)
     assert table.query(2)[1] == frozenset({"e1", "e2"})
+
+
+# -- solves without a table: pinned spine builds -------------------------------
+
+
+def _assert_untabled_solves_match_full_table(instance):
+    """Every demand 0..F and every budget 0..C answers the same without a
+
+    table as from the full table: purchase, cost and flow."""
+    tree, full = _table_for(instance)
+    for demand in range(full.f_bound + 1):
+        case = instance.with_demand(demand)
+        assert solve_capndp(case, tree=tree) == solve_capndp(case, tree=tree, table=full), demand
+    for budget in range(instance.graph.total_cost() + 1):
+        case = instance.with_budget(budget)
+        assert solve_bcmfp(case, tree=tree) == solve_bcmfp(case, tree=tree, table=full), budget
+
+
+@pytest.mark.parametrize("seed", range(1, 101))
+def test_untabled_solves_match_full_table_gate1(seed):
+    _assert_untabled_solves_match_full_table(
+        generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
+    )
+
+
+@pytest.mark.parametrize("seed", [19, 23, 29, 48, 87, 88])
+def test_untabled_solves_match_full_table_interior_specials(seed):
+    instance = generate_sp(seed, edge_budget=12, cap_max=40)
+    graph = instance.graph
+    # Source and sink strictly inside the root pair, F in 14..20.
+    assert not {graph.source, graph.sink} & set(graph.declared_terminals)
+    assert 14 <= upper_bound_flow(instance) <= 20
+    _assert_untabled_solves_match_full_table(instance)
+
+
+def _recorded_builds(monkeypatch):
+    """Every (kwargs, table) of the solvers' ``build_table`` calls."""
+    calls = []
+    original = dp_module.build_table
+
+    def recording(*args, **kwargs):
+        table = original(*args, **kwargs)
+        calls.append((kwargs, table))
+        return table
+
+    monkeypatch.setattr(dp_module, "build_table", recording)
+    return calls
+
+
+@pytest.mark.parametrize("objective", ["demand 40", "budget 1", "budget 3"])
+def test_untabled_solves_build_no_cube(objective, monkeypatch):
+    instance = parse_instance(RING48_TEXT.replace("budget 1", objective))
+    tree = decompose(instance.graph)
+    calls = _recorded_builds(monkeypatch)
+    solve = solve_capndp if instance.demand is not None else solve_bcmfp
+    solution = solve(instance, tree=tree)
+    expected = {"demand 40": (4, 48), "budget 1": (1, 24), "budget 3": (1, 24)}[objective]
+    assert (solution.total_cost, solution.achieved_flow) == expected
+    assert calls
+    special_free = [n.id for n in tree.nodes if not n.placements]
+    for kwargs, table in calls:
+        assert kwargs.get("pin") is not None
+        assert table.f_bound == 48
+        for nt in table.tables.values():
+            assert nt.cost.size == len(nt.domain)
+    # Each special-free table is one object across all of a solve's builds.
+    for nid in special_free:
+        assert len({id(table.tables[nid]) for _, table in calls}) == 1, nid
+
+
+def test_reuse_shares_special_free_tables_and_rebuilds_the_spine(ring):
+    tree = decompose(ring.graph)
+    first = build_table(tree, 3, pin=1)
+    again = build_table(tree, 3, pin=2, reuse=first)
+    fresh = build_table(tree, 3, pin=2)
+    for node in tree.nodes:
+        shared = again.tables[node.id] is first.tables[node.id]
+        assert shared == (not node.placements), node.id
+        np.testing.assert_array_equal(again.tables[node.id].cost, fresh.tables[node.id].cost)
+    assert again.spine == fresh.spine == [n for n in tree.postorder_ids() if tree.node(n).placements]
+    assert again.query(2) == fresh.query(2)
+
+
+def test_reuse_rejects_a_table_built_from_other_inputs(ring):
+    tree = decompose(ring.graph)
+    f = upper_bound_flow(ring)
+    other_tree = decompose(ring.graph)
+    cases = [
+        (build_table(other_tree, f, pin=1), {}),
+        (build_table(tree, f + 1, pin=1), {}),
+        (build_table(tree, f, pin=1, capacity_override={"e2": 1}), {}),
+        (build_table(tree, f, pin=1), {"capacity_override": {"e2": 1}}),
+        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {}),
+        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {"residue_values": [-1, 0, 1]}),
+        (build_table(tree, f, pin=1), {"residue_values": [-2, 0, 2]}),
+    ]
+    for reuse, kwargs in cases:
+        with pytest.raises(ValueError):
+            build_table(tree, f, pin=2, reuse=reuse, **kwargs)
+    # The same inputs, an override equal to the stored capacities included.
+    same = build_table(tree, f, pin=1, capacity_override={"e2": 2})
+    assert build_table(tree, f, pin=2, reuse=same).query(2) == build_table(tree, f, pin=2).query(2)
