@@ -9,12 +9,13 @@ makes the resulting binary decomposition tree deterministic as well.
 Each attempt keeps its live super-edges indexed by parallel class and by
 vertex, with lazy min-heaps of the candidate parallel merges and degree-2
 contractions (the worklist of Valdes, Tarjan & Lawler, SIAM J. Comput.
-1982). A step touches one class and at most two vertices, so one terminal
-pair costs O(m log m) for m edges.
+1982). A step touches one class and at most two vertices and orients
+nothing, so one terminal pair costs O(m log m) for m edges in any order.
 
 Tree nodes are oriented: a series node with terminals (a, b) and join c has
 a left child spanning (a, c) and a right child spanning (c, b); a parallel
-node's children both span the node's own terminal pair.
+node's children both span the node's own terminal pair. The steps leave
+each node as they made it; one top-down walk orients the finished tree.
 """
 
 from __future__ import annotations
@@ -121,17 +122,22 @@ def _leaf_edge_ids(nodes: list[DecompNode], nid: int) -> tuple[str, ...]:
 
 
 def tree_text(tree: DecompTree) -> str:
-    """Parenthesized form: L(id), S(left,right)@join, P(left,right)."""
-    rendered: dict[int, str] = {}
-    for nid in tree.postorder_ids():
-        node = tree.nodes[nid]
-        if node.kind == "leaf":
-            rendered[nid] = f"L({node.edge_id})"
-        elif node.kind == "series":
-            rendered[nid] = f"S({rendered[node.left]},{rendered[node.right]})@{node.join}"
+    """Parenthesized form: L(id), S(left,right)@join, P(left,right), in
+
+    one pass over a stack of node ids and closing tokens."""
+    out: list[str] = []
+    stack: list[int | str] = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif (node := tree.nodes[item]).kind == "leaf":
+            out.append(f"L({node.edge_id})")
         else:
-            rendered[nid] = f"P({rendered[node.left]},{rendered[node.right]})"
-    return rendered[tree.root]
+            series = node.kind == "series"
+            out.append("S(" if series else "P(")
+            stack += (f")@{node.join}" if series else ")", node.right, ",", node.left)
+    return "".join(out)
 
 
 def _connected(graph: MultiGraph) -> bool:
@@ -165,6 +171,7 @@ class _Builder:
     the two smallest keys involved. A step updates one class and at most
     two vertices, pushes the candidates it creates, and checks a popped
     candidate against the current state, so stale entries are dropped.
+    A step orients nothing; ``_orient`` turns the finished tree in one walk.
     """
 
     def __init__(self, graph: MultiGraph, protected: tuple[int, int]):
@@ -192,29 +199,6 @@ class _Builder:
         nid = len(self.nodes)
         self.nodes.append(DecompNode(id=nid, kind=kind, terminals=terminals, **kw))
         return nid
-
-    def _flip(self, nid: int) -> None:
-        stack = [nid]
-        while stack:
-            node = self.nodes[stack.pop()]
-            a, b = node.terminals
-            node.terminals = (b, a)
-            if node.kind == "series":
-                node.left, node.right = node.right, node.left
-                stack.append(node.left)
-                stack.append(node.right)
-            elif node.kind == "parallel":
-                stack.append(node.left)
-                stack.append(node.right)
-
-    def _oriented(self, nid: int, want: tuple[int, int]) -> int:
-        node = self.nodes[nid]
-        if node.terminals == want:
-            return nid
-        if node.terminals == (want[1], want[0]):
-            self._flip(nid)
-            return nid
-        raise RuntimeError("super-edge endpoints do not match requested orientation")
 
     def _parallel_keys(self, ends: tuple[int, int]) -> tuple[int, int] | None:
         """The two smallest keys of a class that can merge, else None."""
@@ -252,9 +236,7 @@ class _Builder:
         members = self.classes[ends]
         _, nid1 = heapq.heappop(members)
         _, nid2 = heapq.heappop(members)
-        left = self.nodes[nid1]
-        self._oriented(nid2, left.terminals)
-        new = self._new_node("parallel", left.terminals, left=nid1, right=nid2)
+        new = self._new_node("parallel", self.nodes[nid1].terminals, left=nid1, right=nid2)
         heapq.heappush(members, (key1, new))
         del self.live[nid1]
         del self.live[nid2]
@@ -283,8 +265,6 @@ class _Builder:
         # classes are singletons and p != q.
         del self.classes[_ends(p, c)]
         del self.classes[_ends(c, q)]
-        self._oriented(nid1, (p, c))
-        self._oriented(nid2, (c, q))
         new = self._new_node("series", (p, q), join=c, left=nid1, right=nid2)
         del self.live[nid1]
         del self.live[nid2]
@@ -307,9 +287,9 @@ class _Builder:
                 continue
             return False, None
         (nid,) = self.live
-        root = self.nodes[nid]
-        if frozenset(root.terminals) != frozenset(self.protected):
+        if frozenset(self.nodes[nid].terminals) != frozenset(self.protected):
             return False, None
+        _orient(self.nodes, nid)
         return True, nid
 
     def witness(self) -> ReductionWitness:
@@ -323,6 +303,38 @@ class _Builder:
 def _ends(x: int, y: int) -> tuple[int, int]:
     """The parallel-class key of a super-edge: its endpoints, unordered."""
     return (x, y) if x < y else (y, x)
+
+
+def _spans(nodes: list[DecompNode], root: int) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Each node id with the span its parent fixes, from the root down:
+
+    a series node (a, b) with join c fixes (a, c) left and (c, b) right, a
+    parallel node its own span for both. A node's children are read after
+    it is yielded, so the caller may turn it first."""
+    stack = [(root, nodes[root].terminals)]
+    while stack:
+        nid, span = stack.pop()
+        yield nid, span
+        node = nodes[nid]
+        if node.kind == "series":
+            stack += ((node.right, (node.join, span[1])), (node.left, (span[0], node.join)))
+        elif node.kind == "parallel":
+            stack += ((node.right, span), (node.left, span))
+
+
+def _orient(nodes: list[DecompNode], root: int) -> None:
+    """Turn each node found reversed to the span its parent fixes; a
+
+    turned series node swaps its children."""
+    for nid, span in _spans(nodes, root):
+        node = nodes[nid]
+        if node.terminals == span:
+            continue
+        if node.terminals != (span[1], span[0]):
+            raise RuntimeError("super-edge endpoints do not match requested orientation")
+        node.terminals = span
+        if node.kind == "series":
+            node.left, node.right = node.right, node.left
 
 
 def _candidate_pairs(graph: MultiGraph) -> Iterator[tuple[int, int]]:
@@ -418,26 +430,13 @@ def recompose(tree: DecompTree) -> MultiGraph:
     root (not read off the leaves), so this doubles as a structural
     consistency check: stored node terminals must match the derivation.
     """
-    assigned: dict[int, tuple[int, int]] = {tree.root: tree.nodes[tree.root].terminals}
     derived: dict[str, tuple[int, int]] = {}
-    stack = [tree.root]
-    while stack:
-        nid = stack.pop()
+    for nid, span in _spans(tree.nodes, tree.root):
         node = tree.nodes[nid]
-        span = assigned[nid]
         if node.terminals != span:
             raise ValueError(f"tree corrupted: node {nid} spans {node.terminals}, derived {span}")
         if node.kind == "leaf":
             derived[node.edge_id] = span
-            continue
-        if node.kind == "series":
-            assigned[node.left] = (span[0], node.join)
-            assigned[node.right] = (node.join, span[1])
-        else:
-            assigned[node.left] = span
-            assigned[node.right] = span
-        stack.append(node.left)
-        stack.append(node.right)
     by_id = tree.graph.edge_map()
     if set(derived) != set(by_id):
         raise ValueError("tree corrupted: leaf edge ids do not match the graph")

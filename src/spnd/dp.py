@@ -67,6 +67,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -590,10 +591,13 @@ def _flow_values(table: DPTable) -> np.ndarray:
     return values[len(values) // 2 :]
 
 
-def _rechecked(instance: ProblemInstance, cost: int, edges: frozenset[str], v: int) -> Solution:
+def _rechecked(
+    instance: ProblemInstance, cost: int, edges: frozenset[str], v: int | Fraction
+) -> Solution:
     """The purchase re-evaluated from scratch: it must cost what the table
 
-    says and carry flow v."""
+    says and carry a flow of at least v (a flow value, or an FPTAS ladder
+    level)."""
     solution = solution_from_edges(instance, edges)
     if solution.total_cost != cost or solution.achieved_flow < v:
         raise RuntimeError(f"re-check failed: {solution} vs table cost {cost}, flow {v}")
@@ -620,7 +624,7 @@ def solve_capndp(
     bound F; a ``table`` (a full or a lattice build) is read as it is."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
-    if tree is None:
+    if tree is None and table is None:
         tree = decompose(instance.graph)
     demand = instance.demand
     f_bound = upper_bound_flow(instance) if table is None else table.f_bound
@@ -652,7 +656,7 @@ def solve_bcmfp(
     nodes with an interior special; a ``table`` is read as it is."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
-    if tree is None:
+    if tree is None and table is None:
         tree = decompose(instance.graph)
     budget = instance.budget
     if table is None:

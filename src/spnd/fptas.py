@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .decompose import DecompTree, decompose
-from .dp import feasible_detailed, last_accepted, upper_bound_flow
+from .dp import _rechecked, feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
 from .instance import MultiGraph, ProblemInstance, Solution
 
@@ -132,15 +132,17 @@ def fptas_bcmfp_detailed(
     ratio = 1 + params.epsilon_prime
 
     def probe(flow_target: int, caps: Mapping[str, int] | None, level):
+        """The answer, and on YES the witness with its table cost."""
         ok, edges, stats = feasible_detailed(
             instance, budget, flow_target, caps, tree=tree
         )
         probes.append(ProbeRecord(level, flow_target, ok, stats["states"]))
-        return ok, edges
+        return ok, (edges, stats["cost"])
 
     def exact_flow_search(hi: int) -> Solution:
-        _, witness = last_accepted(hi, lambda v: probe(v, None, None))
-        return solution_from_edges(instance, witness or frozenset())
+        v, found = last_accepted(hi, lambda v: probe(v, None, None))
+        edges, cost = found or (frozenset(), 0)
+        return _rechecked(instance, cost, edges, v)
 
     def rung(j: int):
         """The probe at ladder level M = ratio**j."""
@@ -154,7 +156,7 @@ def fptas_bcmfp_detailed(
         solution = exact_flow_search(f_bound)
         exact = True
     else:
-        ok0, witness = rung(0)
+        ok0, accepted = rung(0)
         if not ok0:
             # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact probe at
             # flow value 1 decides between 0 and 1.
@@ -163,7 +165,9 @@ def fptas_bcmfp_detailed(
         else:
             j, found = last_accepted(_ladder_top(ratio, f_bound), rung)
             m_prime = ratio**j
-            solution = solution_from_edges(instance, witness if found is None else found)
+            # A YES at level M certifies a true flow of at least M.
+            edges, cost = found or accepted
+            solution = _rechecked(instance, cost, edges, m_prime)
 
     # Buying everything is the best possible answer whenever it is
     # affordable; prefer it if the scheme's witness fell short of it.

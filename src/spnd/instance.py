@@ -33,12 +33,26 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class UpgradeRecord:
-    """An upgradable edge: at most one of ``choices`` (cost, capacity) applies."""
+    """An upgradable edge: at most one of ``choices`` (cost, capacity) applies.
+
+    Construction raises ``ValueError`` for a self-loop, an empty menu, or a
+    negative cost or capacity."""
 
     id: str
     u: int
     v: int
     choices: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.u == self.v:
+            raise ValueError(f"upgrade {self.id!r} is a self-loop on vertex {self.u}")
+        if not self.choices:
+            raise ValueError(f"upgrade {self.id!r} needs at least one choice")
+        for cost, capacity in self.choices:
+            if cost < 0:
+                raise ValueError(f"upgrade {self.id!r} has negative choice cost {cost}")
+            if capacity < 0:
+                raise ValueError(f"upgrade {self.id!r} has negative choice capacity {capacity}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +62,9 @@ class MultiGraph:
     Parallel edges are allowed, self-loops are not. ``declared_terminals``
     optionally pins the terminal pair used for the series-parallel
     decomposition. Construction raises ``ValueError`` for a duplicate edge
-    id, a self-loop, a negative cost or capacity, or an endpoint, source,
-    sink or terminal outside ``[0, vertex_count)``; it allocates nothing per
-    vertex.
+    id, a self-loop, a negative cost or capacity, an endpoint, source, sink
+    or terminal outside ``[0, vertex_count)``, a source equal to the sink,
+    or two equal terminals; it allocates nothing per vertex.
     """
 
     vertex_count: int
@@ -67,6 +81,11 @@ class MultiGraph:
         for what, v in specials:
             if not 0 <= v < n:
                 raise ValueError(f"{what} {v} out of range [0, {n})")
+        if self.source == self.sink:
+            raise ValueError("source and sink must be distinct")
+        terminals = self.declared_terminals
+        if terminals is not None and terminals[0] == terminals[1]:
+            raise ValueError("terminals must be distinct")
         ids = set()
         for e in self.edges:
             if e.id in ids:
@@ -102,7 +121,8 @@ class MultiGraph:
 class ProblemInstance:
     """A graph plus exactly one objective: budget (maximize flow) or demand
 
-    (minimize cost). ``upgrades`` holds not-yet-expanded upgradable edges."""
+    (minimize cost). ``upgrades`` holds not-yet-expanded upgradable edges,
+    whose endpoints must be vertices of the graph."""
 
     graph: MultiGraph
     budget: int | None = None
@@ -116,6 +136,10 @@ class ProblemInstance:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} cannot be negative ({value})")
+        n = self.graph.vertex_count
+        for up in self.upgrades:
+            if not (0 <= up.u < n and 0 <= up.v < n):
+                raise ValueError(f"upgrade {up.id!r} endpoint out of range [0, {n}): {up.u}-{up.v}")
 
     @property
     def problem(self) -> str:

@@ -10,7 +10,7 @@ import importlib
 import pytest
 from hypothesis import settings
 
-from spnd import parse_instance
+from spnd import EdgeRecord, MultiGraph, parse_instance
 
 # Property tests draw the same examples on every run, untimed, with no
 # example database carried between runs.
@@ -97,6 +97,21 @@ edge s3 0 3 1 1
 edge s4 0 4 1 1
 budget 8
 """
+
+
+def path_graph(m, *, center_out=False, backward=False, declared=True):
+    """The path 0-1-...-m, edge ``e{i}`` joining i and i + 1.
+
+    ``center_out`` lists the edges from the middle outward, alternating
+    sides; ``backward`` writes each edge as (i + 1, i); ``declared`` pins
+    the terminal pair (0, m)."""
+    order = list(range(m))
+    if center_out:
+        order.sort(key=lambda i: (abs(2 * i + 1 - m), i))
+    edges = tuple(
+        EdgeRecord(f"e{i}", *((i + 1, i) if backward else (i, i + 1)), 1, 1) for i in order
+    )
+    return MultiGraph(m + 1, edges, 0, m, declared_terminals=(0, m) if declared else None)
 
 
 @pytest.fixture

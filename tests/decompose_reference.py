@@ -162,3 +162,19 @@ def reference_decompose(graph: MultiGraph) -> DecompTree:
         witness=best_witness,
         tried_pairs=tried,
     )
+
+
+def reference_tree_text(tree: DecompTree) -> str:
+    """The parenthesized form, rendered children first into a dict of every
+
+    subtree's string: an independent statement of ``tree_text``'s output."""
+    rendered: dict[int, str] = {}
+    for nid in tree.postorder_ids():
+        node = tree.nodes[nid]
+        if node.kind == "leaf":
+            rendered[nid] = f"L({node.edge_id})"
+        elif node.kind == "series":
+            rendered[nid] = f"S({rendered[node.left]},{rendered[node.right]})@{node.join}"
+        else:
+            rendered[nid] = f"P({rendered[node.left]},{rendered[node.right]})"
+    return rendered[tree.root]

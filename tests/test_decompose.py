@@ -2,6 +2,7 @@
 
 import importlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,7 @@ from spnd import (
     recompose,
 )
 from spnd.decompose import tree_text
-from conftest import HUGE_VERTEX_COUNT_TEXT, K4_TEXT, WHEEL4_TEXT
+from conftest import HUGE_VERTEX_COUNT_TEXT, K4_TEXT, WHEEL4_TEXT, path_graph
 
 # The package re-exports the function under the module's name.
 decompose_module = importlib.import_module("spnd.decompose")
@@ -233,3 +234,34 @@ def test_series_terminal_wiring(seed):
         else:
             edge = tree.graph.edge_by_id(node.edge_id)
             assert frozenset(node.terminals) == frozenset((edge.u, edge.v))
+
+
+def _best_decompose_seconds(graph, runs=3):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        decompose(graph)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_center_out_chain_costs_what_edge_order_costs():
+    # Listing a path from the middle outward makes every merge join two
+    # chains grown in opposite directions; orienting at each merge turned
+    # the consumed subtree and cost O(m^2) here.
+    m = 4000
+    edge_order = _best_decompose_seconds(path_graph(m))
+    center_out = _best_decompose_seconds(path_graph(m, center_out=True))
+    assert center_out <= 3 * edge_order, (center_out, edge_order)
+
+
+def test_tree_text_memory_is_linear_in_its_output():
+    tree = decompose(path_graph(4000, center_out=True))
+    tracemalloc.start()
+    try:
+        text = tree_text(tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 60_000
+    assert peak < 4_000_000, peak

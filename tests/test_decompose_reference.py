@@ -3,8 +3,9 @@
 Both must build the same tree node by node, or reject with the same witness
 after the same terminal pairs, on series-parallel inputs (declared and
 inferred terminals), on rejected inputs (K4 glued to an SP graph, wheels),
-on hub shapes where per-vertex work would turn quadratic again, and on
-random compositions drawn by hypothesis.
+on hub shapes where per-vertex work would turn quadratic again, on paths
+listed from the middle outward, and on random compositions drawn by
+hypothesis. ``tree_text`` must render what the reference renderer does.
 """
 
 import random
@@ -15,7 +16,8 @@ from hypothesis import given, seed, strategies as st
 
 from spnd import EdgeRecord, MultiGraph, NotSeriesParallelError, decompose, generate_sp, recompose
 from spnd.decompose import tree_text
-from decompose_reference import reference_decompose
+from conftest import path_graph
+from decompose_reference import reference_decompose, reference_tree_text
 
 
 def _outcome(decomposer, graph):
@@ -157,3 +159,30 @@ def test_random_compositions_match_reference(graph):
     assert outcome[0] == "tree"
     assert frozenset(outcome[2]) == frozenset(graph.declared_terminals)
     _assert_round_trip(graph)
+
+
+# Every size to 40, then a spread to 300; the reference is quadratic.
+CHAIN_SIZES = [*range(2, 41), *range(41, 300, 26), 300]
+
+
+@pytest.mark.parametrize("m", CHAIN_SIZES)
+def test_center_out_chains_match_reference(m):
+    # Each merge joins a chain to the side it was not grown from, so the
+    # eager builder turned a subtree at every step: the walk that orients
+    # the finished tree must reach the same nodes.
+    for backward in (False, True):
+        for declared in (False, True):
+            graph = path_graph(m, center_out=True, backward=backward, declared=declared)
+            outcome = _assert_matches_reference(graph)
+            assert outcome[0] == "tree"
+            assert reference_tree_text(reference_decompose(graph)) == outcome[3]
+            _assert_round_trip(graph)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_tree_text_matches_reference_renderer_gate_one(block):
+    for s in range(1 + 50 * block, 51 + 50 * block):
+        graph = generate_sp(s, edge_budget=10, cap_max=6, cost_max=10).graph
+        for g in (graph, _undeclared(graph)):
+            tree = decompose(g)
+            assert tree_text(tree) == reference_tree_text(tree)

@@ -645,3 +645,18 @@ def test_reuse_rejects_a_table_built_from_other_inputs(ring):
     # The same inputs, an override equal to the stored capacities included.
     same = build_table(tree, f, pin=1, capacity_override={"e2": 2})
     assert build_table(tree, f, pin=2, reuse=same).query(2) == build_table(tree, f, pin=2).query(2)
+
+
+def test_tabled_solves_skip_decompose(ring, monkeypatch):
+    # A table answers from its own tree, so a solve given one must not
+    # decompose the graph again; a solve without one decomposes once.
+    table = build_table(decompose(ring.graph), upper_bound_flow(ring))
+    calls = []
+    real = dp_module.decompose
+    monkeypatch.setattr(dp_module, "decompose", lambda graph: calls.append(graph) or real(graph))
+    by_demand = solve_capndp(ring.with_demand(2), table=table)
+    by_budget = solve_bcmfp(ring.with_budget(2), table=table)
+    assert calls == []
+    assert solve_capndp(ring.with_demand(2)) == by_demand
+    assert solve_bcmfp(ring.with_budget(2)) == by_budget
+    assert len(calls) == 2

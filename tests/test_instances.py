@@ -188,6 +188,45 @@ def test_graph_model_rejects_invalid_fields(diamond, graph_changes, edge_changes
         replace(g, edges=edges, **graph_changes)
 
 
+@pytest.mark.parametrize(
+    "graph_changes,fragment",
+    [
+        ({"sink": 0}, "source and sink must be distinct"),
+        ({"declared_terminals": (1, 1)}, "terminals must be distinct"),
+    ],
+    ids=["source-is-sink", "equal-terminals"],
+)
+def test_graph_model_rejects_equal_specials(diamond, graph_changes, fragment):
+    # The parser refuses both; without the check a solver fails deep inside
+    # (max flow with s = t) or reports the graph as not series-parallel.
+    with pytest.raises(ValueError, match=fragment):
+        replace(diamond.graph, **graph_changes)
+
+
+@pytest.mark.parametrize(
+    "changes,fragment",
+    [
+        ({"v": 0}, "self-loop on vertex 0"),
+        ({"choices": ()}, "at least one choice"),
+        ({"choices": ((4, 10), (-1, 20))}, "negative choice cost -1"),
+        ({"choices": ((4, -10),)}, "negative choice capacity -10"),
+    ],
+    ids=["self-loop", "empty-menu", "negative-cost", "negative-capacity"],
+)
+def test_upgrade_model_rejects_invalid_menus(changes, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        replace(UpgradeRecord("g1", 0, 1, ((4, 10), (7, 20))), **changes)
+
+
+@pytest.mark.parametrize("ends", [(0, 4), (3, 1), (-1, 2)], ids=["high", "equal-to-n", "negative"])
+def test_instance_rejects_upgrade_endpoints_out_of_range(diamond, ends):
+    # The parser checks upedge endpoints against the graph line; a menu
+    # built through the API would otherwise be wired into gadget vertices.
+    upgrade = UpgradeRecord("g1", *ends, ((4, 10),))
+    with pytest.raises(ValueError, match=r"upgrade 'g1' endpoint out of range \[0, 3\)"):
+        ProblemInstance(diamond.graph, budget=5, upgrades=(upgrade,))
+
+
 def test_graph_model_validation_allocates_nothing_per_vertex():
     n = 10**12
     graph = MultiGraph(n, (EdgeRecord("e1", 0, n - 1, 1, 1),), 0, n - 1)

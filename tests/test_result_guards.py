@@ -23,6 +23,7 @@ from spnd import (
     solve_capndp,
     solve_lattice_detailed,
 )
+from spnd.fptas import fptas_bcmfp_detailed
 from conftest import DIAMOND_TEXT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,12 +39,30 @@ def _inflated(real):
     return fake
 
 
-# Every solver, the lattice path included, re-checks in ``spnd.dp``.
+def _wide(instance):
+    """The instance with every capacity times 100: its flow bound F = 300
+    on the diamond puts eps = 1/2 past the exact regime (F <= R = 18)."""
+    edges = tuple(replace(e, capacity=100 * e.capacity) for e in instance.graph.edges)
+    return replace(instance, graph=replace(instance.graph, edges=edges))
+
+
+def _fptas(instance, budget, exact):
+    outcome = fptas_bcmfp_detailed(_wide(instance).with_budget(budget), "1/2")
+    assert outcome.exact == exact
+    return outcome
+
+
+# Every solver, the lattice path and the FPTAS included, re-checks in
+# ``spnd.dp``.
 CASES = {
     "capndp": lambda inst: solve_capndp(inst),
     "bcmfp": lambda inst: solve_bcmfp(inst.with_budget(5)),
     "lattice": lambda inst: solve_lattice_detailed(inst, LatticeSpec((1,), 2)),
     "lattice-budget": lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
+    # The ladder's witness, re-checked against the chosen level M'.
+    "fptas": lambda inst: _fptas(inst, 5, exact=False),
+    # A budget of 1 buys no path: NO at M = 1, then the exact probe.
+    "fptas-exact": lambda inst: _fptas(inst, 1, exact=True),
 }
 
 
