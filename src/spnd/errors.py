@@ -12,8 +12,9 @@ class ParseError(ValueError):
 class NotSeriesParallelError(ValueError):
     """Raised when a graph admits no two-terminal series-parallel decomposition.
 
-    ``witness`` describes the irreducible remainder for the last terminal pair
-    tried, ``tried_pairs`` lists every terminal pair that was attempted.
+    ``witness`` describes the smallest irreducible remainder over all the
+    terminal pairs tried, ``tried_pairs`` lists every terminal pair that was
+    attempted.
     """
 
     def __init__(self, message, witness=None, tried_pairs=()):

@@ -13,12 +13,21 @@ cheapest subset meeting a demand D has a max flow in the set, so the least
 lattice value >= D answers it, and a binary search over the lattice values
 finds the largest affordable flow.
 
+The set is found without enumerating the (2m^2K+1)^k coefficient
+combinations. The basis values are added one at a time, largest first,
+keeping only partial sums that the values still to come can bring back
+into [-F, F]. Adding d with coefficients up to A turns each kept value into
+a run of 2A+1 values of its residue class mod d, and overlapping runs of a
+class merge. So a step sorts its input and writes each output value once,
+never 2A+1 values per kept one, and memory is linear in both.
+``validate_lattice`` checks capacities with the same routine at A = K.
+
 Upgrade gadget: an edge with menu (c1,u1)..(ck,uk), capacities sorted
 non-decreasing, becomes a series-parallel gadget of k + 2(k-1) edges and 2k
-vertices. The two cheapest.. smallest-capacity choices sit innermost in
-parallel between free guard edges of capacity u2; each further choice j
-wraps the previous gadget in parallel, with free capacity-u_j guards in
-series on both sides. The guards make buying several choices pointless:
+vertices. The two smallest-capacity choices sit innermost in parallel
+between free guard edges of capacity u2; each further choice j wraps the
+previous gadget in parallel, with free capacity-u_j guards in series on
+both sides. The guards make buying several choices pointless:
 whatever is purchased, the gadget's throughput equals the largest capacity
 among the paid choices bought, at the sum of their costs, so an optimal
 solution pays for at most one.
@@ -36,8 +45,6 @@ from .dp import DPTable, build_table, check_demand, solve_bcmfp, solve_capndp, u
 from .flow import max_flow
 from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
-
-STATE_BUDGET = 10**7  # lattice combinations past which lattice_residues warns
 
 
 # -- lattice capacities ----------------------------------------------------
@@ -59,36 +66,54 @@ class LatticeSpec:
             raise ValueError("lattice coefficient bound must be positive")
 
 
-def _combinations(basis: tuple[int, ...], alpha_bound: int) -> np.ndarray:
-    """Sorted unique values of sum a_i*d_i over |a_i| <= alpha_bound."""
-    values = np.zeros(1, dtype=np.int64)
-    alphas = np.arange(-alpha_bound, alpha_bound + 1, dtype=np.int64)
-    for d in basis:
-        values = np.unique(values[:, None] + d * alphas[None, :])
-    return values
+def _lattice_points(basis: tuple[int, ...], coeff_bound: int, radius: int) -> np.ndarray:
+    """Sorted values of sum a_i*d_i over |a_i| <= coeff_bound in [-radius, radius].
+
+    Adds the nonzero basis values one at a time, largest first, keeping only
+    the partial sums that the values still to come can bring back into
+    range. With A = coeff_bound, each kept value y = q*d + r spreads to the
+    run r + d*[q-A, q+A]; runs of one residue class whose q's are at most
+    2A+1 apart merge, so the runs are disjoint and every output value is
+    written once. A step sorts its input and costs its output."""
+    values = sorted((d for d in basis if d), reverse=True)
+    a = coeff_bound
+    rest = sum(values)
+    points = np.zeros(1, dtype=np.int64)
+    for d in values:
+        rest -= d
+        half = radius + a * rest  # the values still to come move a sum by at most a*rest
+        q, r = np.divmod(points, d)
+        order = np.lexsort((q, r))
+        q, r = q[order], r[order]
+        new_run = np.ones(len(q), dtype=bool)
+        new_run[1:] = (r[1:] != r[:-1]) | (q[1:] - q[:-1] > 2 * a + 1)
+        starts = np.flatnonzero(new_run)
+        ends = np.append(starts[1:], len(q)) - 1
+        # Run r + d*[lo, hi], clipped to [-half, half].
+        r = r[starts]
+        lo = np.maximum(q[starts] - a, -((half + r) // d))
+        hi = np.minimum(q[ends] + a, (half - r) // d)
+        keep = hi >= lo
+        r, lo, hi = r[keep], lo[keep], hi[keep]
+        counts = hi - lo + 1
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        points = np.sort(np.repeat(r + d * lo, counts) + d * offsets)
+    return points[np.abs(points) <= radius]  # no step clipped when every value is 0
 
 
 def lattice_residues(spec: LatticeSpec, m: int, f_bound: int) -> np.ndarray:
     """The residue values the DP must consider: lattice points within the
 
     flow bound, with coefficients up to m^2 * K."""
-    alpha_bound = m * m * spec.bound
-    raw_size = (2 * alpha_bound + 1) ** len(spec.basis)
-    if raw_size > STATE_BUDGET:
-        warnings.warn(
-            f"lattice residue enumeration visits {raw_size} combinations, "
-            f"over the advisory budget of {STATE_BUDGET}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    values = _combinations(spec.basis, alpha_bound)
-    return values[(values >= -f_bound) & (values <= f_bound)]
+    return _lattice_points(spec.basis, m * m * spec.bound, f_bound)
 
 
 def validate_lattice(graph: MultiGraph, spec: LatticeSpec) -> None:
     """Every capacity must be representable with coefficients up to K."""
-    members = set(_combinations(spec.basis, spec.bound).tolist())
-    bad = [e for e in graph.edges if e.capacity not in members]
+    capacities = np.array([e.capacity for e in graph.edges], dtype=np.int64)
+    radius = int(capacities.max()) if len(capacities) else 0
+    members = np.isin(capacities, _lattice_points(spec.basis, spec.bound, radius))
+    bad = [e for e, ok in zip(graph.edges, members) if not ok]
     if bad:
         listing = ", ".join(f"{e.id}={e.capacity}" for e in bad[:5])
         raise ValueError(

@@ -122,7 +122,8 @@ class ProblemInstance:
     """A graph plus exactly one objective: budget (maximize flow) or demand
 
     (minimize cost). ``upgrades`` holds not-yet-expanded upgradable edges,
-    whose endpoints must be vertices of the graph."""
+    whose endpoints must be vertices of the graph and whose ids must differ
+    from each other and from every edge id."""
 
     graph: MultiGraph
     budget: int | None = None
@@ -136,10 +137,15 @@ class ProblemInstance:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} cannot be negative ({value})")
-        n = self.graph.vertex_count
-        for up in self.upgrades:
-            if not (0 <= up.u < n and 0 <= up.v < n):
-                raise ValueError(f"upgrade {up.id!r} endpoint out of range [0, {n}): {up.u}-{up.v}")
+        if self.upgrades:
+            n = self.graph.vertex_count
+            ids = {e.id for e in self.graph.edges}
+            for up in self.upgrades:
+                if up.id in ids:
+                    raise ValueError(f"duplicate edge id {up.id!r}")
+                ids.add(up.id)
+                if not (0 <= up.u < n and 0 <= up.v < n):
+                    raise ValueError(f"upgrade {up.id!r} endpoint out of range [0, {n}): {up.u}-{up.v}")
 
     @property
     def problem(self) -> str:

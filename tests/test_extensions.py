@@ -1,10 +1,12 @@
 """Lattice-restricted residue domains and edge-upgrade gadgets."""
 
 import random
+import tracemalloc
 import warnings
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from spnd import (
     EdgeRecord,
@@ -31,6 +33,7 @@ from spnd import (
 )
 from spnd import extensions as extensions_module
 from spnd.extensions import lattice_residues, normalize_menu, validate_lattice
+from lattice_reference import reference_lattice_residues, reference_unrepresentable
 
 
 # -- lattice residues --------------------------------------------------------
@@ -56,10 +59,77 @@ def test_lattice_spec_validation():
         LatticeSpec((2,), 0)
 
 
-def test_lattice_residue_budget_warning(monkeypatch):
-    monkeypatch.setattr(extensions_module, "STATE_BUDGET", 100)
-    with pytest.warns(RuntimeWarning):
-        lattice_residues(LatticeSpec((1, 2), 5), m=10, f_bound=50)
+# Basis values 0-60, plus 1000 and 1001: with small coefficients their
+# lattice is sparse, not a multiple of the gcd.
+_SPECS = st.builds(
+    LatticeSpec,
+    st.lists(st.integers(0, 60) | st.sampled_from((1000, 1001)), min_size=1, max_size=3).map(tuple),
+    st.integers(1, 3),
+)
+
+
+@given(_SPECS, st.integers(1, 4), st.integers(0, 5000))
+def test_lattice_residues_match_enumeration(spec, m, f_bound):
+    # The reference enumerates every combination; keep it affordable.
+    assume((2 * m * m * spec.bound + 1) ** len(spec.basis) <= 3_000_000)
+    got = lattice_residues(spec, m, f_bound)
+    want = reference_lattice_residues(spec, m, f_bound)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _lattice_graphs(draw):
+    """A spec and parallel edges whose capacities are drawn near the lattice:
+
+    coefficients one past the bound, or any small integer."""
+    spec = draw(_SPECS)
+    reach = st.lists(st.integers(-spec.bound - 1, spec.bound + 1), min_size=3, max_size=3)
+    near = reach.map(lambda c: abs(sum(a * d for a, d in zip(c, spec.basis))))
+    capacities = draw(st.lists(near | st.integers(0, 5000), min_size=1, max_size=6))
+    edges = tuple(EdgeRecord(f"e{i}", 0, 1, 1, cap) for i, cap in enumerate(capacities))
+    return MultiGraph(2, edges, 0, 1), spec
+
+
+@given(_lattice_graphs())
+def test_validate_lattice_matches_enumeration(case):
+    graph, spec = case
+    bad = reference_unrepresentable(graph, spec)
+    if not bad:
+        validate_lattice(graph, spec)
+        return
+    with pytest.raises(ValueError) as err:
+        validate_lattice(graph, spec)
+    assert str(err.value).endswith(": " + ", ".join(f"{e.id}={e.capacity}" for e in bad[:5]))
+
+
+def test_lattice_residues_past_the_enumeration():
+    # 20001^2 = 4 * 10^8 combinations at m = 100; the points are found from
+    # the 20001 values of the second coefficient alone.
+    a = 100 * 100
+    want = sorted(
+        {
+            v
+            for b in range(-a, a + 1)
+            for c in range(-(1001 * b) // 1000 - 6, -(1001 * b) // 1000 + 7)
+            if abs(c) <= a and abs(v := 1000 * c + 1001 * b) <= 5000
+        }
+    )
+    assert lattice_residues(LatticeSpec((1000, 1001), 1), m=100, f_bound=5000).tolist() == want
+    got = lattice_residues(LatticeSpec((1, 10**5, 10**5), 1), m=10, f_bound=150)
+    assert got.tolist() == list(range(-100, 101))
+
+
+def test_lattice_residues_memory_is_bounded_by_input_and_output():
+    spec = LatticeSpec((3, 5, 7), 2)
+    tracemalloc.start()
+    try:
+        got = lattice_residues(spec, m=12, f_bound=150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == list(range(-150, 151))
+    assert peak < 1_000_000, peak
 
 
 def test_validate_lattice(diamond):

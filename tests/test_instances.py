@@ -227,6 +227,26 @@ def test_instance_rejects_upgrade_endpoints_out_of_range(diamond, ends):
         ProblemInstance(diamond.graph, budget=5, upgrades=(upgrade,))
 
 
+@pytest.mark.parametrize(
+    "ids,duplicate",
+    [(("e1",), "e1"), (("e3", "g"), "e3"), (("g", "g"), "g"), (("g", "h", "g"), "g")],
+    ids=["upgrade-named-like-edge", "second-upgrade-named-like-edge", "two-upgrades", "first-and-third"],
+)
+def test_instance_rejects_duplicate_upgrade_ids(diamond, ids, duplicate):
+    # The parser refuses a repeated id across edge and upedge lines. Without
+    # the check an upgrade named like a plain edge solves, and two upgrades
+    # of one name fail inside the gadget expansion on an id nobody wrote.
+    upgrades = tuple(UpgradeRecord(i, 0, 2, ((4, 10),)) for i in ids)
+    with pytest.raises(ValueError, match=f"^duplicate edge id '{duplicate}'$"):
+        ProblemInstance(diamond.graph, budget=5, upgrades=upgrades)
+
+
+def test_objective_switch_keeps_distinct_upgrade_ids(diamond):
+    upgrades = (UpgradeRecord("g", 0, 2, ((4, 10),)), UpgradeRecord("h", 0, 1, ((1, 3),)))
+    inst = ProblemInstance(diamond.graph, budget=5, upgrades=upgrades)
+    assert inst.with_demand(2).upgrades == upgrades
+
+
 def test_graph_model_validation_allocates_nothing_per_vertex():
     n = 10**12
     graph = MultiGraph(n, (EdgeRecord("e1", 0, n - 1, 1, 1),), 0, n - 1)
