@@ -1,34 +1,50 @@
-"""A fingerprint of the approximation scheme's runs, probe by probe.
+"""Fingerprints of the approximation scheme's runs: answers, and probes.
 
-One sha256 covers every ``fptas_bcmfp_detailed`` outcome for the gate-3
-instances of seeds 1-20 (edge_budget 8, cap_max 10**6, cost_max 10) at
-eps 1/2 and 1/10: the solution, whether it is exact, the chosen ladder
-level, and every probe in the order it ran (level, flow target, answer and
-states). A change to the searches that moves one probe, or picks another
-witness, fails here rather than only in the guarantee checks.
+Every ``fptas_bcmfp_detailed`` outcome for the gate-3 instances of seeds
+1-20 (edge_budget 8, cap_max 10**6, cost_max 10) at eps 1/2 and 1/10 feeds
+two sha256 digests:
+
+- the answer digest covers the solution, whether it is exact, and the chosen
+  ladder level. A change to the searches that picks another witness or
+  level fails here.
+- the probe digest covers every probe in the order it ran (level, flow
+  target, answer and states). It moves whenever the probe sequence does,
+  even if every answer stays the same.
 """
 
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from spnd import fptas_bcmfp_detailed, generate_sp
 
-GOLDEN = "67cd31377f62068251aa7b45082cfe49335898a8d1bcc6db56201c1bcff64571"
+ANSWER_GOLDEN = "29ff598c5d26e2d9795bbd093d25f9c8e7e4f34ae02ed16f747f6f94e33031ed"
+PROBE_GOLDEN = "01e144d46d9c6fcb63271c90fe80b5b966c79009cb2abadaa5b3865c3f206ff9"
 
 
-def outcomes_digest(seeds=range(1, 21), epsilons=(Fraction(1, 2), Fraction(1, 10))) -> str:
-    digest = hashlib.sha256()
+def outcome_digests(seeds=range(1, 21), epsilons=(Fraction(1, 2), Fraction(1, 10))):
+    answers, probes = hashlib.sha256(), hashlib.sha256()
     for eps in epsilons:
         for seed in seeds:
             instance = generate_sp(seed, edge_budget=8, cap_max=10**6, cost_max=10, problem="bcmfp")
             outcome = fptas_bcmfp_detailed(instance, eps)
             sol = outcome.solution
-            probes = [(p.level, p.flow_target, p.yes, p.states) for p in outcome.probes]
             answer = (sorted(sol.purchased), sol.total_cost, sol.achieved_flow)
-            record = (eps, seed, answer, outcome.exact, outcome.m_prime, probes)
-            digest.update(repr(record).encode())
-    return digest.hexdigest()
+            answers.update(repr((eps, seed, answer, outcome.exact, outcome.m_prime)).encode())
+            records = [(p.level, p.flow_target, p.yes, p.states) for p in outcome.probes]
+            probes.update(repr((eps, seed, records)).encode())
+    return answers.hexdigest(), probes.hexdigest()
 
 
-def test_fptas_outcomes_match_golden_digest():
-    assert outcomes_digest() == GOLDEN
+@pytest.fixture(scope="module")
+def digests():
+    return outcome_digests()
+
+
+def test_fptas_outcomes_match_golden_digest(digests):
+    assert digests[0] == ANSWER_GOLDEN
+
+
+def test_fptas_probes_match_golden_digest(digests):
+    assert digests[1] == PROBE_GOLDEN
