@@ -6,19 +6,33 @@ with accuracy eps, set eps' = min(1, eps/3) and R = ceil(m/eps'). For a
 scale level M, replace each capacity u_e by floor(m*u_e/(M*eps')) and ask
 whether some subset within budget supports a flow of R under the scaled
 capacities; that probe is a pinned single-query build whose work depends on
-R, not F. The answer is monotone along the geometric ladder M = (1+eps')^j,
-and YES is guaranteed whenever M <= OPT/(1+eps'), so a binary search for
-the largest YES level M' yields a witness whose true max flow is at least
-M' >= OPT/(1+eps')^2 >= OPT/(1+eps).
+R, not F. The answer is monotone along the geometric ladder M = (1+eps')^j:
+YES is guaranteed whenever M <= OPT/(1+eps'), and a YES certifies a true
+flow of at least M. So the largest YES level M' has a witness whose true
+max flow is at least M' >= OPT/(1+eps')^2 >= OPT/(1+eps).
+
+The ladder is bracketed before any probe. LB, the largest bottleneck
+capacity of a source-sink path costing at most B, satisfies
+LB <= OPT <= m*LB: buying that path carries LB, and an optimal flow splits
+into at most m paths inside the purchase, each within budget and so
+carrying at most LB. Every rung with M <= LB/(1+eps') is therefore YES and
+every rung above min(F, m*LB) is NO, which leaves about
+log_{1+eps'}(m*(1+eps')) rungs to search whatever the size of the
+capacities. Three regimes follow:
+
+- F <= R: the pseudopolynomial search is already polynomial and runs
+  directly, with an exact answer.
+- LB < 1+eps': LB = 0 settles OPT = 0 without a probe. Otherwise the
+  ladder starts with a probe at M = 1; a NO there certifies
+  OPT < 1+eps' <= 2, so a single exact probe at flow value 1 settles the
+  optimum.
+- LB >= 1+eps': a binary search over the rungs above the last one known to
+  be YES. If it settles on that rung without probing it, one probe there
+  yields its witness, so M' always carries the witness of its own probe.
 
 Everything is computed in exact rational arithmetic: eps enters as a
 Fraction, ladder levels are Fraction powers, and the scaled capacities are
 exact integer floors, so runs are bit-for-bit reproducible.
-
-Two small regimes bypass the ladder with exact answers: when F <= R the
-pseudopolynomial search is already polynomial and runs directly, and when
-even ladder level M = 1 answers NO then OPT < 1 + eps' <= 2, so a single
-exact probe at flow value 1 settles the optimum.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from typing import Mapping
 
 from .decompose import DecompTree, decompose
 from .dp import _rechecked, feasible_detailed, last_accepted, upper_bound_flow
-from .flow import solution_from_edges
+from .flow import solution_from_edges, widest_path_within_budget
 from .instance import MultiGraph, ProblemInstance, Solution
 
 
@@ -150,24 +164,48 @@ def fptas_bcmfp_detailed(
         caps = scale_capacities(graph, level, params.epsilon_prime)
         return probe(params.target_r, caps, level)
 
-    exact = False
+    def ladder_search(low: int, top: int, accepted) -> tuple[Fraction, Solution]:
+        """The largest YES level in [ratio**low, ratio**top] and its witness,
+
+        given that rung ``low`` is YES; ``accepted`` is its witness when it
+        has been probed already."""
+        k, found = last_accepted(top - low, lambda k: rung(low + k))
+        found = found or accepted
+        if found is None:
+            ok, found = rung(low)
+            if not ok:
+                raise RuntimeError(f"ladder level {ratio**low} <= LB/(1+eps') answered NO")
+        m_prime = ratio ** (low + k)
+        # A YES at level M certifies a true flow of at least M.
+        edges, cost = found
+        return m_prime, _rechecked(instance, cost, edges, m_prime)
+
+    exact = True
     m_prime: Fraction | None = None
     if f_bound <= params.target_r:
         solution = exact_flow_search(f_bound)
-        exact = True
     else:
-        ok0, accepted = rung(0)
-        if not ok0:
-            # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact probe at
-            # flow value 1 decides between 0 and 1.
-            solution = exact_flow_search(1)
-            exact = True
+        lb = widest_path_within_budget(graph, budget)
+        if lb == 0:
+            # No affordable path carries flow, so OPT = 0.
+            solution = _rechecked(instance, 0, frozenset(), 0)
         else:
-            j, found = last_accepted(_ladder_top(ratio, f_bound), rung)
-            m_prime = ratio**j
-            # A YES at level M certifies a true flow of at least M.
-            edges, cost = found or accepted
-            solution = _rechecked(instance, cost, edges, m_prime)
+            # OPT <= m*LB, so every rung above min(F, m*LB) answers NO.
+            top = _ladder_top(ratio, min(f_bound, graph.edge_count * lb))
+            if lb >= ratio:
+                # Every rung with M <= LB/(1+eps') answers YES; the last of
+                # them is one below the top rung under LB.
+                exact = False
+                m_prime, solution = ladder_search(_ladder_top(ratio, lb) - 1, top, None)
+            else:
+                ok0, accepted = rung(0)
+                if ok0:
+                    exact = False
+                    m_prime, solution = ladder_search(0, top, accepted)
+                else:
+                    # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact
+                    # probe at flow value 1 decides between 0 and 1.
+                    solution = exact_flow_search(1)
 
     # Buying everything is the best possible answer whenever it is
     # affordable; prefer it if the scheme's witness fell short of it.

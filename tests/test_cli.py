@@ -250,6 +250,24 @@ def test_fptas_upgrade_instance_reports_choice(run):
     assert lines[-1].startswith("RESULT cost=6 flow=8 ")
 
 
+def test_fptas_upgrade_instance_on_the_ladder(run):
+    # Capacities in the hundred thousands put the expanded menu past the
+    # exact regime, so the answer comes from a ladder level.
+    text = (
+        "graph 3\nsource 0\nsink 2\nedge e1 0 1 1 1000000\nedge e3 0 2 2 40000\n"
+        "upedge g1 1 2 3 2 30000 5 80000 9 700000\nbudget 7\n"
+    )
+    code, out, _ = run("fptas", "--epsilon", "1/2", text=text)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3:] == [
+        "M_PRIME=49221735352184872959961855190338177606846542622561400857262407"
+        "/638324153542299148846280854514738362441007133779155746816",
+        "UPGRADE g1 choice=2",
+        "RESULT cost=6 flow=80000 edges=e1,g1:c2,g1:g2a,g1:g2b,g1:g3a,g1:g3b",
+    ]
+
+
 # The gate-7 ring at F = 144: source and sink strictly inside the root pair.
 # The full (r_a, r_s, r_t) table over it takes tens of seconds and hundreds
 # of MB; a solve reads pinned builds only.

@@ -1,9 +1,11 @@
 """Capacity-scaling approximation scheme for the budgeted problem."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spnd import (
     EdgeRecord,
@@ -17,8 +19,8 @@ from spnd import (
     oracle_bcmfp,
     upper_bound_flow,
 )
-from spnd.flow import verify_solution
-from spnd.fptas import ScaleParams, as_fraction, scale_capacities
+from spnd.flow import verify_solution, widest_path_within_budget
+from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities
 
 
 def _instance(edge_specs, budget, vertex_count=None):
@@ -243,3 +245,149 @@ def test_scaled_cuts_cover_target_below_opt(seed):
 def test_wrapper_matches_detailed(diamond):
     inst = diamond.with_budget(5)
     assert fptas_bcmfp(inst, 1) == fptas_bcmfp_detailed(inst, 1).solution
+
+
+# -- the widest-path bracket -------------------------------------------------
+
+
+def test_widest_path_within_budget_examples():
+    # Zero-cost edges: the free path 0-1-2 (bottleneck 3) is all budget 0 buys.
+    free = _instance([("e1", 0, 1, 0, 5), ("e2", 1, 2, 0, 3), ("e3", 0, 2, 4, 9)], budget=0)
+    assert widest_path_within_budget(free.graph, 0) == 3
+    assert widest_path_within_budget(free.graph, 3) == 3
+    assert widest_path_within_budget(free.graph, 4) == 9
+    # Parallel edges: the widest affordable copy counts, not the cheapest.
+    par = _instance([("a", 0, 1, 1, 2), ("b", 0, 1, 3, 7), ("c", 0, 1, 6, 50)], budget=0)
+    assert [widest_path_within_budget(par.graph, b) for b in (0, 1, 2, 3, 5, 6)] == [0, 2, 2, 7, 7, 50]
+    # A wide edge costs the budget twice over along a path: the narrower
+    # but cheaper route wins.
+    two = _instance(
+        [("e1", 0, 1, 2, 100), ("e2", 1, 3, 2, 100), ("e3", 0, 2, 1, 4), ("e4", 2, 3, 1, 6)], budget=0
+    )
+    assert widest_path_within_budget(two.graph, 3) == 4
+    assert widest_path_within_budget(two.graph, 4) == 100
+    # Budget 0 with only priced edges, a zero-capacity path, and a sink
+    # no edge reaches: nothing carries flow.
+    assert widest_path_within_budget(par.graph, 0) == 0
+    zero = _instance([("e1", 0, 1, 0, 0)], budget=0)
+    assert widest_path_within_budget(zero.graph, 0) == 0
+    apart = _instance([("e1", 0, 1, 0, 5)], budget=3, vertex_count=3)
+    assert widest_path_within_budget(apart.graph, 3) == 0
+
+
+def _wide_diamond(diamond, budget):
+    """The diamond with every capacity times 100: F = 300 puts eps = 1/2
+
+    past the exact regime (F <= R = 18)."""
+    edges = tuple(replace(e, capacity=100 * e.capacity) for e in diamond.graph.edges)
+    return replace(diamond, graph=replace(diamond.graph, edges=edges)).with_budget(budget)
+
+
+def test_budget_that_buys_no_path_answers_without_probes(diamond):
+    inst = _wide_diamond(diamond, 1)
+    outcome = fptas_bcmfp_detailed(inst, "1/2")
+    assert outcome.f_bound > outcome.params.target_r
+    assert outcome.exact and outcome.m_prime is None
+    assert outcome.probes == ()
+    assert outcome.solution.purchased == frozenset()
+    assert outcome.solution.achieved_flow == 0
+    assert oracle_bcmfp(inst).achieved_flow == 0
+
+
+def test_bracket_skips_the_lower_ladder(diamond):
+    # LB = 200 (the path e1-e2 at cost 2), so every rung up to 200/(1+eps')
+    # is known YES: no probe runs at those levels, and the chosen level has
+    # a YES probe of its own.
+    inst = _wide_diamond(diamond, 2)
+    outcome = fptas_bcmfp_detailed(inst, "1/2")
+    ratio = 1 + outcome.params.epsilon_prime
+    assert not outcome.exact
+    assert all(p.level > 200 / ratio**2 for p in outcome.probes)
+    assert any(p.yes and p.level == outcome.m_prime for p in outcome.probes)
+    assert outcome.solution.achieved_flow == 200
+
+
+def _probe_bound(outcome, m: int) -> int:
+    """Most probes a run can make, from m and eps' alone: a binary search
+
+    over the exact flow values 0..R, or one rung-0 or known-YES probe plus a
+    binary search over at most log_{1+eps'}(m(1+eps')) + 1 rungs."""
+    params = outcome.params
+    if outcome.f_bound <= params.target_r:
+        return params.target_r.bit_length()
+    ratio = 1 + params.epsilon_prime
+    return 1 + (_ladder_top(ratio, m * ratio) + 1).bit_length()
+
+
+def test_probe_count_does_not_grow_with_capacity_magnitude():
+    most = {}
+    for cap_max in (10**3, 10**12):
+        counts = []
+        for seed in range(1, 101):
+            inst = generate_sp(seed, edge_budget=8, cap_max=cap_max, cost_max=10, problem="bcmfp")
+            outcome = fptas_bcmfp_detailed(inst, Fraction(1, 2))
+            assert len(outcome.probes) <= _probe_bound(outcome, inst.graph.edge_count), (cap_max, seed)
+            counts.append(len(outcome.probes))
+        most[cap_max] = max(counts)
+    assert most[10**3] == most[10**12], most
+
+
+@st.composite
+def _tiny_instances(draw):
+    """A random series/parallel composition of 1-6 edges with source and
+
+    sink anywhere, costs 0-4, capacities small, large or 0, and a budget in
+    [0, total cost]."""
+    m = draw(st.integers(1, 6))
+    spans, ends, vertex_count = [(0, 1, m)], [], 2
+    while spans:
+        a, b, count = spans.pop()
+        if count == 1:
+            ends.append((a, b))
+            continue
+        k = draw(st.integers(1, count - 1))
+        if draw(st.booleans()):
+            spans += [(a, vertex_count, k), (vertex_count, b, count - k)]
+            vertex_count += 1
+        else:
+            spans += [(a, b, k), (a, b, count - k)]
+    capacity = st.integers(1, 9) | st.integers(1, 10**6) | st.just(0)
+    edges = tuple(
+        EdgeRecord(f"e{i}", u, v, draw(st.integers(0, 4)), draw(capacity)) for i, (u, v) in enumerate(ends)
+    )
+    source, sink = draw(st.lists(st.integers(0, vertex_count - 1), min_size=2, max_size=2, unique=True))
+    graph = MultiGraph(vertex_count, edges, source, sink, declared_terminals=(0, 1))
+    budget = draw(st.integers(0, graph.total_cost()))
+    return ProblemInstance(graph=graph, budget=budget, demand=None, upgrades=())
+
+
+_EPSILONS = st.sampled_from((Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3)))
+
+
+@given(_tiny_instances())
+def test_widest_path_brackets_the_optimum(inst):
+    lb = widest_path_within_budget(inst.graph, inst.budget)
+    opt = oracle_bcmfp(inst).achieved_flow
+    assert lb <= opt <= inst.graph.edge_count * lb
+
+
+@given(_tiny_instances(), _EPSILONS, st.data())
+def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
+    params = ScaleParams.for_instance(inst.graph.edge_count, epsilon)
+    ratio = 1 + params.epsilon_prime
+    lb = widest_path_within_budget(inst.graph, inst.budget)
+    if lb < ratio:
+        return  # no rung lies at or below LB/(1+eps')
+    low = _ladder_top(ratio, lb) - 1
+    assert ratio**low <= lb / ratio < ratio ** (low + 1)
+    for j in {low, data.draw(st.integers(0, low))}:
+        caps = scale_capacities(inst.graph, ratio**j, params.epsilon_prime)
+        ok, _ = feasible(inst, inst.budget, params.target_r, caps)
+        assert ok, j
+
+
+@given(_tiny_instances(), _EPSILONS)
+def test_fptas_meets_its_guarantee_on_tiny_graphs(inst, epsilon):
+    sol = fptas_bcmfp(inst, epsilon)
+    assert sol.total_cost <= inst.budget
+    assert sol.achieved_flow * (1 + epsilon) >= oracle_bcmfp(inst).achieved_flow

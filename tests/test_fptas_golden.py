@@ -20,7 +20,7 @@ import pytest
 from spnd import fptas_bcmfp_detailed, generate_sp
 
 ANSWER_GOLDEN = "29ff598c5d26e2d9795bbd093d25f9c8e7e4f34ae02ed16f747f6f94e33031ed"
-PROBE_GOLDEN = "01e144d46d9c6fcb63271c90fe80b5b966c79009cb2abadaa5b3865c3f206ff9"
+PROBE_GOLDEN = "59287cfc14984f78eaeb92caf7ca5a229f2c7f926832121ea00559f0d9ad466c"
 
 
 def outcome_digests(seeds=range(1, 21), epsilons=(Fraction(1, 2), Fraction(1, 10))):

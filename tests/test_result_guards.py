@@ -61,7 +61,7 @@ CASES = {
     "lattice-budget": lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
     # The ladder's witness, re-checked against the chosen level M'.
     "fptas": lambda inst: _fptas(inst, 5, exact=False),
-    # A budget of 1 buys no path: NO at M = 1, then the exact probe.
+    # A budget of 1 buys no path: OPT = 0 is settled without a probe.
     "fptas-exact": lambda inst: _fptas(inst, 1, exact=True),
 }
 
