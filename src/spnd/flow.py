@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from .instance import MultiGraph, ProblemInstance, Solution, purchased_edges
@@ -146,47 +145,6 @@ def circulation_feasible(
         elif r > 0:
             net.add_pair(ids[v], super_sink, r, 0)
     return net.max_flow(super_source, super_sink) == need
-
-
-def widest_path_within_budget(graph: MultiGraph, budget: int) -> int:
-    """The largest bottleneck capacity of a source-sink path that costs at
-
-    most ``budget``, or 0 if no such path carries flow. A binary search over
-    the distinct positive capacities asks, for each candidate c, whether a
-    cheapest path (Dijkstra) over the edges of capacity >= c reaches the
-    sink within budget: O(m log^2 m) in all."""
-    ids = _relabel([graph.source, graph.sink, *(x for e in graph.edges for x in (e.u, e.v))])
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in ids]
-    for e in graph.edges:
-        adj[ids[e.u]].append((ids[e.v], e.cost, e.capacity))
-        adj[ids[e.v]].append((ids[e.u], e.cost, e.capacity))
-    s, t = ids[graph.source], ids[graph.sink]
-
-    def affordable(floor: int) -> bool:
-        dist = {s: 0}
-        heap = [(0, s)]
-        while heap:
-            d, u = heappop(heap)
-            if u == t:
-                return True
-            if d > dist[u]:
-                continue
-            for v, cost, capacity in adj[u]:
-                nd = d + cost
-                if capacity >= floor and nd <= budget and nd < dist.get(v, nd + 1):
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        return False
-
-    capacities = sorted({e.capacity for e in graph.edges if e.capacity > 0})
-    lo, hi = 0, len(capacities)  # capacities[:lo] are known affordable floors
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if affordable(capacities[mid - 1]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return capacities[lo - 1] if lo else 0
 
 
 @dataclass(frozen=True)

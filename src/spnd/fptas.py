@@ -38,13 +38,15 @@ exact integer floors, so runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .decompose import DecompTree, decompose
 from .dp import _rechecked, feasible_detailed, last_accepted, upper_bound_flow
-from .flow import solution_from_edges, widest_path_within_budget
+from .flow import solution_from_edges
 from .instance import MultiGraph, ProblemInstance, Solution
 
 
@@ -131,6 +133,39 @@ def _ladder_top(ratio: Fraction, f_bound: int) -> int:
     return guess
 
 
+def widest_path_within_budget(graph: MultiGraph, budget: int) -> int:
+    """The largest bottleneck capacity of a source-sink path that costs at
+
+    most ``budget``, or 0 if no such path carries flow. A binary search over
+    the distinct positive capacities asks, for each candidate c, whether a
+    cheapest path (Dijkstra) over the edges of capacity >= c reaches the
+    sink within budget: O(m log^2 m) in all."""
+    adj: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    for e in graph.edges:
+        adj[e.u].append((e.v, e.cost, e.capacity))
+        adj[e.v].append((e.u, e.cost, e.capacity))
+
+    def affordable(floor: int) -> bool:
+        dist = {graph.source: 0}
+        heap = [(0, graph.source)]
+        while heap:
+            d, u = heappop(heap)
+            if u == graph.sink:
+                return True
+            if d > dist[u]:
+                continue
+            for v, cost, capacity in adj[u]:
+                nd = d + cost
+                if capacity >= floor and nd <= budget and nd < dist.get(v, nd + 1):
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+        return False
+
+    capacities = sorted({e.capacity for e in graph.edges if e.capacity > 0})
+    k, _ = last_accepted(len(capacities), lambda k: (affordable(capacities[k - 1]), None))
+    return capacities[k - 1] if k else 0
+
+
 def fptas_bcmfp_detailed(
     instance: ProblemInstance, epsilon, *, tree: DecompTree | None = None
 ) -> FptasOutcome:
@@ -180,8 +215,7 @@ def fptas_bcmfp_detailed(
         edges, cost = found
         return m_prime, _rechecked(instance, cost, edges, m_prime)
 
-    exact = True
-    m_prime: Fraction | None = None
+    m_prime: Fraction | None = None  # stays None on the exact paths
     if f_bound <= params.target_r:
         solution = exact_flow_search(f_bound)
     else:
@@ -195,12 +229,10 @@ def fptas_bcmfp_detailed(
             if lb >= ratio:
                 # Every rung with M <= LB/(1+eps') answers YES; the last of
                 # them is one below the top rung under LB.
-                exact = False
                 m_prime, solution = ladder_search(_ladder_top(ratio, lb) - 1, top, None)
             else:
                 ok0, accepted = rung(0)
                 if ok0:
-                    exact = False
                     m_prime, solution = ladder_search(0, top, accepted)
                 else:
                     # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact
@@ -218,7 +250,7 @@ def fptas_bcmfp_detailed(
         solution=solution,
         params=params,
         f_bound=f_bound,
-        exact=exact,
+        exact=m_prime is None,
         m_prime=m_prime,
         probes=tuple(probes),
     )

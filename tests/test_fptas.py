@@ -19,8 +19,8 @@ from spnd import (
     oracle_bcmfp,
     upper_bound_flow,
 )
-from spnd.flow import verify_solution, widest_path_within_budget
-from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities
+from spnd.flow import verify_solution
+from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities, widest_path_within_budget
 
 
 def _instance(edge_specs, budget, vertex_count=None):
