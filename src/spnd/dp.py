@@ -32,12 +32,29 @@ the nodes above the source or the sink (``reuse=`` of :func:`build_table`).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children. That
-split scan is a blocked (min, +) reduction: the left child's costs for
-every split are gathered at once, the split on a leading axis, and the
-splits are walked in blocks of about ``CELLS`` candidate cells. Each block's
-minimum, with the smallest split reaching it, merges into the running best
-by a strict <, so ties go to the smallest split and a cell that stays
+split scan is a blocked (min, +) reduction: the candidates for a block of
+splits are formed at once, the split on its own axis, and the splits are
+walked in blocks of about ``CELLS`` candidate cells. Each block's minimum,
+with the smallest split reaching it, merges into the running best by a
+strict <, so ties go to the smallest split and a cell that stays
 infeasible keeps split 0.
+
+The special-free nodes are built one group at a time, not one node at a
+time. A node's height is 0 at a leaf and one more than its taller child
+otherwise; nodes of equal height never read each other, so every group of
+one height and kind is one numpy pass (:meth:`_Builder._build_forest`).
+Their costs are the rows of one padded array per build, and the splits of
+the parallel ones the rows of a second: a column per value of the flow
+bound's domain (the range [-F, F], or the residue set clipped to F), the
+sentinel in every cell past a node's own radius, and a last column that
+always holds the sentinel. A series group is a row-wise sum clamped at the
+sentinel; a parallel group is the split scan above, over all its rows at
+once (:func:`_split_scan`), in parts of similar widths once wider than
+``_NARROW`` cells. Each node's ``NodeTable`` is a view of its row cut to
+its own domain, with the cost and split bytes and the admissible count a
+node-by-node build gives. The spine nodes, those with an interior special,
+are built one by one in postorder after the forest, and a pinned build
+that reuses an earlier table rebuilds only them.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -81,6 +98,7 @@ _SPECIAL_ORDER = ("s", "t")
 _SPECIAL_SIGN = {"s": -1, "t": 1}  # residue of each special per unit of flow
 CELLS = 1 << 16  # candidate cells one block of the parallel split scan holds
 _NO_SPLIT = np.iinfo(np.int64).max
+_NARROW = 64  # domains narrower than this many cells share one width band
 
 
 class ResidueDomain:
@@ -332,18 +350,6 @@ def _grid(dom: ResidueDomain, axes: dict[str, ResidueDomain]):
     return shape, arrays[0], dict(zip(axes, arrays[1:]))
 
 
-def _build_leaf(
-    dom: ResidueDomain, cost: int, capacity: int, sentinel: int
-) -> tuple[np.ndarray, int]:
-    vals = dom.values
-    arr = np.where(
-        vals == 0,
-        np.int64(0),
-        np.where(np.abs(vals) <= capacity, np.int64(cost), np.int64(sentinel)),
-    ).astype(np.int64)
-    return arr, len(vals)
-
-
 def _special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool]:
     """Positions of a parent's special values on a child's special axes,
 
@@ -364,6 +370,61 @@ def _gather(nt: NodeTable, a_vals, positions: list, special_ok):
     if positions:  # children without specials need no extra mask op
         valid = valid & special_ok
     return nt.cost[(pos_a, *positions)], valid
+
+
+def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
+    """A parallel group's (min, +) scan over the split, over padded rows.
+
+    ``left`` and ``right`` are the children's rows over the values of
+    ``top`` within a window about 0, ``right`` with one more column past
+    its window that holds the sentinel. Cell r of a node's row, the values
+    within ``half`` positions of 0, takes the minimum over splits s of
+    left[s] + right[r - s], the right cell read through a (split, r)
+    position index that sends a residue off the right window to that
+    sentinel column. The splits go in ascending blocks of about ``CELLS``
+    candidate cells; each block's minimum, with the first (smallest) split
+    reaching it, merges into the running best by a strict <, so ties go to
+    the smallest split and an infeasible cell keeps split 0. Returns the
+    cost and split rows."""
+    mid = len(top) // 2
+    left_half, right_half = left.shape[1] // 2, right.shape[1] // 2 - 1
+    window = ResidueDomain(top.values[mid - right_half : mid + right_half + 1])
+    vals = top.values[mid - half : mid + half + 1]
+    # A split no left child can take cannot improve any cell.
+    live = np.flatnonzero((left < sentinel).any(axis=0))
+    split_vals = top.values[mid - left_half + live]
+    shape = (len(left), len(vals))
+    best = np.full(shape, sentinel, dtype=np.int64)
+    split = np.zeros(shape, dtype=np.int64)
+    step = max(1, CELLS // best.size)
+    block = np.empty((shape[0], min(step, len(live)), shape[1]), dtype=np.int64)
+    low = np.empty(shape, dtype=np.int64)
+    for lo in range(0, len(live), step):
+        s = split_vals[lo : lo + step]
+        pos, ok = window.positions(vals - s[:, None])
+        at = np.where(ok, pos, len(window))
+        # Unclamped: a candidate at or above the sentinel never beats best.
+        cand = np.add(left[:, live[lo : lo + step], None], right[:, at], out=block[:, : len(s)])
+        np.min(cand, axis=1, out=low)
+        better = low < best
+        np.copyto(best, low, where=better)
+        np.copyto(split, s[cand.argmin(axis=1)], where=better)
+    return best, split
+
+
+def _width_bands(node_half: np.ndarray, left_half: np.ndarray) -> list:
+    """A parallel group's nodes in parts of similar widths, so that no
+
+    node scans far more cells than its own table needs: the nodes of a
+    part have widths, and left-child widths, within a factor of two, all
+    below ``_NARROW`` counting as one. Returns index arrays into the
+    group, or the one part holding all of it."""
+    if 2 * node_half.max() + 1 < _NARROW:  # a left child is never the wider
+        return [slice(None)]
+    band = np.frexp(np.maximum(2 * np.stack((node_half, left_half)) + 1, _NARROW - 1))[1]
+    key = band[0] << 8 | band[1]
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
 
 
 class _Builder:
@@ -397,25 +458,101 @@ class _Builder:
         return {lab: ResidueDomain.single(_SPECIAL_SIGN[lab] * pin) for lab in node.placements}
 
     def build(self) -> DPTable:
+        """The special-free forest by groups (:meth:`_build_forest`), then
+
+        the spine node by node in postorder."""
         table = self.table
-        edges = self.tree.graph.edge_map()
-        u_total: dict[int, int] = {}
-        for node in (self.tree.node(i) for i in self.tree.postorder_ids()):
+        nodes, order = self.tree.nodes, self.tree.postorder_ids()
+        total = [0] * len(nodes)  # each node's subgraph capacity
+        height = [0] * len(nodes)
+        groups: dict[tuple[int, str], list[int]] = {}  # special-free nodes by height and kind
+        for nid in order:
+            node = nodes[nid]
             if node.kind == "leaf":
-                u_total[node.id] = self.capacities[node.edge_id]
+                total[nid] = self.capacities[node.edge_id]
             else:
-                u_total[node.id] = u_total[node.left] + u_total[node.right]
-            dom = self.domain_for(min(self.f_bound, u_total[node.id]))
-            if node.kind == "leaf":
-                cost, admissible = _build_leaf(
-                    dom, edges[node.edge_id].cost, self.capacities[node.edge_id], self.sentinel
-                )
-                table.tables[node.id] = NodeTable(dom, {}, cost, None, admissible)
-                continue
+                total[nid] = total[node.left] + total[node.right]
+                height[nid] = 1 + max(height[node.left], height[node.right])
             if node.placements:
-                table.spine.append(node.id)
-            table.tables[node.id] = self._combine(node, dom)
+                table.spine.append(nid)
+            else:
+                groups.setdefault((height[nid], node.kind), []).append(nid)
+        radius = [min(self.f_bound, u) for u in total]
+        table.tables = self._build_forest(groups, radius)
+        for nid in table.spine:
+            table.tables[nid] = self._combine(nodes[nid], self.domain_for(radius[nid]))
+        table.tables = {nid: table.tables[nid] for nid in order}  # postorder, as ``spine``
         return table
+
+    def _build_forest(
+        self, groups: dict[tuple[int, str], list[int]], radius: list[int]
+    ) -> dict[int, NodeTable]:
+        """Tables of the special-free nodes, given by (height, kind) group.
+
+        A group depends only on lower ones, so each is one numpy pass over
+        padded rows: one row per node, indexed by node id, one column per
+        value of the flow bound's domain plus a last column holding the
+        sentinel, and the sentinel in every cell past the node's own
+        radius. A series group is a clamped row-wise sum, a parallel group
+        a (min, +) scan (:func:`_split_scan`), in parts of similar widths
+        (:func:`_width_bands`). Each node's table is a view of its row,
+        cut to its own domain."""
+        nodes, edges, sentinel = self.tree.nodes, self.tree.graph.edge_map(), self.sentinel
+        top = self.domain_for(self.f_bound)
+        mid = len(top) // 2
+        half = np.searchsorted(top.values, radius, side="right") - (mid + 1)  # by node id
+        costs = np.full((len(nodes), len(top) + 1), sentinel, dtype=np.int64)
+        parallel = sum(len(ids) for (_, kind), ids in groups.items() if kind == "parallel")
+        splits = np.zeros((parallel, len(top)), dtype=np.int64)
+        split_row: dict[int, int] = {}  # parallel node -> its row of ``splits``
+        for (_, kind), ids in sorted(groups.items()):
+            members = np.array(ids)
+            h = int(half[members].max())
+            cells = slice(mid - h, mid + h + 1)  # the group's widest domain
+            if kind == "leaf":
+                # The edge's cost at every residue within its capacity, 0 at 0.
+                cost = np.array([edges[nodes[nid].edge_id].cost for nid in ids])
+                inside = np.abs(np.arange(-h, h + 1)) <= half[members][:, None]
+                costs[members, cells] = np.where(inside, cost[:, None], sentinel)
+                costs[members, mid] = 0
+                continue
+            left = np.array([nodes[nid].left for nid in ids])
+            right = np.array([nodes[nid].right for nid in ids])
+            if kind == "series":
+                both = costs[left, cells] + costs[right, cells]
+                costs[members, cells] = np.minimum(both, sentinel, out=both)
+                continue
+            first = len(split_row)
+            split_row.update(zip(ids, range(first, first + len(ids))))
+            rows = splits[first : first + len(ids)]
+            for part in _width_bands(half[members], half[left]):
+                h = int(half[members[part]].max())
+                hl, hr = int(half[left[part]].max()), int(half[right[part]].max())
+                # The column past the right window is the sentinel: a cell
+                # past every right child's radius, or the last column.
+                best, split = _split_scan(
+                    top,
+                    costs[left[part], mid - hl : mid + hl + 1],
+                    costs[right[part], mid - hr : mid + hr + 2],
+                    h,
+                    sentinel,
+                )
+                costs[members[part], mid - h : mid + h + 1] = best
+                rows[part, mid - h : mid + h + 1] = split
+
+        domains: dict[int, ResidueDomain] = {}
+        tables = {}
+        halves = half.tolist()
+        for (_, kind), ids in groups.items():
+            for nid in ids:
+                h = halves[nid]
+                dom = domains.get(h)
+                if dom is None:
+                    dom = domains[h] = ResidueDomain(top.values[mid - h : mid + h + 1])
+                cells = slice(mid - h, mid + h + 1)
+                split = splits[split_row[nid], cells] if kind == "parallel" else None
+                tables[nid] = NodeTable(dom, {}, costs[nid, cells], split, 2 * h + 1)
+        return tables
 
     def rebuild_spine(self, reuse: DPTable) -> DPTable:
         """Share ``reuse``'s special-free node tables and build only its

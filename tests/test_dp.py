@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spnd import (
     InfeasibleError,
@@ -16,6 +17,8 @@ from spnd import (
     decompose,
     feasible,
     generate_sp,
+    oracle_bcmfp,
+    oracle_capndp,
     parse_instance,
     solve_bcmfp,
     solve_capndp,
@@ -27,7 +30,9 @@ from spnd.dp import ResidueDomain, all_case_labels, feasible_detailed
 from spnd.flow import circulation_feasible
 from spnd.instance import EdgeRecord
 
+from dp_build_reference import assert_same_tables, reference_table
 from dp_reference import cell_of, combine_parallel, combine_series, leaf_cost, series_children
+from sp_strategies import tiny_instances
 
 # Ring with source and sink strictly inside, F = 48: the two inner nodes
 # above the sink join hold 97^3 cells.
@@ -35,6 +40,47 @@ RING48_TEXT = (
     "graph 4\nterminals 0 3\nsource 1\nsink 2\nedge e1 0 1 1 24\n"
     "edge e2 1 2 1 24\nedge e3 2 3 1 24\nedge e4 0 3 1 24\nbudget 1\n"
 )
+
+
+def _gate7_ring(c):
+    """The ring of acceptance gate 7 at capacity scale c: F = 6c."""
+    return parse_instance(
+        "graph 4\nterminals 0 3\nsource 1\nsink 2\n"
+        f"edge e1 0 1 1 {2 * c}\nedge e2 1 2 1 {4 * c}\n"
+        f"edge e3 2 3 1 {2 * c}\nedge e4 0 3 1 {2 * c}\nbudget 4\n"
+    )
+
+
+def _branches(widths):
+    """Source 0 and sink 1 joined by one branch per capacity c in ``widths``:
+
+    two parallel edges of capacity c into a vertex of its own, then one
+    edge of capacity c on to the sink. Every node is special-free, and the
+    bundles all have height 1."""
+    lines = [f"graph {len(widths) + 2}", "terminals 0 1", "source 0", "sink 1"]
+    for i, c in enumerate(widths, 2):
+        lines += [f"edge a{i} 0 {i} 1 {c}", f"edge b{i} 0 {i} 1 {c}", f"edge c{i} {i} 1 1 {c}"]
+    return parse_instance("\n".join(lines) + "\nbudget 1\n")
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _kept_bytes(table):
+    """Bytes of the arrays a table's node tables are, or are views of."""
+    owners = {}
+    for nt in table.tables.values():
+        for arr in (nt.cost, nt.split):
+            if arr is not None:
+                owner = arr if arr.base is None else arr.base
+                owners[id(owner)] = owner.nbytes
+    return sum(owners.values())
 
 
 def _table_for(instance, f_bound=None):
@@ -376,6 +422,67 @@ def test_split_scan_scratch_memory_is_bounded():
     assert peak - kept <= 8 * max(dp_module.CELLS, largest) * 8
 
 
+def test_grouped_build_peaks_no_higher_than_the_node_by_node_build():
+    # The gate-7 ring at its largest doubling, F = 48. At F = 144 the
+    # node-by-node build alone would take well over a gigabyte: F = 96
+    # already peaks at 489 MB traced.
+    instance = _gate7_ring(8)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    assert f == 48
+    grouped = _traced_peak(lambda: build_table(tree, f))
+    node_by_node = _traced_peak(lambda: reference_table(tree, f))
+    assert grouped <= 1.1 * node_by_node, (grouped, node_by_node)
+
+
+def test_grouped_split_scan_scratch_memory_is_bounded():
+    # A path of 160 equal bundles, F = 60: one parallel group of 160 rows,
+    # 61 live splits and 121 cells, whose candidates at once would be
+    # 9.4 MB, in a scan that holds a few arrays of that size.
+    lines = ["graph 161", "terminals 0 160", "source 0", "sink 160"]
+    for i in range(160):
+        lines += [f"edge a{i} {i} {i + 1} 1 30", f"edge b{i} {i} {i + 1} 1 30"]
+    instance = parse_instance("\n".join(lines) + "\nbudget 1\n")
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    assert f == 60 and not any(node.placements for node in tree.nodes)
+    tracemalloc.start()
+    try:
+        table = build_table(tree, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - _kept_bytes(table) <= 8 * dp_module.CELLS * 8
+    assert_same_tables(table, reference_table(tree, f))
+
+
+def test_parallel_groups_scan_in_proportion_to_their_nodes(monkeypatch):
+    # Fifty narrow bundles and one wide one share a height. Grouped by
+    # height and kind alone, each narrow bundle would scan the wide one's
+    # 81 splits over its 161 cells, where 3 splits over 5 cells suffice.
+    instance = _branches([1] * 50 + [40])
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    scanned = []
+    real = dp_module._split_scan
+
+    def counting(top, left, right, half, sentinel):
+        live = int((left < sentinel).any(axis=0).sum())
+        scanned.append(len(left) * live * (2 * half + 1))
+        return real(top, left, right, half, sentinel)
+
+    monkeypatch.setattr(dp_module, "_split_scan", counting)
+    table = build_table(tree, f)
+    # Each node's own candidates: its left child's finite cells times its cells.
+    needed = sum(
+        int((table.tables[node.left].cost < table.infinity).sum()) * len(table.tables[node.id].domain)
+        for node in tree.nodes
+        if node.kind == "parallel"
+    )
+    assert sum(scanned) <= 1.5 * needed, (sum(scanned), needed)
+    assert_same_tables(table, reference_table(tree, f))
+
+
 def test_admissibility_mask_memory_is_bounded(monkeypatch):
     # The mask of admissible cells is one byte a cell; computing it may
     # take one full-size residue array and a few masks, not positions.
@@ -526,6 +633,38 @@ def test_solvers_match_oracle_everywhere(seed):
             instance.with_budget(budget), tree=tree, table=table
         ).achieved_flow
         assert dp_flow == oracle_flow, f"seed {seed} budget {budget}"
+
+
+@given(st.integers(1, 10**6), st.integers(1, 12), st.integers(1, 8), st.data())
+def test_special_free_costs_are_symmetric_and_monotone(seed, edge_budget, cap_max, data):
+    # A special-free node routes r from one terminal to the other: the
+    # cost is symmetric in r and never falls as |r| grows.
+    instance = generate_sp(seed, edge_budget=edge_budget, cap_max=cap_max)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    ids = [e.id for e in instance.graph.edges]
+    closed = data.draw(st.sets(st.sampled_from(ids)))
+    table = build_table(
+        tree, f, capacity_override={eid: 0 for eid in closed}, pin=data.draw(st.integers(0, f))
+    )
+    for nid, nt in table.tables.items():
+        if tree.node(nid).placements:
+            continue
+        cost = nt.cost
+        assert np.array_equal(cost, cost[::-1]), nid
+        assert (np.diff(cost[len(cost) // 2 :]) >= 0).all(), nid
+
+
+@given(tiny_instances(capacity=st.integers(0, 5)), st.data())
+def test_solvers_match_the_oracle_on_tiny_graphs(instance, data):
+    # Source and sink anywhere, strictly inside included; some capacities 0.
+    by_budget = solve_bcmfp(instance)
+    assert by_budget.total_cost <= instance.budget
+    assert by_budget.achieved_flow == oracle_bcmfp(instance).achieved_flow
+    case = instance.with_demand(data.draw(st.integers(0, upper_bound_flow(instance))))
+    by_demand = solve_capndp(case)
+    assert by_demand.achieved_flow >= case.demand
+    assert by_demand.total_cost == oracle_capndp(case).total_cost
 
 
 @pytest.mark.parametrize("seed", range(1, 41))

@@ -1,0 +1,98 @@
+"""The grouped special-free build against the frozen node-by-node one.
+
+Every node of every table must carry the same domain values, cost and
+split bytes and admissible count as ``dp_build_reference.reference_table``,
+whether the build is full, pinned, over a lattice residue set, under
+scaled capacities, or degenerate (F = 0, zero capacities, one edge)."""
+
+import pytest
+
+from spnd import build_table, decompose, generate_sp, upper_bound_flow
+from spnd.extensions import LatticeSpec, lattice_residues
+from spnd.fptas import ScaleParams, scale_capacities
+
+from dp_build_reference import assert_same_tables, reference_table
+
+# generate_sp(seed, edge_budget=400, cap_max=2) seeds with 190-210 edges,
+# the size of the benchmark's large sparse inputs.
+LARGE_SPARSE_SEEDS = (31, 43, 57, 104)
+
+
+def _check(tree, f_bound, where, **kwargs):
+    got = build_table(tree, f_bound, **kwargs)
+    assert_same_tables(got, reference_table(tree, f_bound, **kwargs), where)
+
+
+@pytest.mark.parametrize("seed", LARGE_SPARSE_SEEDS)
+def test_large_sparse_pinned_builds(seed):
+    instance = generate_sp(seed, edge_budget=400, cap_max=2)
+    assert 190 <= instance.graph.edge_count <= 210
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    for v in range(f + 1):
+        _check(tree, f, f"seed {seed} pin {v}", pin=v)
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_gate1_full_and_pinned_builds(seed):
+    instance = generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    _check(tree, f, f"seed {seed} full")
+    for v in range(f + 1):
+        _check(tree, f, f"seed {seed} pin {v}", pin=v)
+
+
+@pytest.mark.parametrize("seed", range(1, 16))
+def test_lattice_residue_sets(seed):
+    instance = generate_sp(seed, edge_budget=10, cap_max=12)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    m = instance.graph.edge_count
+    residue_sets = {
+        "basis (2, 6)": lattice_residues(LatticeSpec((2, 6), 1), m, f).tolist(),
+        "basis (3,)": lattice_residues(LatticeSpec((3,), 1), m, f).tolist(),
+        # A large gap, and values past F that the build must clip away.
+        "gap": [-3 * f, -f, -1, 0, 1, f, 3 * f],
+        "zero only": [0],
+    }
+    for name, values in residue_sets.items():
+        _check(tree, f, f"seed {seed} {name}", residue_values=values)
+        _check(tree, f, f"seed {seed} {name} pin {f}", residue_values=values, pin=f)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_scaled_capacity_builds(seed):
+    # The approximation scheme's probes: capacities scaled down at a level
+    # M, the flow bound clipped to the target R, pinned to R.
+    instance = generate_sp(seed, edge_budget=8, cap_max=10**6, cost_max=10)
+    tree = decompose(instance.graph)
+    params = ScaleParams.for_instance(instance.graph.edge_count, "1/2")
+    for level in (1, 7, 10**3, 10**5, 10**7):
+        caps = scale_capacities(instance.graph, level, params.epsilon_prime)
+        r = params.target_r
+        _check(tree, r, f"seed {seed} level {level}", capacity_override=caps, pin=r)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_zero_flow_bound_and_zero_capacities(seed):
+    instance = generate_sp(seed, edge_budget=10, cap_max=6)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    _check(tree, 0, f"seed {seed} F=0")
+    _check(tree, 0, f"seed {seed} F=0 pin 0", pin=0)
+    # Every other edge closed, then every edge.
+    edges = instance.graph.edges
+    for zeroed in ({e.id: 0 for e in edges[::2]}, {e.id: 0 for e in edges}):
+        _check(tree, f, f"seed {seed} zeroed {len(zeroed)}", capacity_override=zeroed)
+        _check(tree, f, f"seed {seed} zeroed {len(zeroed)} pin 1", capacity_override=zeroed, pin=min(1, f))
+
+
+def test_one_edge_tree(single_edge):
+    tree = decompose(single_edge.graph)
+    assert tree.node(tree.root).kind == "leaf"
+    for f in (0, 3, 7, 9):
+        _check(tree, f, f"F={f}")
+        _check(tree, f, f"F={f} pin {f}", pin=f)
+    _check(tree, 7, "closed", capacity_override={"e1": 0})
+    _check(tree, 7, "even", residue_values=[-6, -4, -2, 0, 2, 4, 6])

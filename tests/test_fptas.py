@@ -22,6 +22,8 @@ from spnd import (
 from spnd.flow import verify_solution
 from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities, widest_path_within_budget
 
+from sp_strategies import tiny_instances
+
 
 def _instance(edge_specs, budget, vertex_count=None):
     edges = tuple(EdgeRecord(eid, u, v, c, cap) for eid, u, v, c, cap in edge_specs)
@@ -332,46 +334,17 @@ def test_probe_count_does_not_grow_with_capacity_magnitude():
     assert most[10**3] == most[10**12], most
 
 
-@st.composite
-def _tiny_instances(draw):
-    """A random series/parallel composition of 1-6 edges with source and
-
-    sink anywhere, costs 0-4, capacities small, large or 0, and a budget in
-    [0, total cost]."""
-    m = draw(st.integers(1, 6))
-    spans, ends, vertex_count = [(0, 1, m)], [], 2
-    while spans:
-        a, b, count = spans.pop()
-        if count == 1:
-            ends.append((a, b))
-            continue
-        k = draw(st.integers(1, count - 1))
-        if draw(st.booleans()):
-            spans += [(a, vertex_count, k), (vertex_count, b, count - k)]
-            vertex_count += 1
-        else:
-            spans += [(a, b, k), (a, b, count - k)]
-    capacity = st.integers(1, 9) | st.integers(1, 10**6) | st.just(0)
-    edges = tuple(
-        EdgeRecord(f"e{i}", u, v, draw(st.integers(0, 4)), draw(capacity)) for i, (u, v) in enumerate(ends)
-    )
-    source, sink = draw(st.lists(st.integers(0, vertex_count - 1), min_size=2, max_size=2, unique=True))
-    graph = MultiGraph(vertex_count, edges, source, sink, declared_terminals=(0, 1))
-    budget = draw(st.integers(0, graph.total_cost()))
-    return ProblemInstance(graph=graph, budget=budget, demand=None, upgrades=())
-
-
 _EPSILONS = st.sampled_from((Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3)))
 
 
-@given(_tiny_instances())
+@given(tiny_instances())
 def test_widest_path_brackets_the_optimum(inst):
     lb = widest_path_within_budget(inst.graph, inst.budget)
     opt = oracle_bcmfp(inst).achieved_flow
     assert lb <= opt <= inst.graph.edge_count * lb
 
 
-@given(_tiny_instances(), _EPSILONS, st.data())
+@given(tiny_instances(), _EPSILONS, st.data())
 def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
     params = ScaleParams.for_instance(inst.graph.edge_count, epsilon)
     ratio = 1 + params.epsilon_prime
@@ -386,7 +359,7 @@ def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
         assert ok, j
 
 
-@given(_tiny_instances(), _EPSILONS)
+@given(tiny_instances(), _EPSILONS)
 def test_fptas_meets_its_guarantee_on_tiny_graphs(inst, epsilon):
     sol = fptas_bcmfp(inst, epsilon)
     assert sol.total_cost <= inst.budget
