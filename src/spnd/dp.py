@@ -42,19 +42,22 @@ infeasible keeps split 0.
 The special-free nodes are built one group at a time, not one node at a
 time. A node's height is 0 at a leaf and one more than its taller child
 otherwise; nodes of equal height never read each other, so every group of
-one height and kind is one numpy pass (:meth:`_Builder._build_forest`).
-Their costs are the rows of one padded array per build, and the splits of
-the parallel ones the rows of a second: a column per value of the flow
-bound's domain (the range [-F, F], or the residue set clipped to F), the
-sentinel in every cell past a node's own radius, and a last column that
-always holds the sentinel. A series group is a row-wise sum clamped at the
-sentinel; a parallel group is the split scan above, over all its rows at
-once (:func:`_split_scan`), in parts of similar widths once wider than
-``_NARROW`` cells. Each node's ``NodeTable`` is a view of its row cut to
-its own domain, with the cost and split bytes and the admissible count a
-node-by-node build gives. The spine nodes, those with an interior special,
-are built one by one in postorder after the forest, and a pinned build
-that reuses an earlier table rebuilds only them.
+one height, kind and width class is one numpy pass
+(:meth:`_Builder._build_forest`). The width class keeps a group's tables
+within a factor of two of each other (a parallel node's left child's too),
+so no node is padded, or scans splits, far past its own width. Each node's
+costs are one row of a flat array per build, its own cells over the values
+of the flow bound's domain (the range [-F, F], or the residue set clipped
+to F) within its radius; the splits of the parallel ones are rows of a
+second; a last cell holds the sentinel. A group reads its children's rows
+padded to its own width, the sentinel past each child's radius: a series
+group sums them, clamped at the sentinel; a parallel group is the split
+scan above over all its rows at once (:func:`_split_scan`). Each node's
+``NodeTable`` is a view of its row, with the cost and split bytes and the
+admissible count a node-by-node build gives, and the arrays behind them
+are no larger. The spine nodes, those with an interior special, are built
+one by one in postorder after the forest, and a pinned build that reuses
+an earlier table rebuilds only them.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -82,6 +85,7 @@ Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +102,6 @@ _SPECIAL_ORDER = ("s", "t")
 _SPECIAL_SIGN = {"s": -1, "t": 1}  # residue of each special per unit of flow
 CELLS = 1 << 16  # candidate cells one block of the parallel split scan holds
 _NO_SPLIT = np.iinfo(np.int64).max
-_NARROW = 64  # domains narrower than this many cells share one width band
 
 
 class ResidueDomain:
@@ -399,6 +402,7 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
     step = max(1, CELLS // best.size)
     block = np.empty((shape[0], min(step, len(live)), shape[1]), dtype=np.int64)
     low = np.empty(shape, dtype=np.int64)
+    arg = np.empty(shape, dtype=np.int64)
     for lo in range(0, len(live), step):
         s = split_vals[lo : lo + step]
         pos, ok = window.positions(vals - s[:, None])
@@ -406,25 +410,24 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
         # Unclamped: a candidate at or above the sentinel never beats best.
         cand = np.add(left[:, live[lo : lo + step], None], right[:, at], out=block[:, : len(s)])
         np.min(cand, axis=1, out=low)
+        # The smallest split of the block reaching its minimum.
+        np.min(np.where(cand == low[:, None], s[:, None], _NO_SPLIT), axis=1, out=arg)
         better = low < best
         np.copyto(best, low, where=better)
-        np.copyto(split, s[cand.argmin(axis=1)], where=better)
+        np.copyto(split, arg, where=better)
     return best, split
 
 
-def _width_bands(node_half: np.ndarray, left_half: np.ndarray) -> list:
-    """A parallel group's nodes in parts of similar widths, so that no
+def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, k: int, extra: int = 0):
+    """Rows of the flat cost array ``flat`` about the cells ``centre``, at
 
-    node scans far more cells than its own table needs: the nodes of a
-    part have widths, and left-child widths, within a factor of two, all
-    below ``_NARROW`` counting as one. Returns index arrays into the
-    group, or the one part holding all of it."""
-    if 2 * node_half.max() + 1 < _NARROW:  # a left child is never the wider
-        return [slice(None)]
-    band = np.frexp(np.maximum(2 * np.stack((node_half, left_half)) + 1, _NARROW - 1))[1]
-    key = band[0] << 8 | band[1]
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    offsets -k to k + ``extra``; an offset past a row's own ``half`` reads
+    the last cell, which holds the sentinel."""
+    j = np.arange(-k, k + 1 + extra)
+    at = centre[:, None] + j
+    if extra or half.min() < k:
+        at = np.where(np.abs(j) <= half[:, None], at, len(flat) - 1)
+    return flat[at]
 
 
 class _Builder:
@@ -463,9 +466,17 @@ class _Builder:
         the spine node by node in postorder."""
         table = self.table
         nodes, order = self.tree.nodes, self.tree.postorder_ids()
+        f_bound, lattice = self.f_bound, self.base_domain is not None
+        top = self.domain_for(f_bound)
+        values, centre = top.values.tolist(), len(top) // 2
         total = [0] * len(nodes)  # each node's subgraph capacity
         height = [0] * len(nodes)
-        groups: dict[tuple[int, str], list[int]] = {}  # special-free nodes by height and kind
+        half = [0] * len(nodes)  # how many values of each node's domain lie above 0
+        # Special-free nodes by height, kind and width class: the node's
+        # half-width, and a parallel node's left child's, which sets how
+        # many splits it scans. The classes double from 16 up; below that
+        # a group costs its numpy calls, not its cells.
+        groups: dict[tuple, list[int]] = {}
         for nid in order:
             node = nodes[nid]
             if node.kind == "leaf":
@@ -473,85 +484,98 @@ class _Builder:
             else:
                 total[nid] = total[node.left] + total[node.right]
                 height[nid] = 1 + max(height[node.left], height[node.right])
+            radius = min(f_bound, total[nid])
+            half[nid] = bisect_right(values, radius) - centre - 1 if lattice else radius
             if node.placements:
                 table.spine.append(nid)
+                continue
+            if node.kind == "leaf":
+                key = (0, "leaf")
             else:
-                groups.setdefault((height[nid], node.kind), []).append(nid)
-        radius = [min(self.f_bound, u) for u in total]
-        table.tables = self._build_forest(groups, radius)
+                lw = (half[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
+                key = (height[nid], node.kind, (half[nid] >> 4).bit_length(), lw)
+            groups.setdefault(key, []).append(nid)
+        half = np.array(half, dtype=np.int64)
+        table.tables = self._build_forest(groups, half, top)
         for nid in table.spine:
-            table.tables[nid] = self._combine(nodes[nid], self.domain_for(radius[nid]))
+            table.tables[nid] = self._combine(nodes[nid], self.domain_for(min(f_bound, total[nid])))
         table.tables = {nid: table.tables[nid] for nid in order}  # postorder, as ``spine``
         return table
 
     def _build_forest(
-        self, groups: dict[tuple[int, str], list[int]], radius: list[int]
+        self, groups: dict[tuple, list[int]], half: np.ndarray, top: ResidueDomain
     ) -> dict[int, NodeTable]:
-        """Tables of the special-free nodes, given by (height, kind) group.
+        """Tables of the special-free nodes, given by group.
 
-        A group depends only on lower ones, so each is one numpy pass over
-        padded rows: one row per node, indexed by node id, one column per
-        value of the flow bound's domain plus a last column holding the
-        sentinel, and the sentinel in every cell past the node's own
-        radius. A series group is a clamped row-wise sum, a parallel group
-        a (min, +) scan (:func:`_split_scan`), in parts of similar widths
-        (:func:`_width_bands`). Each node's table is a view of its row,
-        cut to its own domain."""
+        A group depends only on lower ones, so each is one numpy pass. Each
+        node's costs are one row of a flat array, its own 2·``half`` + 1
+        cells (the values of ``top`` within ``half`` positions of 0), the
+        rows of a group side by side; a last cell holds the sentinel. The
+        parallel nodes' splits are rows of a second flat array. A group
+        reads its children's rows padded to its own width, the sentinel past
+        each child's half (:func:`_padded`): a series group sums them,
+        clamped at the sentinel, and a parallel group scans them
+        (:func:`_split_scan`). Each node's table is a view of its row."""
         nodes, edges, sentinel = self.tree.nodes, self.tree.graph.edge_map(), self.sentinel
-        top = self.domain_for(self.f_bound)
-        mid = len(top) // 2
-        half = np.searchsorted(top.values, radius, side="right") - (mid + 1)  # by node id
-        costs = np.full((len(nodes), len(top) + 1), sentinel, dtype=np.int64)
-        parallel = sum(len(ids) for (_, kind), ids in groups.items() if kind == "parallel")
-        splits = np.zeros((parallel, len(top)), dtype=np.int64)
-        split_row: dict[int, int] = {}  # parallel node -> its row of ``splits``
-        for (_, kind), ids in sorted(groups.items()):
-            members = np.array(ids)
-            h = int(half[members].max())
-            cells = slice(mid - h, mid + h + 1)  # the group's widest domain
+        groups = [(kind, np.array(ids)) for (_, kind, *_), ids in sorted(groups.items())]
+        size = 2 * half + 1
+        start = np.zeros_like(half)  # each row's first cell
+        order = np.concatenate([ids for _, ids in groups])
+        start[order] = np.cumsum(size[order]) - size[order]
+        costs = np.empty(start[order[-1]] + size[order[-1]] + 1, dtype=np.int64)
+        costs[-1] = sentinel
+        centre = start + half  # each row's cell at residue 0
+        split_start = np.zeros_like(half)
+        forks = np.concatenate([order[:0]] + [ids for kind, ids in groups if kind == "parallel"])
+        split_start[forks] = np.cumsum(size[forks]) - size[forks]
+        splits = np.empty(int(size[forks].sum()), dtype=np.int64)
+        for kind, ids in groups:
+            lo, hi = start[ids[0]], start[ids[-1]] + size[ids[-1]]
             if kind == "leaf":
                 # The edge's cost at every residue within its capacity, 0 at 0.
-                cost = np.array([edges[nodes[nid].edge_id].cost for nid in ids])
-                inside = np.abs(np.arange(-h, h + 1)) <= half[members][:, None]
-                costs[members, cells] = np.where(inside, cost[:, None], sentinel)
-                costs[members, mid] = 0
+                cost = np.array([edges[nodes[nid].edge_id].cost for nid in ids.tolist()])
+                costs[lo:hi] = np.repeat(cost, size[ids])
+                costs[centre[ids]] = 0
                 continue
-            left = np.array([nodes[nid].left for nid in ids])
-            right = np.array([nodes[nid].right for nid in ids])
+            left = np.array([nodes[nid].left for nid in ids.tolist()])
+            right = np.array([nodes[nid].right for nid in ids.tolist()])
+            h = int(half[ids].max())
+            # Each row's own cells: all of them when every row is h wide.
+            own = slice(None)
+            if hi - lo != len(ids) * (2 * h + 1):
+                own = np.abs(np.arange(-h, h + 1)) <= half[ids][:, None]
             if kind == "series":
-                both = costs[left, cells] + costs[right, cells]
-                costs[members, cells] = np.minimum(both, sentinel, out=both)
+                both = _padded(costs, centre[left], half[left], h)
+                both += _padded(costs, centre[right], half[right], h)
+                costs[lo:hi] = np.minimum(both, sentinel, out=both)[own].ravel()
                 continue
-            first = len(split_row)
-            split_row.update(zip(ids, range(first, first + len(ids))))
-            rows = splits[first : first + len(ids)]
-            for part in _width_bands(half[members], half[left]):
-                h = int(half[members[part]].max())
-                hl, hr = int(half[left[part]].max()), int(half[right[part]].max())
-                # The column past the right window is the sentinel: a cell
-                # past every right child's radius, or the last column.
-                best, split = _split_scan(
-                    top,
-                    costs[left[part], mid - hl : mid + hl + 1],
-                    costs[right[part], mid - hr : mid + hr + 2],
-                    h,
-                    sentinel,
-                )
-                costs[members[part], mid - h : mid + h + 1] = best
-                rows[part, mid - h : mid + h + 1] = split
+            # The column past the right window is the sentinel.
+            best, split = _split_scan(
+                top,
+                _padded(costs, centre[left], half[left], int(half[left].max())),
+                _padded(costs, centre[right], half[right], int(half[right].max()), extra=1),
+                h,
+                sentinel,
+            )
+            costs[lo:hi] = best[own].ravel()
+            first = split_start[ids[0]]
+            splits[first : first + hi - lo] = split[own].ravel()
 
+        mid = len(top) // 2
         domains: dict[int, ResidueDomain] = {}
         tables = {}
-        halves = half.tolist()
-        for (_, kind), ids in groups.items():
-            for nid in ids:
+        halves, starts, split_starts = half.tolist(), start.tolist(), split_start.tolist()
+        for kind, ids in groups:
+            for nid in ids.tolist():
                 h = halves[nid]
                 dom = domains.get(h)
                 if dom is None:
                     dom = domains[h] = ResidueDomain(top.values[mid - h : mid + h + 1])
-                cells = slice(mid - h, mid + h + 1)
-                split = splits[split_row[nid], cells] if kind == "parallel" else None
-                tables[nid] = NodeTable(dom, {}, costs[nid, cells], split, 2 * h + 1)
+                cost = costs[starts[nid] : starts[nid] + 2 * h + 1]
+                split = None
+                if kind == "parallel":
+                    split = splits[split_starts[nid] : split_starts[nid] + 2 * h + 1]
+                tables[nid] = NodeTable(dom, {}, cost, split, 2 * h + 1)
         return tables
 
     def rebuild_spine(self, reuse: DPTable) -> DPTable:

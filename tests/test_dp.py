@@ -435,6 +435,39 @@ def test_grouped_build_peaks_no_higher_than_the_node_by_node_build():
     assert grouped <= 1.1 * node_by_node, (grouped, node_by_node)
 
 
+def _bypass(k, c):
+    """A chain of k bundles of two unit edges from source 0 to sink k, and
+
+    beside it one edge of capacity c: F = c + 2 over a tree of narrow nodes."""
+    lines = [f"graph {k + 1}", f"terminals 0 {k}", "source 0", f"sink {k}", f"edge z 0 {k} 1 {c}"]
+    for i in range(k):
+        lines += [f"edge a{i} {i} {i + 1} 1 1", f"edge b{i} {i} {i + 1} 1 1"]
+    return parse_instance("\n".join(lines) + "\nbudget 1\n")
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [_bypass(100, 2000), _branches([1] * 100 + [1000])],
+    ids=["bypass", "narrow-and-wide-branches"],
+)
+def test_narrow_nodes_under_a_large_flow_bound_keep_their_own_size(instance):
+    # Hundreds of special-free nodes a few cells wide, under F = 2002 and
+    # F = 1100. Rows padded to the flow bound would keep megabytes per
+    # hundred nodes; each row at its own width keeps what the node-by-node
+    # tables keep, plus the one sentinel cell. Groups padded to their widest
+    # member would make the narrow bundles beside the wide one scan and sum
+    # its width.
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    assert f > 1000 and not any(node.placements for node in tree.nodes)
+    grouped, node_by_node = build_table(tree, f), reference_table(tree, f)
+    assert _kept_bytes(grouped) <= _kept_bytes(node_by_node) + 8
+    assert_same_tables(grouped, node_by_node)
+    del grouped, node_by_node
+    peaks = [_traced_peak(lambda: build(tree, f)) for build in (build_table, reference_table)]
+    assert peaks[0] <= 1.25 * peaks[1], peaks
+
+
 def test_grouped_split_scan_scratch_memory_is_bounded():
     # A path of 160 equal bundles, F = 60: one parallel group of 160 rows,
     # 61 live splits and 121 cells, whose candidates at once would be
@@ -458,7 +491,7 @@ def test_grouped_split_scan_scratch_memory_is_bounded():
 
 def test_parallel_groups_scan_in_proportion_to_their_nodes(monkeypatch):
     # Fifty narrow bundles and one wide one share a height. Grouped by
-    # height and kind alone, each narrow bundle would scan the wide one's
+    # height and kind alone, without the width classes, each narrow bundle would scan the wide one's
     # 81 splits over its 161 cells, where 3 splits over 5 cells suffice.
     instance = _branches([1] * 50 + [40])
     tree = decompose(instance.graph)
