@@ -16,6 +16,15 @@ Tree nodes are oriented: a series node with terminals (a, b) and join c has
 a left child spanning (a, c) and a right child spanning (c, b); a parallel
 node's children both span the node's own terminal pair. The steps leave
 each node as they made it; one top-down walk orients the finished tree.
+
+Undeclared terminals are searched for: degree-1 endpoint pairs first, then
+all vertex pairs. When the first pair fails, one reduction that protects no
+vertex settles whether any pair can succeed. The reductions are confluent
+and the unprotected run may make every step a protected one can, so if it
+stops short of a single edge no pair reduces, and the graph is rejected
+with the first pair's witness after that one pair: O(m log m) in all, not
+one attempt per vertex pair. If it ends on an edge a-b, its steps reduce
+the pair (a, b), and the pair search goes on as before.
 """
 
 from __future__ import annotations
@@ -161,7 +170,10 @@ def _connected(graph: MultiGraph) -> bool:
 
 
 class _Builder:
-    """One reduction attempt for a fixed protected terminal pair.
+    """One reduction attempt for a fixed protected terminal pair, or, with
+
+    ``protected`` empty, for none: then any degree-2 vertex may be
+    contracted and whatever single edge remains is accepted.
 
     Live super-edges are indexed two ways: by unordered endpoint pair (a
     parallel class, kept as a heap of ``(key, node id)``) and by vertex
@@ -174,7 +186,7 @@ class _Builder:
     A step orients nothing; ``_orient`` turns the finished tree in one walk.
     """
 
-    def __init__(self, graph: MultiGraph, protected: tuple[int, int]):
+    def __init__(self, graph: MultiGraph, protected: tuple[int, ...]):
         self.protected = protected
         self.nodes: list[DecompNode] = []
         # live super-edges: node id -> key (smallest original edge index inside)
@@ -287,7 +299,7 @@ class _Builder:
                 continue
             return False, None
         (nid,) = self.live
-        if frozenset(self.nodes[nid].terminals) != frozenset(self.protected):
+        if self.protected and frozenset(self.nodes[nid].terminals) != frozenset(self.protected):
             return False, None
         _orient(self.nodes, nid)
         return True, nid
@@ -385,11 +397,14 @@ def _annotate_specials(tree: DecompTree) -> None:
 def decompose(graph: MultiGraph) -> DecompTree:
     """Build the decomposition tree, or reject with a witness.
 
-    With declared terminals only that pair is tried; otherwise endpoint
-    pairs of degree-1 vertices are tried first, then all vertex pairs.
-    Raises :class:`NotSeriesParallelError` when no tried pair admits a
-    complete reduction, when the graph is disconnected (including when it
-    has more vertices than edges plus one), or when it has no edges.
+    With declared terminals only that pair is tried. Otherwise endpoint
+    pairs of degree-1 vertices are tried first, then all vertex pairs; when
+    the first pair fails, one reduction with no protected vertex decides
+    whether any pair can succeed, and if none can, the search stops there.
+    Raises :class:`NotSeriesParallelError`, carrying the first pair's
+    witness, when no pair admits a complete reduction, when the graph is
+    disconnected (including when it has more vertices than edges plus
+    one), or when it has no edges.
     """
     if graph.edge_count == 0:
         raise NotSeriesParallelError("graph has no edges")
@@ -397,30 +412,36 @@ def decompose(graph: MultiGraph) -> DecompTree:
     # keeps a huge declared vertex count from reaching per-vertex lists.
     if graph.vertex_count > graph.edge_count + 1 or not _connected(graph):
         raise NotSeriesParallelError("graph is disconnected")
-    tried = []
-    best_witness: ReductionWitness | None = None
-    for pair in _candidate_pairs(graph):
-        tried.append(pair)
-        builder = _Builder(graph, pair)
-        ok, root = builder.run()
-        if ok:
-            tree = DecompTree(
-                nodes=builder.nodes,
-                root=root,
-                graph=graph,
-                terminals=builder.nodes[root].terminals,
+    pairs = _candidate_pairs(graph)
+    first = next(pairs)
+    builder = _Builder(graph, first)
+    ok, root = builder.run()
+    if not ok:
+        # The reductions are confluent and the unprotected pass may make
+        # every step a protected attempt can, so it fails only if all do.
+        if graph.declared_terminals is not None or not _Builder(graph, ()).run()[0]:
+            witness = builder.witness()
+            raise NotSeriesParallelError(
+                "graph is not two-terminal series-parallel for any tried terminal pair "
+                f"({witness.describe()})",
+                witness=witness,
+                tried_pairs=(first,),
             )
-            _annotate_specials(tree)
-            return tree
-        witness = builder.witness()
-        if best_witness is None or len(witness.remainder) < len(best_witness.remainder):
-            best_witness = witness
-    raise NotSeriesParallelError(
-        "graph is not two-terminal series-parallel for any tried terminal pair "
-        f"({best_witness.describe()})",
-        witness=best_witness,
-        tried_pairs=tried,
+        for pair in pairs:
+            builder = _Builder(graph, pair)
+            ok, root = builder.run()
+            if ok:
+                break
+        else:
+            raise RuntimeError("the unprotected reduction succeeded but no terminal pair did")
+    tree = DecompTree(
+        nodes=builder.nodes,
+        root=root,
+        graph=graph,
+        terminals=builder.nodes[root].terminals,
     )
+    _annotate_specials(tree)
+    return tree
 
 
 def recompose(tree: DecompTree) -> MultiGraph:

@@ -12,9 +12,10 @@ class ParseError(ValueError):
 class NotSeriesParallelError(ValueError):
     """Raised when a graph admits no two-terminal series-parallel decomposition.
 
-    ``witness`` describes the smallest irreducible remainder over all the
-    terminal pairs tried, ``tried_pairs`` lists every terminal pair that was
-    attempted.
+    ``witness`` is the irreducible remainder the first (or declared)
+    terminal pair leaves, and ``tried_pairs`` holds that one pair: when it
+    fails and a reduction protecting no vertex fails too, no other pair can
+    succeed, so none is tried. A disconnected or edgeless graph has neither.
     """
 
     def __init__(self, message, witness=None, tried_pairs=()):

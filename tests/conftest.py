@@ -6,11 +6,13 @@ testing the solver itself.
 """
 
 import importlib
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 
-from spnd import EdgeRecord, MultiGraph, parse_instance
+from spnd import EdgeRecord, MultiGraph, generate_sp, parse_instance
 
 # Property tests draw the same examples on every run, untimed, with no
 # example database carried between runs.
@@ -112,6 +114,20 @@ def path_graph(m, *, center_out=False, backward=False, declared=True):
         EdgeRecord(f"e{i}", *((i + 1, i) if backward else (i, i + 1)), 1, 1) for i in order
     )
     return MultiGraph(m + 1, edges, 0, m, declared_terminals=(0, m) if declared else None)
+
+
+def k4_glued(s, edge_budget=12):
+    """``generate_sp(s, edge_budget)`` with a K4 sharing one of its vertices,
+
+    terminals undeclared: not series-parallel for any pair."""
+    rng = random.Random(s)
+    inst = generate_sp(s, edge_budget=edge_budget)
+    g = inst.graph
+    n = g.vertex_count
+    quad = [rng.randrange(n), n, n + 1, n + 2]
+    pairs = [(a, b) for i, a in enumerate(quad) for b in quad[i + 1 :]]
+    k4 = tuple(EdgeRecord(f"k{i}", u, v, 1, 1) for i, (u, v) in enumerate(pairs))
+    return replace(inst, graph=MultiGraph(n + 3, g.edges + k4, g.source, g.sink))
 
 
 @pytest.fixture

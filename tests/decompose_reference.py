@@ -133,7 +133,9 @@ class ReferenceBuilder:
 
 
 def reference_decompose(graph: MultiGraph) -> DecompTree:
-    """``spnd.decompose.decompose`` with every attempt run by the reference."""
+    """``spnd.decompose.decompose``'s pair search with every attempt run by
+
+    the reference and no unprotected pass: a rejection tries every pair."""
     if graph.edge_count == 0:
         raise NotSeriesParallelError("graph has no edges")
     if graph.vertex_count > graph.edge_count + 1 or not _connected(graph):

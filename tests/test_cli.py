@@ -4,9 +4,9 @@ import importlib
 
 import pytest
 
-from spnd import cli
+from spnd import cli, format_instance
 
-from conftest import HUGE_VERTEX_COUNT_TEXT
+from conftest import HUGE_VERTEX_COUNT_TEXT, k4_glued
 
 DIAMOND_DEMAND = (
     "graph 3\nterminals 0 2\nsource 0\nsink 2\n"
@@ -83,6 +83,13 @@ def test_not_series_parallel_exits_three(run):
         assert code == 3
         assert err.splitlines()[0] == "ERROR 3 not series-parallel"
     code, _, err = run("decompose", text=K4)
+    assert code == 3
+    assert err.splitlines()[0] == "ERROR 3 not series-parallel"
+
+
+def test_large_k4_glued_decompose_exits_three(run):
+    # 137 vertices: rejected after one terminal pair, not all 9,316.
+    code, _, err = run("decompose", text=format_instance(k4_glued(1, edge_budget=400)))
     assert code == 3
     assert err.splitlines()[0] == "ERROR 3 not series-parallel"
 

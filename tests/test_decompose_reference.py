@@ -1,23 +1,25 @@
 """The worklist reduction in ``spnd.decompose`` against the quadratic reference.
 
-Both must build the same tree node by node, or reject with the same witness
-after the same terminal pairs, on series-parallel inputs (declared and
-inferred terminals), on rejected inputs (K4 glued to an SP graph, wheels),
-on hub shapes where per-vertex work would turn quadratic again, on paths
-listed from the middle outward, and on random compositions drawn by
-hypothesis. ``tree_text`` must render what the reference renderer does.
+Both must build the same tree node by node on series-parallel inputs
+(declared and inferred terminals), on hub shapes where per-vertex work
+would turn quadratic again, on paths listed from the middle outward, and on
+random compositions drawn by hypothesis. A graph no terminal pair reduces
+(K4 glued to an SP graph, wheels) is rejected after its first candidate
+pair alone, with the reference's outcome for that pair declared; on random
+multigraphs the one unprotected reduction must succeed exactly when some
+pair does. ``tree_text`` must render what the reference renderer does.
 """
 
-import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, strategies as st
 
 from spnd import EdgeRecord, MultiGraph, NotSeriesParallelError, decompose, generate_sp, recompose
-from spnd.decompose import tree_text
-from conftest import path_graph
-from decompose_reference import reference_decompose, reference_tree_text
+from spnd.decompose import _Builder, _candidate_pairs, tree_text
+from conftest import k4_glued, path_graph
+from decompose_reference import ReferenceBuilder, reference_decompose, reference_tree_text
 
 
 def _outcome(decomposer, graph):
@@ -67,23 +69,21 @@ def test_large_sp_graphs_match_reference(edge_budget):
         assert _assert_matches_reference(_undeclared(graph))[0] == "tree"
 
 
-def _k4_glued(s):
-    """An SP graph with a K4 sharing one of its vertices."""
-    rng = random.Random(s)
-    g = generate_sp(s, edge_budget=12).graph
-    n = g.vertex_count
-    quad = [rng.randrange(n), n, n + 1, n + 2]
-    pairs = [(a, b) for i, a in enumerate(quad) for b in quad[i + 1 :]]
-    k4 = tuple(EdgeRecord(f"k{i}", u, v, 1, 1) for i, (u, v) in enumerate(pairs))
-    return MultiGraph(n + 3, g.edges + k4, g.source, g.sink)
+def _assert_rejection_matches_reference(graph):
+    """An undeclared graph that no pair reduces is rejected as the reference
+
+    rejects it with its first candidate pair declared."""
+    outcome = _outcome(decompose, graph)
+    first = next(_candidate_pairs(graph))
+    assert outcome == _outcome(reference_decompose, replace(graph, declared_terminals=first))
+    return outcome
 
 
 @pytest.mark.parametrize("s", range(1, 6))
 def test_k4_glued_rejections_match_reference(s):
-    graph = _k4_glued(s)
-    outcome = _assert_matches_reference(graph)
+    outcome = _assert_rejection_matches_reference(k4_glued(s).graph)
     assert outcome[0] == "rejected"
-    assert len(outcome[3]) == graph.vertex_count * (graph.vertex_count - 1) // 2
+    assert len(outcome[3]) == 1
 
 
 def _wheel(rim):
@@ -94,8 +94,53 @@ def _wheel(rim):
 
 @pytest.mark.parametrize("rim", range(3, 9))
 def test_wheel_rejections_match_reference(rim):
-    outcome = _assert_matches_reference(_wheel(rim))
+    outcome = _assert_rejection_matches_reference(_wheel(rim))
     assert outcome[0] == "rejected"
+    assert len(outcome[3]) == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [k4_glued(1, edge_budget=400).graph, k4_glued(2, edge_budget=150).graph, _wheel(50)],
+    ids=["k4-sp400", "k4-n46", "wheel-50"],
+)
+def test_large_rejections_try_one_pair(graph):
+    # All C(n, 2) attempts would be 9,316, 1,035 and 1,275 pairs.
+    with pytest.raises(NotSeriesParallelError) as exc:
+        decompose(graph)
+    assert len(exc.value.tried_pairs) == 1
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """A connected multigraph on 2-7 vertices with at most 12 edges and no
+
+    declared terminals: a random spanning tree plus extra edges between any
+    two distinct vertices (parallel edges allowed), relabelled and shuffled."""
+    n = draw(st.integers(2, 7))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    for _ in range(draw(st.integers(0, 13 - n))):
+        u = draw(st.integers(0, n - 1))
+        ends.append((u, (u + draw(st.integers(1, n - 1))) % n))
+    label = draw(st.permutations(range(n)))
+    ends = draw(st.permutations(ends))
+    edges = tuple(EdgeRecord(f"e{i}", label[u], label[v], 1, 1) for i, (u, v) in enumerate(ends))
+    return MultiGraph(n, edges, 0, 1)
+
+
+@seed(20240607)
+@given(_connected_multigraphs())
+def test_one_unprotected_pass_decides_every_pair(graph):
+    some_pair = any(
+        ReferenceBuilder(graph, pair).run()[0] for pair in combinations(range(graph.vertex_count), 2)
+    )
+    assert _Builder(graph, ()).run()[0] == some_pair
+    outcome = _outcome(decompose, graph)
+    assert (outcome[0] == "tree") == some_pair
+    if some_pair:
+        assert outcome == _outcome(reference_decompose, graph)
+    else:
+        _assert_rejection_matches_reference(graph)
 
 
 HUB_SIZE = 500
