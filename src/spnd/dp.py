@@ -31,13 +31,14 @@ depend on v: a solve builds them once and each later probe rebuilds only
 the nodes above the source or the sink (``reuse=`` of :func:`build_table`).
 
 Series nodes combine children in one forced way; parallel nodes minimize
-over an integer split of the a-residue between the two children. That
-split scan is a blocked (min, +) reduction: the candidates for a block of
-splits are formed at once, the split on its own axis, and the splits are
-walked in blocks of about ``CELLS`` candidate cells. Each block's minimum,
-with the smallest split reaching it, merges into the running best by a
-strict <, so ties go to the smallest split and a cell that stays
-infeasible keeps split 0.
+over an integer split of the a-residue between the two children, in one
+blocked (min, +) scan over rows (:func:`_split_scan`): a row per node of a
+special-free group, or per special cell of a spine node. The candidates
+for a block of splits are formed at once, the split on the leading axis,
+and the splits are walked in blocks of about ``CELLS`` candidate cells.
+Each block's minimum, with the smallest split reaching it, merges into the
+running best by a strict <, so ties go to the smallest split and a cell
+that stays infeasible keeps split 0.
 
 The special-free nodes are built one group at a time, not one node at a
 time. A node's height is 0 at a leaf and one more than its taller child
@@ -51,13 +52,12 @@ of the flow bound's domain (the range [-F, F], or the residue set clipped
 to F) within its radius; the splits of the parallel ones are rows of a
 second; a last cell holds the sentinel. A group reads its children's rows
 padded to its own width, the sentinel past each child's radius: a series
-group sums them, clamped at the sentinel; a parallel group is the split
-scan above over all its rows at once (:func:`_split_scan`). Each node's
-``NodeTable`` is a view of its row, with the cost and split bytes and the
-admissible count a node-by-node build gives, and the arrays behind them
-are no larger. The spine nodes, those with an interior special, are built
-one by one in postorder after the forest, and a pinned build that reuses
-an earlier table rebuilds only them.
+group sums them, clamped at the sentinel, and a parallel group scans them.
+Each node's ``NodeTable`` is a view of its row, with the cost and split
+bytes and the admissible count a node-by-node build gives, and the arrays
+behind them are no larger. The spine nodes, those with an interior
+special, are built one by one in postorder after the forest, and a pinned
+build that reuses an earlier table rebuilds only them.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -376,31 +376,34 @@ def _gather(nt: NodeTable, a_vals, positions: list, special_ok):
 
 
 def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
-    """A parallel group's (min, +) scan over the split, over padded rows.
+    """The (min, +) scan over the split of any parallel node's rows.
 
     ``left`` and ``right`` are the children's rows over the values of
     ``top`` within a window about 0, ``right`` with one more column past
-    its window that holds the sentinel. Cell r of a node's row, the values
+    its window that holds the sentinel. Cell r of a result row, the values
     within ``half`` positions of 0, takes the minimum over splits s of
     left[s] + right[r - s], the right cell read through a (split, r)
     position index that sends a residue off the right window to that
     sentinel column. The splits go in ascending blocks of about ``CELLS``
-    candidate cells; each block's minimum, with the first (smallest) split
-    reaching it, merges into the running best by a strict <, so ties go to
-    the smallest split and an infeasible cell keeps split 0. Returns the
-    cost and split rows."""
+    candidate cells, on the leading axis; each block's minimum, with the
+    first (smallest) split reaching it, merges into the running best by a
+    strict <, so ties go to the smallest split and an infeasible cell keeps
+    split 0. Returns the cost and split rows, as transposed views."""
     mid = len(top) // 2
     left_half, right_half = left.shape[1] // 2, right.shape[1] // 2 - 1
     window = ResidueDomain(top.values[mid - right_half : mid + right_half + 1])
     vals = top.values[mid - half : mid + half + 1]
+    left, right = left.T, right.T  # (cell, row)
     # A split no left child can take cannot improve any cell.
-    live = np.flatnonzero((left < sentinel).any(axis=0))
+    live = np.flatnonzero((left < sentinel).any(axis=1))
     split_vals = top.values[mid - left_half + live]
-    shape = (len(left), len(vals))
+    shape = (len(vals), left.shape[1])
     best = np.full(shape, sentinel, dtype=np.int64)
     split = np.zeros(shape, dtype=np.int64)
     step = max(1, CELLS // best.size)
-    block = np.empty((shape[0], min(step, len(live)), shape[1]), dtype=np.int64)
+    # One block's candidates, their minimum and its first split; reused by
+    # every block, so the scan's scratch stays a few blocks in size.
+    block = np.empty((min(step, len(live)), *shape), dtype=np.int64)
     low = np.empty(shape, dtype=np.int64)
     arg = np.empty(shape, dtype=np.int64)
     for lo in range(0, len(live), step):
@@ -408,14 +411,14 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
         pos, ok = window.positions(vals - s[:, None])
         at = np.where(ok, pos, len(window))
         # Unclamped: a candidate at or above the sentinel never beats best.
-        cand = np.add(left[:, live[lo : lo + step], None], right[:, at], out=block[:, : len(s)])
-        np.min(cand, axis=1, out=low)
+        cand = np.add(left[live[lo : lo + step], None], right[at], out=block[: len(s)])
+        np.min(cand, axis=0, out=low)
         # The smallest split of the block reaching its minimum.
-        np.min(np.where(cand == low[:, None], s[:, None], _NO_SPLIT), axis=1, out=arg)
+        np.min(np.where(cand == low, s[:, None, None], _NO_SPLIT), axis=0, out=arg)
         better = low < best
         np.copyto(best, low, where=better)
         np.copyto(split, arg, where=better)
-    return best, split
+    return best.T, split.T
 
 
 def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, k: int, extra: int = 0):
@@ -614,42 +617,37 @@ class _Builder:
 
     def _build_parallel(self, node: DecompNode, dom, axes) -> NodeTable:
         shape, va, svals = _grid(dom, axes)
-        left_nt, right_nt = self.table.tables[node.left], self.table.tables[node.right]
-        sentinel = self.sentinel
         # Taken before the scan allocates its buffers, so that the mask's
         # full-size temporaries do not stack on top of them.
         ok_mask, admissible = self._admissibility(dom, va, svals, shape)
-        # Every split's left costs at once, the split on a leading axis; a
-        # split whose left slab is all sentinel cannot improve any cell.
-        splits = left_nt.domain.values.reshape(-1, *(1,) * len(shape))
-        left_cost, left_ok = _gather(left_nt, splits, *_special_coords(left_nt, svals))
-        np.copyto(left_cost, sentinel, where=~left_ok)
-        live = np.flatnonzero((left_cost < sentinel).reshape(len(splits), -1).any(axis=1))
-        right_idx = _special_coords(right_nt, svals)
-        best = np.full(shape, sentinel, dtype=np.int64)
-        split = np.zeros(shape, dtype=np.int64)
-        step = max(1, CELLS // best.size)
-        # One block's candidates, their minimum and its first split; reused
-        # by every block, so the scan's scratch stays a few blocks in size.
-        block = np.empty((min(step, len(live)), *shape), dtype=np.int64)
-        low = np.empty(shape, dtype=np.int64)
-        arg = np.empty(shape, dtype=np.int64)
-        for lo in range(0, len(live), step):
-            rows = live[lo : lo + step]
-            r = splits[rows]
-            right_cost, right_ok = _gather(right_nt, va - r, *right_idx)
-            right_cost = np.where(right_ok, right_cost, sentinel)
-            # Unclamped: a candidate at or above the sentinel never beats best.
-            cand = np.add(left_cost[rows], right_cost, out=block[: len(rows)])
-            np.min(cand, axis=0, out=low)
-            # The smallest split of the block reaching its minimum; the strict
-            # merge keeps ties on the earlier blocks' smaller splits.
-            np.min(np.where(cand == low, r, _NO_SPLIT), axis=0, out=arg)
-            better = low < best
-            np.copyto(best, low, where=better)
-            np.copyto(split, arg, where=better)
-        np.copyto(best, sentinel, where=~ok_mask)
+        left, right = self._rows(node.left, shape, svals), self._rows(node.right, shape, svals, 1)
+        best, split = _split_scan(dom, left, right, len(dom) // 2, self.sentinel)
+        # The scan's rows are views of a-first arrays: a reshape is the table.
+        best, split = best.T.reshape(shape), split.T.reshape(shape)
+        np.copyto(best, self.sentinel, where=~ok_mask)
         return NodeTable(dom, axes, best, split, admissible)
+
+    def _rows(self, nid: int, shape, svals: dict, extra: int = 0) -> np.ndarray:
+        """Node ``nid``'s costs at each special cell of its parent's :func:`_grid`,
+
+        in C order: a row over its a-slot domain per cell, then ``extra``
+        sentinel columns, as a transposed view of a-first costs."""
+        nt = self.table.tables[nid]
+        n, cells = len(nt.domain), shape[1:]
+        lengths = [len(nt.special_axes.get(lab, ())) for lab in svals]  # 0: not the child's
+        if all(k in (0, c) for k, c in zip(lengths, cells)):
+            # A child's special axes are windows of its parent's, so one as
+            # long is the same axis: the child's table is a view of its rows.
+            cost = nt.cost.reshape(n, *(k or 1 for k in lengths))
+        else:
+            positions, ok = _special_coords(nt, svals)
+            at = np.arange(n).reshape(-1, *(1,) * len(cells))
+            cost = np.where(ok, nt.cost[(at, *positions)], self.sentinel)
+        if extra:
+            cost = np.concatenate([cost, np.full((extra, *cost.shape[1:]), self.sentinel)])
+        if max(cells) > 1:
+            cost = np.broadcast_to(cost, (len(cost), *cells))
+        return cost.reshape(len(cost), -1).T
 
 
 def build_table(

@@ -173,10 +173,11 @@ def infinity_sentinel(graph: MultiGraph) -> int:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(lineno, f"{what}: expected an integer, got {token!r}") from None
+    # ASCII digits only: int() would also take "+5", "1_0" and other scripts' digits.
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(lineno, f"{what}: expected an integer, got {token!r}")
+    value = int(token)
     if value < 0:
         raise ParseError(lineno, f"{what}: negative numbers are not allowed ({value})")
     return value

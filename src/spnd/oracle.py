@@ -141,6 +141,10 @@ def generate_sp(
     """
     if edge_budget < 1:
         raise ValueError("edge budget must be at least 1")
+    if cap_max < 1:
+        raise ValueError(f"cap_max must be at least 1, got {cap_max}")
+    if cost_max < 0:
+        raise ValueError(f"cost_max cannot be negative, got {cost_max}")
     if problem not in ("bcmfp", "capndp"):
         raise ValueError(f"unknown problem {problem!r}")
     rng = random.Random(seed)
@@ -179,7 +183,7 @@ def generate_sp(
             u=u,
             v=v,
             cost=rng.randint(0, cost_max),
-            capacity=rng.randint(1, max(1, cap_max)),
+            capacity=rng.randint(1, cap_max),
         )
         for i, (u, v) in enumerate(endpoints)
     )

@@ -129,6 +129,26 @@ def test_usage_errors_exit_one(run, tmp_path):
     assert code == 1
     assert "--lattice and --K must be given together" in err
 
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        (("gen", "--seed", "1", "--cost-max", "-2"), "cost_max cannot be negative"),
+        (("gen", "--seed", "1", "--cap-max", "0"), "cap_max must be at least 1"),
+    ],
+)
+def test_gen_refuses_empty_value_ranges(run, args, fragment):
+    code, out, err = run(*args)
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR 1") and fragment in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+5", "\u0663"])
+def test_non_ascii_digit_numbers_exit_one(run, token):
+    code, out, err = run("solve", text=DIAMOND_BUDGET.replace("budget 5", f"budget {token}"))
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR 1") and "budget: expected an integer" in err
+
     assert run()[0] == 1
 
 

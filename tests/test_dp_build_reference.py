@@ -1,17 +1,23 @@
-"""The grouped special-free build against the frozen node-by-node one.
+"""The live build against the frozen node-by-node one.
 
 Every node of every table must carry the same domain values, cost and
 split bytes and admissible count as ``dp_build_reference.reference_table``,
-whether the build is full, pinned, over a lattice residue set, under
-scaled capacities, or degenerate (F = 0, zero capacities, one edge)."""
+whether the build is full, pinned, over a lattice or a gapped residue set,
+under scaled capacities, or degenerate (F = 0, zero capacities, one edge),
+and whatever the split scan's block size."""
+
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from spnd import EdgeRecord, MultiGraph, ProblemInstance, dp
 from spnd import build_table, decompose, generate_sp, upper_bound_flow
 from spnd.extensions import LatticeSpec, lattice_residues
 from spnd.fptas import ScaleParams, scale_capacities
 
 from dp_build_reference import assert_same_tables, reference_table
+from sp_strategies import tiny_instances
 
 # generate_sp(seed, edge_budget=400, cap_max=2) seeds with 190-210 edges,
 # the size of the benchmark's large sparse inputs.
@@ -96,3 +102,41 @@ def test_one_edge_tree(single_edge):
         _check(tree, f, f"F={f} pin {f}", pin=f)
     _check(tree, 7, "closed", capacity_override={"e1": 0})
     _check(tree, 7, "even", residue_values=[-6, -4, -2, 0, 2, 4, 6])
+
+
+def _paths_apart(source: int, sink: int) -> ProblemInstance:
+    """Two two-edge paths, through 2 and through 3, and an edge between
+
+    terminals 0 and 1: with the source and sink at 2 and 3 the root is a
+    parallel node with one in each child. Equal costs and capacities give
+    ties on every cell."""
+    ends = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)]
+    edges = tuple(EdgeRecord(f"e{i}", u, v, 1, 2) for i, (u, v) in enumerate(ends))
+    return ProblemInstance(MultiGraph(4, edges, source, sink, declared_terminals=(0, 1)), budget=0)
+
+
+@settings(max_examples=500)
+@example(_paths_apart(2, 3), 1, 0, 3, {1, 3})  # parallel:sL+tR
+@example(_paths_apart(3, 2), 7, 1, 2, {2})  # parallel:sR+tL
+@given(
+    tiny_instances(capacity=st.integers(0, 5)),
+    st.sampled_from((1, 7, dp.CELLS)),
+    st.integers(0, 2),
+    st.integers(0, 30),
+    st.sets(st.integers(1, 32)),
+)
+def test_tiny_instances_under_any_block_size(instance, cells, slack, pin, gapped):
+    # Source and sink anywhere: these examples bring up every parallel case
+    # label, the source in one child and the sink in the other included.
+    # Blocks of one or a few splits put ties on both sides of a block edge.
+    # A flow bound past F can give the child that holds a special a shorter
+    # special axis than its parent's. Residues past the bound are clipped
+    # away by the build.
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    v = pin % (f + 1)
+    residues = sorted({0, *gapped, *(-x for x in gapped)})
+    with patch.object(dp, "CELLS", cells):
+        _check(tree, f + slack, f"full, F + {slack}")
+        _check(tree, f, f"pin {v}", pin=v)
+        _check(tree, f, f"residues {residues}", residue_values=residues)

@@ -3,9 +3,10 @@
 One sha256 covers every node's cost and split bytes, and every query
 answer, for the gate-1 instances of seeds 1-20 (edge_budget 10, cap_max 6,
 cost_max 10): the full build and the pinned build at every flow value. The
-digest predates the blocked split scan in ``_build_parallel``, so a speed-up
-of the DP that moves one cost, one tie-broken split or one witness fails
-here rather than in a sampled comparison.
+digest predates the blocked split scan (``_split_scan``, which every
+parallel node goes through), so a speed-up of the DP that moves one cost,
+one tie-broken split or one witness fails here rather than in a sampled
+comparison.
 """
 
 import hashlib

@@ -87,6 +87,14 @@ def test_upedge_parsing():
         ("upedge g1 0 1 2 4 10", "needs 4 cost/capacity values"),
         ("upedge g1 0 1 0", "at least one choice"),
         ("flow 3", "unknown directive"),
+        # int() takes these; the format does not.
+        ("edge e1 0 1 1_0 5", "cost: expected an integer, got '1_0'"),
+        ("edge e1 0 1 5 +5", "capacity: expected an integer, got '+5'"),
+        ("edge e1 0 \u0661 5 7", "endpoint: expected an integer"),
+        ("budget \u0663", "budget: expected an integer"),
+        ("edge e1 0 1 5 -", "capacity: expected an integer, got '-'"),
+        ("edge e1 0 1 5 --7", "capacity: expected an integer, got '--7'"),
+        ("edge e1 0 1 5 -7", "capacity: negative numbers are not allowed (-7)"),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, fragment):

@@ -176,3 +176,19 @@ def test_generator_demand_mode_and_validation():
         generate_sp(1, edge_budget=0)
     with pytest.raises(ValueError):
         generate_sp(1, problem="maxcut")
+
+
+@pytest.mark.parametrize(
+    "kwargs,fragment",
+    [({"cap_max": 0}, "cap_max"), ({"cap_max": -3}, "cap_max"), ({"cost_max": -2}, "cost_max")],
+)
+def test_generator_refuses_empty_value_ranges(kwargs, fragment):
+    # No capacity in [1, cap_max] or cost in [0, cost_max] to draw from.
+    with pytest.raises(ValueError, match=fragment):
+        generate_sp(1, **kwargs)
+
+
+def test_generator_draws_at_the_range_ends():
+    for seed in range(1, 21):
+        g = generate_sp(seed, edge_budget=6, cap_max=1, cost_max=0).graph
+        assert {(e.cost, e.capacity) for e in g.edges} == {(0, 1)}

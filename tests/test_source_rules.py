@@ -20,3 +20,28 @@ def test_package_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _readers(name: str) -> set[str]:
+    """The package functions that read the module-level ``name``."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
+    return found
+
+
+def test_one_function_scans_splits():
+    # Every parallel node, spine or special-free, goes through one blocked
+    # (min, +) scan; a second copy of its block size or tie rule is a second
+    # scan.
+    assert _readers("CELLS") == {"_split_scan"}
+    assert _readers("_NO_SPLIT") == {"_split_scan"}
