@@ -17,14 +17,15 @@ a left child spanning (a, c) and a right child spanning (c, b); a parallel
 node's children both span the node's own terminal pair. The steps leave
 each node as they made it; one top-down walk orients the finished tree.
 
-Undeclared terminals are searched for: degree-1 endpoint pairs first, then
-all vertex pairs. When the first pair fails, one reduction that protects no
-vertex settles whether any pair can succeed. The reductions are confluent
-and the unprotected run may make every step a protected one can, so if it
-stops short of a single edge no pair reduces, and the graph is rejected
-with the first pair's witness after that one pair: O(m log m) in all, not
-one attempt per vertex pair. If it ends on an edge a-b, its steps reduce
-the pair (a, b), and the pair search goes on as before.
+Undeclared terminals need no search over vertex pairs. The first pair is
+the first two degree-1 vertices, else (0, 1); when it fails, one reduction
+that protects no vertex decides. The reductions are confluent and the
+unprotected run may make every step a protected one can, so if it stops
+short of a single edge no pair reduces, and the graph is rejected with the
+first pair's witness. If it ends on an edge a-b, it never contracted a or
+b, so protecting them would have removed only candidates it never picked:
+its tree is node for node the tree of the attempt at (a, b), and it is
+kept. Any graph costs at most two reductions, O(m log m) in all.
 """
 
 from __future__ import annotations
@@ -349,24 +350,16 @@ def _orient(nodes: list[DecompNode], root: int) -> None:
             node.left, node.right = node.right, node.left
 
 
-def _candidate_pairs(graph: MultiGraph) -> Iterator[tuple[int, int]]:
+def _first_pair(graph: MultiGraph) -> tuple[int, int]:
+    """The declared terminals, else the first two degree-1 vertices, else (0, 1)."""
     if graph.declared_terminals is not None:
-        yield graph.declared_terminals
-        return
+        return graph.declared_terminals
     degree = [0] * graph.vertex_count
     for e in graph.edges:
         degree[e.u] += 1
         degree[e.v] += 1
     deg1 = [v for v in range(graph.vertex_count) if degree[v] == 1]
-    seen = set()
-    for i, a in enumerate(deg1):
-        for b in deg1[i + 1 :]:
-            seen.add((a, b))
-            yield (a, b)
-    for a in range(graph.vertex_count):
-        for b in range(a + 1, graph.vertex_count):
-            if (a, b) not in seen:
-                yield (a, b)
+    return (deg1[0], deg1[1]) if len(deg1) > 1 else (0, 1)
 
 
 def _annotate_specials(tree: DecompTree) -> None:
@@ -397,14 +390,14 @@ def _annotate_specials(tree: DecompTree) -> None:
 def decompose(graph: MultiGraph) -> DecompTree:
     """Build the decomposition tree, or reject with a witness.
 
-    With declared terminals only that pair is tried. Otherwise endpoint
-    pairs of degree-1 vertices are tried first, then all vertex pairs; when
-    the first pair fails, one reduction with no protected vertex decides
-    whether any pair can succeed, and if none can, the search stops there.
-    Raises :class:`NotSeriesParallelError`, carrying the first pair's
-    witness, when no pair admits a complete reduction, when the graph is
-    disconnected (including when it has more vertices than edges plus
-    one), or when it has no edges.
+    With declared terminals only that pair is tried. Otherwise the first
+    two degree-1 vertices, else (0, 1), are tried, and if that pair fails
+    one reduction with no protected vertex decides: if it ends on an edge,
+    its tree is kept, with that edge's ends as the terminals. At most two
+    reductions run. Raises :class:`NotSeriesParallelError`, carrying the
+    first pair's witness, when no pair admits a complete reduction, when
+    the graph is disconnected (including when it has more vertices than
+    edges plus one), or when it has no edges.
     """
     if graph.edge_count == 0:
         raise NotSeriesParallelError("graph has no edges")
@@ -412,28 +405,26 @@ def decompose(graph: MultiGraph) -> DecompTree:
     # keeps a huge declared vertex count from reaching per-vertex lists.
     if graph.vertex_count > graph.edge_count + 1 or not _connected(graph):
         raise NotSeriesParallelError("graph is disconnected")
-    pairs = _candidate_pairs(graph)
-    first = next(pairs)
+    first = _first_pair(graph)
     builder = _Builder(graph, first)
     ok, root = builder.run()
     if not ok:
-        # The reductions are confluent and the unprotected pass may make
-        # every step a protected attempt can, so it fails only if all do.
-        if graph.declared_terminals is not None or not _Builder(graph, ()).run()[0]:
-            witness = builder.witness()
+        failed = builder
+        if graph.declared_terminals is None:
+            # The reductions are confluent and the unprotected pass may make
+            # every step a protected attempt can, so it fails only if all
+            # do. It never contracts the ends of its last edge, so its tree
+            # is the tree of the attempt that protects that pair.
+            builder = _Builder(graph, ())
+            ok, root = builder.run()
+        if not ok:
+            witness = failed.witness()
             raise NotSeriesParallelError(
                 "graph is not two-terminal series-parallel for any tried terminal pair "
                 f"({witness.describe()})",
                 witness=witness,
                 tried_pairs=(first,),
             )
-        for pair in pairs:
-            builder = _Builder(graph, pair)
-            ok, root = builder.run()
-            if ok:
-                break
-        else:
-            raise RuntimeError("the unprotected reduction succeeded but no terminal pair did")
     tree = DecompTree(
         nodes=builder.nodes,
         root=root,

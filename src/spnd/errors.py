@@ -13,9 +13,10 @@ class NotSeriesParallelError(ValueError):
     """Raised when a graph admits no two-terminal series-parallel decomposition.
 
     ``witness`` is the irreducible remainder the first (or declared)
-    terminal pair leaves, and ``tried_pairs`` holds that one pair: when it
-    fails and a reduction protecting no vertex fails too, no other pair can
-    succeed, so none is tried. A disconnected or edgeless graph has neither.
+    terminal pair leaves, and ``tried_pairs`` holds that one pair: no other
+    pair is ever tried, since when it fails, one reduction protecting no
+    vertex either reduces the graph or shows that no pair can. A
+    disconnected or edgeless graph has neither.
     """
 
     def __init__(self, message, witness=None, tried_pairs=()):

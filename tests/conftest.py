@@ -130,6 +130,22 @@ def k4_glued(s, edge_budget=12):
     return replace(inst, graph=MultiGraph(n + 3, g.edges + k4, g.source, g.sink))
 
 
+def terminals_last(s, edge_budget=12):
+    """``generate_sp(s, edge_budget)`` with each terminal swapped with one of
+
+    the two highest vertex ids, terminals undeclared: series-parallel, but
+    not for the first candidate pair (0, 1)."""
+    inst = generate_sp(s, edge_budget=edge_budget)
+    g = inst.graph
+    n = g.vertex_count
+    label = list(range(n))
+    for v, top in zip(g.declared_terminals, (n - 2, n - 1)):
+        w = label.index(top)
+        label[v], label[w] = top, label[v]
+    edges = tuple(replace(e, u=label[e.u], v=label[e.v]) for e in g.edges)
+    return replace(inst, graph=MultiGraph(n, edges, label[g.source], label[g.sink]))
+
+
 @pytest.fixture
 def single_edge():
     return parse_instance(SINGLE_EDGE_TEXT)

@@ -4,14 +4,21 @@ all live super-edges, rebuilding the parallel classes and vertex degrees
 from scratch, then applies the parallel merge with the smallest key pair,
 else the degree-2 contraction with the smallest (key pair, vertex). It is
 an independent statement of the reduction order that the worklist
-``_Builder`` in ``spnd.decompose`` must reproduce node for node."""
+``_Builder`` in ``spnd.decompose`` must reproduce node for node.
+
+``reference_decompose`` searches undeclared terminals by walking every
+vertex pair (degree-1 endpoint pairs first) and keeping the first that
+reduces. ``spnd.decompose`` runs at most two reductions instead: it agrees
+with the walk whenever the first pair reduces, and otherwise with the walk
+run on the graph with the terminals it found declared."""
+
+from typing import Iterator
 
 from spnd.decompose import (
     DecompNode,
     DecompTree,
     ReductionWitness,
     _annotate_specials,
-    _candidate_pairs,
     _connected,
     _leaf_edge_ids,
 )
@@ -132,10 +139,34 @@ class ReferenceBuilder:
         return ReductionWitness(self.protected, tuple(rows))
 
 
-def reference_decompose(graph: MultiGraph) -> DecompTree:
-    """``spnd.decompose.decompose``'s pair search with every attempt run by
+def _candidate_pairs(graph: MultiGraph) -> Iterator[tuple[int, int]]:
+    """The declared pair alone, else every pair of degree-1 vertices, then
 
-    the reference and no unprotected pass: a rejection tries every pair."""
+    every other vertex pair, each in lexicographic order."""
+    if graph.declared_terminals is not None:
+        yield graph.declared_terminals
+        return
+    degree = [0] * graph.vertex_count
+    for e in graph.edges:
+        degree[e.u] += 1
+        degree[e.v] += 1
+    deg1 = [v for v in range(graph.vertex_count) if degree[v] == 1]
+    seen = set()
+    for i, a in enumerate(deg1):
+        for b in deg1[i + 1 :]:
+            seen.add((a, b))
+            yield (a, b)
+    for a in range(graph.vertex_count):
+        for b in range(a + 1, graph.vertex_count):
+            if (a, b) not in seen:
+                yield (a, b)
+
+
+def reference_decompose(graph: MultiGraph) -> DecompTree:
+    """The all-pairs terminal walk with every attempt run by the reference
+
+    and no unprotected pass: an acceptance keeps the first pair that
+    reduces, and a rejection tries every pair."""
     if graph.edge_count == 0:
         raise NotSeriesParallelError("graph has no edges")
     if graph.vertex_count > graph.edge_count + 1 or not _connected(graph):

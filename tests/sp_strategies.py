@@ -1,6 +1,7 @@
 """Hypothesis strategies for tiny series-parallel instances, shared by the
 
-property tests of the exact and the approximate solvers."""
+property tests of the exact and the approximate solvers, with explicit
+inputs those strategies draw only rarely."""
 
 from hypothesis import strategies as st
 
@@ -37,3 +38,27 @@ def tiny_instances(draw, capacity=ANY_CAPACITY):
     graph = MultiGraph(vertex_count, edges, source, sink, declared_terminals=(0, 1))
     budget = draw(st.integers(0, graph.total_cost()))
     return ProblemInstance(graph=graph, budget=budget, demand=None, upgrades=())
+
+
+def paths_apart(source: int, sink: int, budget: int = 0) -> ProblemInstance:
+    """Two two-edge paths, through 2 and through 3, and an edge between
+
+    terminals 0 and 1: with the source and sink at 2 and 3 the root is a
+    parallel node with one in each child, a case ``tiny_instances`` seldom
+    draws. Equal costs and capacities give ties on every cell."""
+    ends = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)]
+    edges = tuple(EdgeRecord(f"e{i}", u, v, 1, 2) for i, (u, v) in enumerate(ends))
+    return ProblemInstance(MultiGraph(4, edges, source, sink, declared_terminals=(0, 1)), budget=budget)
+
+
+class FixedDraws:
+    """Stands in for ``st.data()`` in an explicit example: each ``draw``
+
+    returns the next of the given values, which must be ones the strategy
+    drawn from could give."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)

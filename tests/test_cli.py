@@ -6,7 +6,7 @@ import pytest
 
 from spnd import cli, format_instance
 
-from conftest import HUGE_VERTEX_COUNT_TEXT, k4_glued
+from conftest import HUGE_VERTEX_COUNT_TEXT, k4_glued, terminals_last
 
 DIAMOND_DEMAND = (
     "graph 3\nterminals 0 2\nsource 0\nsink 2\n"
@@ -85,6 +85,13 @@ def test_not_series_parallel_exits_three(run):
     code, _, err = run("decompose", text=K4)
     assert code == 3
     assert err.splitlines()[0] == "ERROR 3 not series-parallel"
+
+
+def test_terminals_past_the_first_pair_decompose_exits_zero(run):
+    # n = 134: the unprotected pass ends on the edge 133-1.
+    code, out, _ = run("decompose", text=format_instance(terminals_last(1, edge_budget=400)))
+    assert code == 0
+    assert out.splitlines()[0] == "TERMINALS 133 1"
 
 
 def test_large_k4_glued_decompose_exits_three(run):
@@ -175,6 +182,13 @@ def test_fptas_exact_marker(run):
     assert "GUARANTEE flow*(1+eps) >= OPT" in lines
     assert "M_PRIME=exact" in lines
     assert lines[-1] == "RESULT cost=5 flow=3 edges=e1,e2,e3"
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "0/0"])
+def test_fptas_zero_denominator_epsilon_exits_one(run, epsilon):
+    code, out, err = run("fptas", "--epsilon", epsilon, text=DIAMOND_BUDGET)
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR 1") and "zero denominator" in err
 
 
 def test_fptas_ladder_reports_level(run):

@@ -44,8 +44,8 @@ def test_diamond_tree_with_declared_terminals(diamond):
 
 
 def test_diamond_tree_inferred_terminals(diamond_undeclared):
-    # No degree-1 vertices here, so inference falls back to scanning vertex
-    # pairs and keeps the first pair that reduces completely.
+    # No degree-1 vertices here, so the first pair tried is (0, 1), and it
+    # reduces completely, so no unprotected pass runs.
     tree = decompose(diamond_undeclared.graph)
     assert tree.terminals == (0, 1)
     assert tree_text(tree) == "P(L(e1),S(L(e3),L(e2))@2)"

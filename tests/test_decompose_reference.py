@@ -7,19 +7,44 @@ random compositions drawn by hypothesis. A graph no terminal pair reduces
 (K4 glued to an SP graph, wheels) is rejected after its first candidate
 pair alone, with the reference's outcome for that pair declared; on random
 multigraphs the one unprotected reduction must succeed exactly when some
-pair does. ``tree_text`` must render what the reference renderer does.
+pair does. A graph its first pair does not reduce takes at most two
+reductions and gets the unprotected pass's tree, which must equal the
+reference's with the pass's terminals declared and solve as the oracle
+does. ``tree_text`` must render what the reference renderer does.
 """
 
+import importlib
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from spnd import EdgeRecord, MultiGraph, NotSeriesParallelError, decompose, generate_sp, recompose
-from spnd.decompose import _Builder, _candidate_pairs, tree_text
-from conftest import k4_glued, path_graph
-from decompose_reference import ReferenceBuilder, reference_decompose, reference_tree_text
+from spnd import (
+    EdgeRecord,
+    MultiGraph,
+    NotSeriesParallelError,
+    ProblemInstance,
+    decompose,
+    generate_sp,
+    oracle_bcmfp,
+    oracle_capndp,
+    recompose,
+    solve_bcmfp,
+    solve_capndp,
+    upper_bound_flow,
+)
+from spnd.decompose import _Builder, tree_text
+from conftest import k4_glued, path_graph, terminals_last
+from decompose_reference import (
+    ReferenceBuilder,
+    _candidate_pairs,
+    reference_decompose,
+    reference_tree_text,
+)
+
+# The package re-exports the function under the module's name.
+decompose_module = importlib.import_module("spnd.decompose")
 
 
 def _outcome(decomposer, graph):
@@ -51,6 +76,23 @@ def _assert_round_trip(graph):
 
 def _undeclared(graph):
     return replace(graph, declared_terminals=None)
+
+
+def _count_builders(monkeypatch):
+    """Record the protected pair of every ``_Builder`` that ``decompose`` constructs."""
+    built = []
+
+    class Counted(_Builder):
+        def __init__(self, graph, protected):
+            built.append(protected)
+            super().__init__(graph, protected)
+
+    monkeypatch.setattr(decompose_module, "_Builder", Counted)
+    return built
+
+
+def _declare_found_terminals(graph, outcome):
+    return replace(graph, declared_terminals=outcome[2])
 
 
 @pytest.mark.parametrize("block", range(10))
@@ -135,12 +177,43 @@ def test_one_unprotected_pass_decides_every_pair(graph):
         ReferenceBuilder(graph, pair).run()[0] for pair in combinations(range(graph.vertex_count), 2)
     )
     assert _Builder(graph, ()).run()[0] == some_pair
-    outcome = _outcome(decompose, graph)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = _count_builders(monkeypatch)
+        outcome = _outcome(decompose, graph)
+    assert len(built) <= 2
     assert (outcome[0] == "tree") == some_pair
     if some_pair:
-        assert outcome == _outcome(reference_decompose, graph)
+        # A graph the first pair does not reduce keeps the unprotected
+        # pass's tree: the reference's, with the pass's terminals declared.
+        if ReferenceBuilder(graph, next(_candidate_pairs(graph))).run()[0]:
+            assert outcome == _outcome(reference_decompose, graph)
+        else:
+            assert outcome == _outcome(reference_decompose, _declare_found_terminals(graph, outcome))
     else:
         _assert_rejection_matches_reference(graph)
+
+
+@pytest.mark.parametrize("edge_budget", [150, 400], ids=["n50", "n134"])
+def test_terminals_past_the_first_pair_take_two_reductions(monkeypatch, edge_budget):
+    # A walk over terminal pairs (the reference's) takes 43 and 130 reductions here.
+    graph = terminals_last(1, edge_budget=edge_budget).graph
+    built = _count_builders(monkeypatch)
+    outcome = _outcome(decompose, graph)
+    assert built == [(0, 1), ()]
+    assert outcome[0] == "tree"
+    assert outcome == _outcome(reference_decompose, _declare_found_terminals(graph, outcome))
+    _assert_round_trip(graph)
+
+
+def test_declared_terminals_are_never_replaced(monkeypatch):
+    # The n = 50 graph above, its failing pair declared, is rejected after one
+    # reduction, though the unprotected pass would reduce it.
+    graph = replace(terminals_last(1, edge_budget=150).graph, declared_terminals=(0, 1))
+    built = _count_builders(monkeypatch)
+    outcome = _outcome(decompose, graph)
+    assert built == [(0, 1)]
+    assert outcome[0] == "rejected"
+    assert outcome == _outcome(reference_decompose, graph)
 
 
 HUB_SIZE = 500
@@ -165,12 +238,12 @@ def test_parallel_bundle_hub():
 
 
 @st.composite
-def _sp_compositions(draw):
+def _sp_compositions(draw, max_edges=40):
     """A random series/parallel composition between vertices 0 and 1, its
 
     vertices relabelled, its edges shuffled and each edge's endpoints drawn
     in either order; the declared pair is where 0 and 1 went."""
-    m = draw(st.integers(1, 40))
+    m = draw(st.integers(1, max_edges))
     spans = [(0, 1, m)]
     vertex_count = 2
     ends = []
@@ -204,6 +277,50 @@ def test_random_compositions_match_reference(graph):
     assert outcome[0] == "tree"
     assert frozenset(outcome[2]) == frozenset(graph.declared_terminals)
     _assert_round_trip(graph)
+
+
+@st.composite
+def _rescued_instances(draw):
+    """A series/parallel composition of at most 12 edges, relabelled so that
+
+    the first candidate pair (0, 1) does not reduce it, with terminals
+    undeclared, source and sink anywhere, costs 0-4, capacities 0-5 and a
+    budget in [0, total cost]."""
+    composed = draw(_sp_compositions(max_edges=12))
+    n = composed.vertex_count
+    degree = [0] * n
+    for e in composed.edges:
+        degree[e.u] += 1
+        degree[e.v] += 1
+    # Two degree-1 vertices are the first pair whatever the labels, and
+    # reduce the graph if any pair does.
+    assume(degree.count(1) < 2)
+    failing = [p for p in combinations(range(n), 2) if not ReferenceBuilder(composed, p).run()[0]]
+    assume(failing)
+    a, b = draw(st.sampled_from(failing))
+    rest = draw(st.permutations([v for v in range(n) if v not in (a, b)]))
+    label = {v: i for i, v in enumerate([a, b, *rest])}
+    edges = tuple(
+        EdgeRecord(e.id, label[e.u], label[e.v], draw(st.integers(0, 4)), draw(st.integers(0, 5)))
+        for e in composed.edges
+    )
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    graph = MultiGraph(n, edges, source, sink)
+    return ProblemInstance(graph=graph, budget=draw(st.integers(0, graph.total_cost())))
+
+
+@settings(max_examples=100)
+@seed(20240607)
+@given(_rescued_instances(), st.data())
+def test_terminals_past_the_first_pair_solve_as_the_oracle(instance, data):
+    assert not ReferenceBuilder(instance.graph, (0, 1)).run()[0]
+    by_budget = solve_bcmfp(instance)
+    assert by_budget.total_cost <= instance.budget
+    assert by_budget.achieved_flow == oracle_bcmfp(instance).achieved_flow
+    case = instance.with_demand(data.draw(st.integers(0, upper_bound_flow(instance))))
+    by_demand = solve_capndp(case)
+    assert by_demand.achieved_flow >= case.demand
+    assert by_demand.total_cost == oracle_capndp(case).total_cost
 
 
 # Every size to 40, then a spread to 300; the reference is quadratic.

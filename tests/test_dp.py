@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spnd import (
     InfeasibleError,
@@ -32,7 +32,7 @@ from spnd.instance import EdgeRecord
 
 from dp_build_reference import assert_same_tables, reference_table
 from dp_reference import cell_of, combine_parallel, combine_series, leaf_cost, series_children
-from sp_strategies import tiny_instances
+from sp_strategies import FixedDraws, paths_apart, tiny_instances
 
 # Ring with source and sink strictly inside, F = 48: the two inner nodes
 # above the sink join hold 97^3 cells.
@@ -688,6 +688,8 @@ def test_special_free_costs_are_symmetric_and_monotone(seed, edge_budget, cap_ma
         assert (np.diff(cost[len(cost) // 2 :]) >= 0).all(), nid
 
 
+@example(paths_apart(2, 3, budget=3), FixedDraws(3))  # parallel:sL+tR
+@example(paths_apart(3, 2, budget=3), FixedDraws(3))  # parallel:sR+tL
 @given(tiny_instances(capacity=st.integers(0, 5)), st.data())
 def test_solvers_match_the_oracle_on_tiny_graphs(instance, data):
     # Source and sink anywhere, strictly inside included; some capacities 0.

@@ -11,13 +11,12 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spnd import EdgeRecord, MultiGraph, ProblemInstance, dp
-from spnd import build_table, decompose, generate_sp, upper_bound_flow
+from spnd import build_table, decompose, dp, generate_sp, upper_bound_flow
 from spnd.extensions import LatticeSpec, lattice_residues
 from spnd.fptas import ScaleParams, scale_capacities
 
 from dp_build_reference import assert_same_tables, reference_table
-from sp_strategies import tiny_instances
+from sp_strategies import paths_apart, tiny_instances
 
 # generate_sp(seed, edge_budget=400, cap_max=2) seeds with 190-210 edges,
 # the size of the benchmark's large sparse inputs.
@@ -104,20 +103,9 @@ def test_one_edge_tree(single_edge):
     _check(tree, 7, "even", residue_values=[-6, -4, -2, 0, 2, 4, 6])
 
 
-def _paths_apart(source: int, sink: int) -> ProblemInstance:
-    """Two two-edge paths, through 2 and through 3, and an edge between
-
-    terminals 0 and 1: with the source and sink at 2 and 3 the root is a
-    parallel node with one in each child. Equal costs and capacities give
-    ties on every cell."""
-    ends = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)]
-    edges = tuple(EdgeRecord(f"e{i}", u, v, 1, 2) for i, (u, v) in enumerate(ends))
-    return ProblemInstance(MultiGraph(4, edges, source, sink, declared_terminals=(0, 1)), budget=0)
-
-
 @settings(max_examples=500)
-@example(_paths_apart(2, 3), 1, 0, 3, {1, 3})  # parallel:sL+tR
-@example(_paths_apart(3, 2), 7, 1, 2, {2})  # parallel:sR+tL
+@example(paths_apart(2, 3), 1, 0, 3, {1, 3})  # parallel:sL+tR
+@example(paths_apart(3, 2), 7, 1, 2, {2})  # parallel:sR+tL
 @given(
     tiny_instances(capacity=st.integers(0, 5)),
     st.sampled_from((1, 7, dp.CELLS)),

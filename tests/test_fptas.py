@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spnd import (
     EdgeRecord,
@@ -22,7 +22,7 @@ from spnd import (
 from spnd.flow import verify_solution
 from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities, widest_path_within_budget
 
-from sp_strategies import tiny_instances
+from sp_strategies import FixedDraws, paths_apart, tiny_instances
 
 
 def _instance(edge_specs, budget, vertex_count=None):
@@ -63,6 +63,12 @@ def test_as_fraction_forms():
     assert as_fraction("1/3") == Fraction(1, 3)
     assert as_fraction("0.25") == Fraction(1, 4)
     assert as_fraction(Fraction(7, 5)) == Fraction(7, 5)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0"])
+def test_as_fraction_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction(text)
 
 
 def test_scale_capacities_examples():
@@ -337,6 +343,8 @@ def test_probe_count_does_not_grow_with_capacity_magnitude():
 _EPSILONS = st.sampled_from((Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3)))
 
 
+@example(paths_apart(2, 3, budget=3))  # parallel:sL+tR
+@example(paths_apart(3, 2, budget=3))  # parallel:sR+tL
 @given(tiny_instances())
 def test_widest_path_brackets_the_optimum(inst):
     lb = widest_path_within_budget(inst.graph, inst.budget)
@@ -344,6 +352,8 @@ def test_widest_path_brackets_the_optimum(inst):
     assert lb <= opt <= inst.graph.edge_count * lb
 
 
+@example(paths_apart(2, 3, budget=3), Fraction(1, 10), FixedDraws(0))  # parallel:sL+tR
+@example(paths_apart(3, 2, budget=3), Fraction(1, 10), FixedDraws(0))  # parallel:sR+tL
 @given(tiny_instances(), _EPSILONS, st.data())
 def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
     params = ScaleParams.for_instance(inst.graph.edge_count, epsilon)
@@ -359,6 +369,8 @@ def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
         assert ok, j
 
 
+@example(paths_apart(2, 3, budget=3), Fraction(1, 2))  # parallel:sL+tR
+@example(paths_apart(3, 2, budget=3), Fraction(1, 2))  # parallel:sR+tL
 @given(tiny_instances(), _EPSILONS)
 def test_fptas_meets_its_guarantee_on_tiny_graphs(inst, epsilon):
     sol = fptas_bcmfp(inst, epsilon)

@@ -1,8 +1,10 @@
 """Instance file parsing, serialization, and the core data model."""
 
+import string
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spnd import (
     EdgeRecord,
@@ -63,6 +65,34 @@ def test_format_round_trip_generated():
     for seed in range(1, 26):
         inst = generate_sp(seed, edge_budget=8)
         assert parse_instance(format_instance(inst)) == inst
+
+
+# Every character an edge id may hold.
+_IDS = st.text(string.ascii_letters + string.digits + "_.:-", min_size=1, max_size=6)
+_NUMBERS = st.integers(0, 9) | st.integers(0, 10**15)
+
+
+@st.composite
+def _any_instances(draw):
+    """Any valid instance: a small or huge vertex count, parallel edges,
+
+    upgrade menus of one to four choices, terminals declared or not, and a
+    budget or a demand."""
+    n = draw(st.integers(2, 6) | st.integers(2, 10**12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda p: (p[0], (p[0] + p[1]) % n))
+    ids = draw(st.lists(_IDS, max_size=10, unique=True))
+    plain = draw(st.integers(0, len(ids)))
+    edges = tuple(EdgeRecord(i, *draw(pairs), draw(_NUMBERS), draw(_NUMBERS)) for i in ids[:plain])
+    menus = st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=1, max_size=4).map(tuple)
+    upgrades = tuple(UpgradeRecord(i, *draw(pairs), draw(menus)) for i in ids[plain:])
+    graph = MultiGraph(n, edges, *draw(pairs), declared_terminals=draw(st.none() | pairs))
+    objective = draw(st.sampled_from(("budget", "demand")))
+    return ProblemInstance(graph, upgrades=upgrades, **{objective: draw(_NUMBERS)})
+
+
+@given(_any_instances())
+def test_format_round_trips_any_instance(inst):
+    assert parse_instance(format_instance(inst)) == inst
 
 
 def test_upedge_parsing():

@@ -22,21 +22,30 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-def _readers(name: str) -> set[str]:
-    """The package functions that read the module-level ``name``."""
-    found = set()
+def _sites(match, paths=None) -> list[str]:
+    """The package function around each syntax node that ``match`` accepts,
+
+    in source order (``file:<module>`` outside any function)."""
+    found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        elif isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-            found.add(where)
+        elif match(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in paths or sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), f"{path.name}:<module>")
     return found
+
+
+def _readers(name: str) -> set[str]:
+    """The package functions that read the module-level ``name``."""
+    return set(
+        _sites(lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+    )
 
 
 def test_one_function_scans_splits():
@@ -45,3 +54,12 @@ def test_one_function_scans_splits():
     # scan.
     assert _readers("CELLS") == {"_split_scan"}
     assert _readers("_NO_SPLIT") == {"_split_scan"}
+
+
+def test_decompose_builds_at_most_two_reductions():
+    # The first terminal pair and one unprotected pass decide every graph:
+    # a third construction site would be a walk over terminal pairs.
+    def builds(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Builder"
+
+    assert _sites(builds, [PACKAGE / "decompose.py"]) == ["decompose", "decompose"]
