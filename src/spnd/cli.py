@@ -152,8 +152,10 @@ def _cmd_verify(args) -> int:
 
 def _parse_seed_range(text: str) -> range:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split("..", 1))
+        if hi < lo:
+            raise _UsageError(f"--seeds {text}: the range is reversed")
+        return range(lo, hi + 1)
     value = int(text)
     return range(value, value + 1)
 
@@ -307,7 +309,10 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"ERROR 2 {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"ERROR 1 {exc.args[0]}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"ERROR 1 {exc}", file=sys.stderr)
         return 1
 

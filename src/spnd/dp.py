@@ -59,6 +59,18 @@ behind them are no larger. The spine nodes, those with an interior
 special, are built one by one in postorder after the forest, and a pinned
 build that reuses an earlier table rebuilds only them.
 
+A spine node, series or parallel, pinned or full, is one combine over r_a
+per special cell (:meth:`_Builder._combine`), since its children see its
+source and sink residues unchanged. It reads each child the same way, as
+rows over the child's a-slot domain at the node's special cells
+(:meth:`_Builder._rows`): a view where the child's special axes are the
+node's (every pinned build, every special-free child), and a gather, the
+sentinel off the child's axes, where they are shorter (a child of a full
+build with a narrower domain). A series node adds its left child at r_a
+to its right child at the join residue; a parallel node scans the splits
+of the rows. Both then apply one admissibility mask, and the result is
+the node's a-first table.
+
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
 node as ``DecompNode.placements``, and the build, the case labels
@@ -353,28 +365,6 @@ def _grid(dom: ResidueDomain, axes: dict[str, ResidueDomain]):
     return shape, arrays[0], dict(zip(axes, arrays[1:]))
 
 
-def _special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool]:
-    """Positions of a parent's special values on a child's special axes,
-
-    with their joint validity; they do not depend on the a-slot."""
-    positions, valid = [], True
-    for lab, axis in nt.special_axes.items():
-        pos, ok = axis.positions(svals[lab])
-        positions.append(pos)
-        valid = valid & ok
-    return positions, valid
-
-
-def _gather(nt: NodeTable, a_vals, positions: list, special_ok):
-    """Look up a child table at the a-slot values ``a_vals`` and
-
-    at its :func:`_special_coords`. Returns (cost, valid)."""
-    pos_a, valid = nt.domain.positions(a_vals)
-    if positions:  # children without specials need no extra mask op
-        valid = valid & special_ok
-    return nt.cost[(pos_a, *positions)], valid
-
-
 def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
     """The (min, +) scan over the split of any parallel node's rows.
 
@@ -593,8 +583,36 @@ class _Builder:
         return table
 
     def _combine(self, node: DecompNode, dom: ResidueDomain) -> NodeTable:
-        combine = self._build_series if node.kind == "series" else self._build_parallel
-        return combine(node, dom, self.special_axes(node, dom))
+        """A spine node's table: a series node adds its left child at r_a to
+
+        its right child at :func:`_join_residue`, a parallel node scans the
+        splits of their rows (:func:`_split_scan`), both over r_a per special
+        cell; then cells whose implied b-slot residue is off the domain hold
+        the sentinel."""
+        axes = self.special_axes(node, dom)
+        shape, va, svals = _grid(dom, axes)
+        # Taken before the children are read, so that the mask's full-size
+        # temporaries do not stack on top of the scan's buffers.
+        ok_mask, admissible = self._admissibility(dom, va, svals, shape)
+        if node.kind == "series":
+            left = self._at(node.left, svals, va)
+            right = self._at(node.right, svals, _join_residue(va, node.placements, svals))
+            # Every special is at the join or in a child, so the sum spans every axis.
+            cost, split = np.minimum(left + right, self.sentinel), None
+        else:
+            cells, rows = shape[1:], []
+            for nid, extra in ((node.left, 0), (node.right, 1)):
+                row, labels = self._rows(nid, svals, extra)
+                if max(cells) > 1:
+                    # The child's axes in its parent's places, repeated along the rest.
+                    dims = [k if lab in labels else 1 for lab, k in zip(svals, cells)]
+                    row = np.broadcast_to(row.reshape(len(row), *dims), (len(row), *cells))
+                rows.append(row.reshape(len(row), -1).T)
+            best, split = _split_scan(dom, *rows, len(dom) // 2, self.sentinel)
+            # The scan's rows are views of a-first arrays: a reshape is the table.
+            cost, split = best.T.reshape(shape), split.T.reshape(shape)
+        np.copyto(cost, self.sentinel, where=~ok_mask)
+        return NodeTable(dom, axes, cost, split, admissible)
 
     def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
         """Mask of the cells whose implied b-slot residue is in the domain, and its count."""
@@ -602,52 +620,41 @@ class _Builder:
         ok = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
         return ok, int(ok.sum())
 
-    def _build_series(self, node: DecompNode, dom, axes) -> NodeTable:
-        table = self.table
-        shape, va, svals = _grid(dom, axes)
-        left_nt, right_nt = table.tables[node.left], table.tables[node.right]
-        left_cost, left_ok = _gather(left_nt, va, *_special_coords(left_nt, svals))
-        y = _join_residue(va, node.placements, svals)
-        right_cost, right_ok = _gather(right_nt, y, *_special_coords(right_nt, svals))
-        total = np.minimum(left_cost + right_cost, self.sentinel)
-        ok_mask, admissible = self._admissibility(dom, va, svals, shape)
-        cost = np.where(left_ok & right_ok & ok_mask, total, np.int64(self.sentinel))
-        cost = np.ascontiguousarray(np.broadcast_to(cost, shape))
-        return NodeTable(dom, axes, cost, None, admissible)
+    def _rows(self, nid: int, svals: dict, extra: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Node ``nid``'s a-first costs at its parent's special cells
 
-    def _build_parallel(self, node: DecompNode, dom, axes) -> NodeTable:
-        shape, va, svals = _grid(dom, axes)
-        # Taken before the scan allocates its buffers, so that the mask's
-        # full-size temporaries do not stack on top of them.
-        ok_mask, admissible = self._admissibility(dom, va, svals, shape)
-        left, right = self._rows(node.left, shape, svals), self._rows(node.right, shape, svals, 1)
-        best, split = _split_scan(dom, left, right, len(dom) // 2, self.sentinel)
-        # The scan's rows are views of a-first arrays: a reshape is the table.
-        best, split = best.T.reshape(shape), split.T.reshape(shape)
-        np.copyto(best, self.sentinel, where=~ok_mask)
-        return NodeTable(dom, axes, best, split, admissible)
-
-    def _rows(self, nid: int, shape, svals: dict, extra: int = 0) -> np.ndarray:
-        """Node ``nid``'s costs at each special cell of its parent's :func:`_grid`,
-
-        in C order: a row over its a-slot domain per cell, then ``extra``
-        sentinel columns, as a transposed view of a-first costs."""
+        (``svals``, from :func:`_grid`), one axis per special of the node,
+        then ``extra`` sentinel rows; and the labels of those specials. A
+        view where each of the node's special axes is as long as the
+        parent's; a gather, the sentinel off the node's axes, where not."""
         nt = self.table.tables[nid]
-        n, cells = len(nt.domain), shape[1:]
-        lengths = [len(nt.special_axes.get(lab, ())) for lab in svals]  # 0: not the child's
-        if all(k in (0, c) for k, c in zip(lengths, cells)):
-            # A child's special axes are windows of its parent's, so one as
-            # long is the same axis: the child's table is a view of its rows.
-            cost = nt.cost.reshape(n, *(k or 1 for k in lengths))
-        else:
-            positions, ok = _special_coords(nt, svals)
-            at = np.arange(n).reshape(-1, *(1,) * len(cells))
-            cost = np.where(ok, nt.cost[(at, *positions)], self.sentinel)
+        cost, axes = nt.cost, nt.special_axes
+        # A child's special axes are windows of its parent's, so one as long
+        # is the same axis.
+        if any(len(axis) != svals[lab].size for lab, axis in axes.items()):
+            at, ok = [np.arange(len(cost)).reshape(-1, *(1,) * len(svals))], True
+            for lab, axis in axes.items():
+                pos, valid = axis.positions(svals[lab])
+                at.append(pos)
+                ok = ok & valid
+            cost = np.where(ok, cost[tuple(at)], self.sentinel)
+            cost = cost.reshape(len(cost), *(svals[lab].size for lab in axes))
         if extra:
             cost = np.concatenate([cost, np.full((extra, *cost.shape[1:]), self.sentinel)])
-        if max(cells) > 1:
-            cost = np.broadcast_to(cost, (len(cost), *cells))
-        return cost.reshape(len(cost), -1).T
+        return cost, tuple(axes)
+
+    def _at(self, nid: int, svals: dict, vals) -> np.ndarray:
+        """Node ``nid``'s costs at a-slot values ``vals``, broadcast on its
+
+        parent's grid, and at the parent's special cells (:meth:`_rows`); the
+        sentinel off its a-slot domain. Only the node's own special axes are
+        indexed, and an axis of one cell at 0."""
+        rows, labels = self._rows(nid, svals)
+        pos, ok = self.table.tables[nid].domain.positions(vals)
+        cells = (
+            np.arange(v.size).reshape(v.shape) if v.size > 1 else 0 for v in map(svals.get, labels)
+        )
+        return np.where(ok, rows[(pos, *cells)], self.sentinel)
 
 
 def build_table(

@@ -3,15 +3,17 @@
 The special-free nodes, those with neither source nor sink strictly
 inside, are built as they were before the grouped forest build, with the
 leaf, series and parallel combines below (the per-node ones with the
-special axes dropped). The spine parallel nodes are built with the
-multi-axis split scan ``_Builder._build_parallel`` had before every
-parallel node went through ``_split_scan``, with the ``_gather`` and
-``_special_coords`` it used then. :func:`reference_table` mirrors
+special axes dropped). The spine nodes, those with an interior special,
+are built with the multi-axis combines ``_Builder`` had before every
+spine node read its children as rows: the series one gathers each child
+on the full (r_a, specials) grid, and the parallel one is the split scan
+``_Builder._build_parallel`` had before every parallel node went through
+``_split_scan``. Both use their own copies of ``_grid``, the gather and
+the admissibility mask as they were then. :func:`reference_table` mirrors
 ``build_table`` without ``reuse=``: it walks the tree in postorder and
-builds each node on its own over the children the walk built, the spine
-series nodes with the current builder's per-node combine. The live build
-must give every node the same domain, cost and split bytes and admissible
-count."""
+builds each node on its own over the children the walk built. The live
+build must give every node the same domain, cost and split bytes and
+admissible count."""
 
 import numpy as np
 
@@ -82,6 +84,23 @@ def _build_parallel(left_nt: NodeTable, right_nt: NodeTable, dom: ResidueDomain,
     return NodeTable(dom, {}, best, split, admissible)
 
 
+def _grid(dom: ResidueDomain, axes: dict):
+    shape = (len(dom), *(len(ax) for ax in axes.values()))
+    arrays = []
+    for i, ax in enumerate((dom, *axes.values())):
+        dims = [1] * len(shape)
+        dims[i] = -1
+        arrays.append(ax.values.reshape(dims))
+    return shape, arrays[0], dict(zip(axes, arrays[1:]))
+
+
+def _spine_admissibility(dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
+    """Cells whose implied b-slot residue, -(r_a + the specials'), is in the domain."""
+    rb = va + sum(svals.values(), np.int64(0))
+    ok = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
+    return ok, int(ok.sum())
+
+
 def _spine_special_coords(nt: NodeTable, svals: dict) -> tuple[list, np.ndarray | bool]:
     positions, valid = [], True
     for lab, axis in nt.special_axes.items():
@@ -98,16 +117,31 @@ def _spine_gather(nt: NodeTable, a_vals, positions: list, special_ok):
     return nt.cost[(pos_a, *positions)], valid
 
 
+def _build_spine_series(
+    node, left_nt: NodeTable, right_nt: NodeTable, dom: ResidueDomain, axes: dict, sentinel: int
+) -> NodeTable:
+    """Each child gathered on the full grid: the left at r_a, the right at
+
+    the join residue, r_a plus the specials at the join or in the left child."""
+    shape, va, svals = _grid(dom, axes)
+    left_cost, left_ok = _spine_gather(left_nt, va, *_spine_special_coords(left_nt, svals))
+    y = va + sum(svals[lab] for lab, where in node.placements.items() if where != "right")
+    right_cost, right_ok = _spine_gather(right_nt, y, *_spine_special_coords(right_nt, svals))
+    total = np.minimum(left_cost + right_cost, sentinel)
+    ok_mask, admissible = _spine_admissibility(dom, va, svals, shape)
+    cost = np.where(left_ok & right_ok & ok_mask, total, np.int64(sentinel))
+    cost = np.ascontiguousarray(np.broadcast_to(cost, shape))
+    return NodeTable(dom, axes, cost, None, admissible)
+
+
 def _build_spine_parallel(
     left_nt: NodeTable, right_nt: NodeTable, dom: ResidueDomain, axes: dict, sentinel: int
 ) -> NodeTable:
     """The multi-axis split scan: every split's left costs gathered at
 
     once on a leading axis, the right costs gathered block by block."""
-    shape, va, svals = dp._grid(dom, axes)
-    rb = va + sum(svals.values(), np.int64(0))
-    ok_mask = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
-    admissible = int(ok_mask.sum())
+    shape, va, svals = _grid(dom, axes)
+    ok_mask, admissible = _spine_admissibility(dom, va, svals, shape)
     splits = left_nt.domain.values.reshape(-1, *(1,) * len(shape))
     left_cost, left_ok = _spine_gather(left_nt, splits, *_spine_special_coords(left_nt, svals))
     np.copyto(left_cost, sentinel, where=~left_ok)
@@ -135,9 +169,9 @@ def _build_spine_parallel(
 
 
 def reference_table(tree, f_bound, *, capacity_override=None, residue_values=None, pin=None) -> dp.DPTable:
-    """``build_table(tree, f_bound, ...)`` built node by node, the special-free
+    """``build_table(tree, f_bound, ...)`` built node by node, with the
 
-    nodes and the spine parallel nodes with the frozen combines above."""
+    frozen combines above."""
     capacities = {e.id: e.capacity for e in tree.graph.edges}
     capacities.update(capacity_override or {})
     base = None if residue_values is None else ResidueDomain.explicit(residue_values)
@@ -157,11 +191,11 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
             table.tables[nid] = NodeTable(dom, {}, cost, None, admissible)
         elif node.placements:
             table.spine.append(nid)
+            left_nt, right_nt = table.tables[node.left], table.tables[node.right]
+            axes = builder.special_axes(node, dom)
             if node.kind == "series":
-                table.tables[nid] = builder._combine(node, dom)
+                table.tables[nid] = _build_spine_series(node, left_nt, right_nt, dom, axes, sentinel)
             else:
-                left_nt, right_nt = table.tables[node.left], table.tables[node.right]
-                axes = builder.special_axes(node, dom)
                 table.tables[nid] = _build_spine_parallel(left_nt, right_nt, dom, axes, sentinel)
         else:
             combine = _build_series if node.kind == "series" else _build_parallel

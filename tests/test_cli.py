@@ -247,6 +247,18 @@ def test_verify_failure_exits_two(run):
     assert lines[-1] == "VERIFY fail"
 
 
+def test_verify_unknown_edge_exits_one_without_quotes(run):
+    code, out, err = run("verify", "--edges", "e1,zz", text=DIAMOND_DEMAND)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["ERROR 1 unknown edge id 'zz'"]
+
+
+def test_sweep_refuses_a_reversed_seed_range(run):
+    code, out, err = run("sweep", "--seeds", "3..1", "--edges", "4")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["ERROR 1 --seeds 3..1: the range is reversed"]
+
+
 def test_sweep_csv_contract(run):
     code, out, err = run("sweep", "--seeds", "1..5", "--edges", "5")
     assert code == 0

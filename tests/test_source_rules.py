@@ -63,3 +63,22 @@ def test_decompose_builds_at_most_two_reductions():
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Builder"
 
     assert _sites(builds, [PACKAGE / "decompose.py"]) == ["decompose", "decompose"]
+
+
+def test_spine_nodes_read_children_one_way():
+    # Every spine node, series or parallel, pinned or full, goes through one
+    # combine, and reads a child's special axes through one reader: a second
+    # caller of the scan or a second reader of those axes is a second path.
+    def scans(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split_scan"
+
+    def table_axes(node):
+        # ``self.special_axes(...)`` is the builder's method, not a table's axes.
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "special_axes"
+            and getattr(node.value, "id", None) != "self"
+        )
+
+    assert sorted(_sites(scans, [PACKAGE / "dp.py"])) == ["_build_forest", "_combine"]
+    assert set(_sites(table_axes)) == {"_coords", "_rows"}
