@@ -32,44 +32,43 @@ the nodes above the source or the sink (``reuse=`` of :func:`build_table`).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children, in one
-blocked (min, +) scan over rows (:func:`_split_scan`): a row per node of a
-special-free group, or per special cell of a spine node. The candidates
-for a block of splits are formed at once, the split on the leading axis,
-and the splits are walked in blocks of about ``CELLS`` candidate cells.
-Each block's minimum, with the smallest split reaching it, merges into the
-running best by a strict <, so ties go to the smallest split and a cell
-that stays infeasible keeps split 0.
+blocked (min, +) scan over a group's rows (:func:`_split_scan`). The
+candidates for a block of splits are formed at once, the split on the
+leading axis, and the splits are walked in blocks of about ``CELLS``
+candidate cells. Each block's minimum, with the smallest split reaching it,
+merges into the running best by a strict <, so ties go to the smallest
+split and a cell that stays infeasible keeps split 0.
 
-The special-free nodes are built one group at a time, not one node at a
-time. A node's height is 0 at a leaf and one more than its taller child
-otherwise; nodes of equal height never read each other, so every group of
-one height, kind and width class is one numpy pass
-(:meth:`_Builder._build_forest`). The width class keeps a group's tables
+Every node is rows, built one group at a time, not one node at a time.
+Each child sees its parent's source and sink residues unchanged, so a
+node's table is a row over r_a per cell of its special axes, in C order
+over them: one row for a node with no interior special (the special-free
+forest) and for every node of a pinned build, and one per (r_s, r_t) cell
+for a node above the source or the sink (the spine) in a full build. A row
+holds the node's costs at the values of the flow bound's domain (the range
+[-F, F], or the residue set clipped to F) within its radius. It is read
+through its left and right child rows (the sentinel row where its special
+value lies off a child's shorter axis), the right child's join shift c
+(the sum of the specials at the join or in the left child) and σ (the sum
+of the node's interior specials). A node's height is 0 at a leaf and one
+more than its taller child otherwise; nodes of one height never read each
+other, so a group is one numpy pass (:meth:`_Builder._build_group`). A
+forest group is one height, kind and width class, which keeps its rows
 within a factor of two of each other (a parallel node's left child's too),
-so no node is padded, or scans splits, far past its own width. Each node's
-costs are one row of a flat array per build, its own cells over the values
-of the flow bound's domain (the range [-F, F], or the residue set clipped
-to F) within its radius; the splits of the parallel ones are rows of a
-second; a last cell holds the sentinel. A group reads its children's rows
-padded to its own width, the sentinel past each child's radius: a series
-group sums them, clamped at the sentinel, and a parallel group scans them.
-Each node's ``NodeTable`` is a view of its row, with the cost and split
-bytes and the admissible count a node-by-node build gives, and the arrays
-behind them are no larger. The spine nodes, those with an interior
-special, are built one by one in postorder after the forest, and a pinned
-build that reuses an earlier table rebuilds only them.
-
-A spine node, series or parallel, pinned or full, is one combine over r_a
-per special cell (:meth:`_Builder._combine`), since its children see its
-source and sink residues unchanged. It reads each child the same way, as
-rows over the child's a-slot domain at the node's special cells
-(:meth:`_Builder._rows`): a view where the child's special axes are the
-node's (every pinned build, every special-free child), and a gather, the
-sentinel off the child's axes, where they are shorter (a child of a full
-build with a narrower domain). A series node adds its left child at r_a
-to its right child at the join residue; a parallel node scans the splits
-of the rows. Both then apply one admissibility mask, and the result is
-the node's a-first table.
+so no row is padded, or scans splits, far past its own width; a spine
+node, at most two of a height, is a group of its own. The rows lie side by
+side in one flat cost array per build, forest, then spine, then a
+sentinel cell; the parallel rows' splits are rows of a second. A group
+reads its children's rows padded to its own width, the sentinel past each
+child's radius, and as a view where they are whole rows side by side: a
+series group adds the left rows to the right rows read at r_a + c, clamped
+at the sentinel, and a parallel group scans them. A row with σ ≠ 0 then
+holds the sentinel where r_a + σ is off the node's domain, since the
+implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
+its rows, a-first on the spine, with the cost and split bytes and the
+admissible count a node-by-node build gives, and the arrays behind the
+views are no larger. A build that reuses an earlier table keeps that
+table's forest rows and forest tables and builds only the spine's groups.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -101,6 +100,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -164,6 +164,15 @@ class ResidueDomain:
         # Clamped with ufuncs: np.clip costs several times more per call here.
         pos = np.minimum(np.maximum(vals - self._lo, 0), len(self.values) - 1)
         return pos, self.contains(vals)
+
+    def index(self, vals) -> np.ndarray:
+        """Each value's position, or the domain's length where it is absent:
+
+        an index into a row that holds one more cell past the domain."""
+        if self._dense:
+            return np.where(self.contains(vals), vals - self._lo, len(self.values))
+        pos, ok = self.positions(vals)
+        return np.where(ok, pos, len(self.values))
 
     def contains(self, vals) -> np.ndarray:
         """Membership mask alone; a dense axis needs no positions for it."""
@@ -245,6 +254,7 @@ class DPTable:
         self.base_domain = base_domain  # the residue set every axis is cut from, or None
         self.tables: dict[int, NodeTable] = {}
         self.spine: list[int] = []  # inner nodes with an interior special, in postorder
+        self._layout: tuple = ()  # the forest's layout and the flat costs, for a reuse= build
 
     @property
     def state_count(self) -> int:
@@ -352,19 +362,6 @@ def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
 # -- vectorized build -----------------------------------------------------
 
 
-def _grid(dom: ResidueDomain, axes: dict[str, ResidueDomain]):
-    """Table shape, a-slot values and each special's values, every one
-
-    as an array broadcast along its own axis."""
-    shape = (len(dom), *(len(ax) for ax in axes.values()))
-    arrays = []
-    for i, ax in enumerate((dom, *axes.values())):
-        dims = [1] * len(shape)
-        dims[i] = -1
-        arrays.append(ax.values.reshape(dims))
-    return shape, arrays[0], dict(zip(axes, arrays[1:]))
-
-
 def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
     """The (min, +) scan over the split of any parallel node's rows.
 
@@ -385,7 +382,7 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
     vals = top.values[mid - half : mid + half + 1]
     left, right = left.T, right.T  # (cell, row)
     # A split no left child can take cannot improve any cell.
-    live = np.flatnonzero((left < sentinel).any(axis=1))
+    live = (left < sentinel).any(axis=1).nonzero()[0]
     split_vals = top.values[mid - left_half + live]
     shape = (len(vals), left.shape[1])
     best = np.full(shape, sentinel, dtype=np.int64)
@@ -394,33 +391,41 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
     # One block's candidates, their minimum and its first split; reused by
     # every block, so the scan's scratch stays a few blocks in size.
     block = np.empty((min(step, len(live)), *shape), dtype=np.int64)
-    low = np.empty(shape, dtype=np.int64)
-    arg = np.empty(shape, dtype=np.int64)
+    low, arg = np.empty((2, *shape), dtype=np.int64)
     for lo in range(0, len(live), step):
         s = split_vals[lo : lo + step]
-        pos, ok = window.positions(vals - s[:, None])
-        at = np.where(ok, pos, len(window))
+        at = window.index(vals - s[:, None])
         # Unclamped: a candidate at or above the sentinel never beats best.
-        cand = np.add(left[live[lo : lo + step], None], right[at], out=block[: len(s)])
-        np.min(cand, axis=0, out=low)
-        # The smallest split of the block reaching its minimum.
-        np.min(np.where(cand == low, s[:, None, None], _NO_SPLIT), axis=0, out=arg)
+        # Every position is in range; "clip" only spares a buffered copy.
+        cand = right.take(at, axis=0, out=block[: len(s)], mode="clip")
+        cand += left[live[lo : lo + step], None]
+        cand.min(axis=0, out=low)
+        # The smallest split of the block reaching its minimum: a block of
+        # one split reaches it everywhere.
+        first = s[0]
+        if len(s) > 1:
+            first = np.where(cand == low, s[:, None, None], _NO_SPLIT).min(axis=0, out=arg)
         better = low < best
         np.copyto(best, low, where=better)
-        np.copyto(split, arg, where=better)
+        np.copyto(split, first, where=better)
     return best.T, split.T
 
 
-def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, k: int, extra: int = 0):
-    """Rows of the flat cost array ``flat`` about the cells ``centre``, at
+def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.ndarray):
+    """Rows of the flat cost array ``flat``: row i's cells at ``offsets``
 
-    offsets -k to k + ``extra``; an offset past a row's own ``half`` reads
-    the last cell, which holds the sentinel."""
-    j = np.arange(-k, k + 1 + extra)
-    at = centre[:, None] + j
-    if extra or half.min() < k:
-        at = np.where(np.abs(j) <= half[:, None], at, len(flat) - 1)
-    return flat[at]
+    positions from its cell at residue 0, ``centre[i]`` (one row of offsets
+    for every row, or one a row). An offset past the row's own ``half``
+    reads the last cell, which holds the sentinel, so a row of half -1 is
+    the sentinel row. Whole rows that lie one after another in ``flat``
+    are read as a view of it, not gathered."""
+    k, n, w = len(offsets) // 2, len(centre), len(offsets)
+    # Offsets from -k to k that every row holds: rows side by side are a slice.
+    if offsets.ndim == 1 and w % 2 and half.min() >= k:
+        if centre[-1] - centre[0] == (n - 1) * w and (n == 1 or (np.diff(centre) == w).all()):
+            return flat[centre[0] - k :][: n * w].reshape(n, w)
+        return flat[centre[:, None] + offsets]
+    return flat[np.where(np.abs(offsets) <= half[:, None], centre[:, None] + offsets, -1)]
 
 
 class _Builder:
@@ -438,6 +443,9 @@ class _Builder:
         self.base_domain = base_domain
         self.sentinel = infinity_sentinel(tree.graph)
         self.table = DPTable(tree, f_bound, self.sentinel, pin, capacities, base_domain)
+        # A pinned build's special axes: one value each, shared by every node.
+        signs = _SPECIAL_SIGN.items() if pin is not None else ()
+        self.pinned = {lab: ResidueDomain.single(sign * pin) for lab, sign in signs}
 
     def domain_for(self, f_node: int) -> ResidueDomain:
         if self.base_domain is None:
@@ -448,213 +456,212 @@ class _Builder:
         """Each interior special's axis: the node domain, or the special's
 
         one pinned residue when the build answers a single flow query."""
-        pin = self.table.pin
-        if pin is None:
+        if not self.pinned:
             return {lab: dom for lab in node.placements}
-        return {lab: ResidueDomain.single(_SPECIAL_SIGN[lab] * pin) for lab in node.placements}
+        return {lab: self.pinned[lab] for lab in node.placements}
 
-    def build(self) -> DPTable:
-        """The special-free forest by groups (:meth:`_build_forest`), then
+    def build(self, reuse: DPTable | None = None) -> DPTable:
+        """Every node's rows, one group at a time (:meth:`_build_group`);
 
-        the spine node by node in postorder."""
-        table = self.table
-        nodes, order = self.tree.nodes, self.tree.postorder_ids()
-        f_bound, lattice = self.f_bound, self.base_domain is not None
-        top = self.domain_for(f_bound)
-        values, centre = top.values.tolist(), len(top) // 2
-        total = [0] * len(nodes)  # each node's subgraph capacity
-        height = [0] * len(nodes)
-        half = [0] * len(nodes)  # how many values of each node's domain lie above 0
-        # Special-free nodes by height, kind and width class: the node's
-        # half-width, and a parallel node's left child's, which sets how
-        # many splits it scans. The classes double from 16 up; below that
-        # a group costs its numpy calls, not its cells.
-        groups: dict[tuple, list[int]] = {}
-        for nid in order:
-            node = nodes[nid]
-            if node.kind == "leaf":
-                total[nid] = self.capacities[node.edge_id]
-            else:
-                total[nid] = total[node.left] + total[node.right]
-                height[nid] = 1 + max(height[node.left], height[node.right])
-            radius = min(f_bound, total[nid])
-            half[nid] = bisect_right(values, radius) - centre - 1 if lattice else radius
-            if node.placements:
-                table.spine.append(nid)
-                continue
-            if node.kind == "leaf":
-                key = (0, "leaf")
-            else:
-                lw = (half[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
-                key = (height[nid], node.kind, (half[nid] >> 4).bit_length(), lw)
-            groups.setdefault(key, []).append(nid)
-        half = np.array(half, dtype=np.int64)
-        table.tables = self._build_forest(groups, half, top)
-        for nid in table.spine:
-            table.tables[nid] = self._combine(nodes[nid], self.domain_for(min(f_bound, total[nid])))
-        table.tables = {nid: table.tables[nid] for nid in order}  # postorder, as ``spine``
+        with ``reuse``, that table's groups, forest layout, forest rows and
+        forest tables, so that only the spine is laid out and built.
+
+        Nodes of one height never read each other (a node's height is 0 at
+        a leaf and one more than its taller child's). A forest group is one
+        height, kind and width class: the node's half-width, the number of
+        its domain's values above 0, and a parallel node's left child's,
+        which sets how many splits it scans. The classes double from 16 up;
+        below that a group costs its numpy calls, not its cells. A spine
+        node, at most two of a height, is a group of its own, and those
+        come last. The rows lie side by side in one flat cost array, forest
+        before spine, and a last cell holds the sentinel; the parallel
+        rows' splits are rows of a second. Each node's table is a view of
+        its rows, a-first on the spine."""
+        table, nodes = self.table, self.tree.nodes
+        if reuse is None:
+            top, order = self.domain_for(self.f_bound), self.tree.postorder_ids()
+            values, mid, lattice = top.values.tolist(), len(top) // 2, self.base_domain is not None
+            total, height, halves = ([0] * len(nodes) for _ in range(3))  # total: subgraph capacity
+            groups = {}
+            for nid in order:
+                node = nodes[nid]
+                if node.kind == "leaf":
+                    total[nid] = self.capacities[node.edge_id]
+                else:
+                    total[nid] = total[node.left] + total[node.right]
+                    height[nid] = 1 + max(height[node.left], height[node.right])
+                radius = min(self.f_bound, total[nid])
+                halves[nid] = bisect_right(values, radius) - mid - 1 if lattice else radius
+                if node.placements:
+                    table.spine.append(nid)
+                    key = (True, height[nid], node.kind, nid)
+                else:
+                    lw = (halves[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
+                    key = (False, height[nid], node.kind, (halves[nid] >> 4).bit_length(), lw)
+                groups.setdefault(key, []).append(nid)
+            groups = [(on, k, np.array(ids)) for (on, _, k, *_), ids in sorted(groups.items())]
+            half, table.tables = np.array(halves, dtype=np.int64), dict.fromkeys(order)  # postorder
+            domains = {h: ResidueDomain(top.values[mid - h : mid + h + 1]) for h in set(halves)}
+            # The forest's rows and splits, laid out once for every reuse.
+            forest = groups[: len(groups) - len(table.spine)]
+            flat = np.concatenate([ids for *_, ids in forest])
+            forks = np.concatenate([flat[:0], *(ids for _, k, ids in forest if k == "parallel")])
+            size = 2 * half + 1
+            start, split_start = np.zeros((2, len(half)), dtype=np.int64)  # first cell, first split
+            start[flat] = size[flat].cumsum() - size[flat]
+            split_start[forks] = size[forks].cumsum() - size[forks]
+            self.centre = start + half  # a forest row's cell at residue 0
+            firsts = start.tolist(), size.tolist(), split_start.tolist(), int(size[flat].sum())
+            layout, splits = (top, groups, half, halves, domains, firsts), int(size[forks].sum())
+        else:
+            table.spine, table.tables = reuse.spine, dict(reuse.tables)
+            (layout, reused), splits = reuse._layout, 0
+        top, groups, half, halves, domains, (*firsts, forest) = layout
+        # A reuse sets the spine's entries in copies; a first build, in place.
+        starts, sizes, self.split_at = firsts if reuse is None else map(list, firsts)
+        axes, spine, cells = {}, groups[len(groups) - len(table.spine) :], forest
+        for _, kind, ids in spine:  # a group per node
+            nid = int(ids[0])
+            axes[nid] = self.special_axes(nodes[nid], domains[halves[nid]])
+            sizes[nid] = (2 * halves[nid] + 1) * prod(map(len, axes[nid].values()))
+            starts[nid], cells = cells, cells + sizes[nid]
+            if kind == "parallel":
+                self.split_at[nid], splits = splits, splits + sizes[nid]
+        costs = self.costs = np.full(cells + 1, self.sentinel, dtype=np.int64)
+        splits = self.splits = np.empty(splits, dtype=np.int64)
+        if reuse is not None:
+            costs[:forest] = reused[:forest]
+        self.top, self.half, self.domains, self.starts = top, half, domains, starts
+        for on_spine, kind, ids in groups if reuse is None else spine:
+            id_list = ids.tolist()
+            lo, hi = starts[id_list[0]], starts[id_list[-1]] + sizes[id_list[-1]]
+            count = self._build_group(kind, ids, axes if on_spine else None, lo, hi - lo)
+            for nid in id_list:
+                h, at, split = halves[nid], starts[nid], None
+                cost = costs[at : at + sizes[nid]]
+                if kind == "parallel":
+                    split = splits[self.split_at[nid] : self.split_at[nid] + sizes[nid]]
+                if not on_spine:
+                    table.tables[nid] = NodeTable(domains[h], {}, cost, split, 2 * h + 1)
+                    continue
+                # A-first views: each row runs along the a-slot axis.
+                lens = tuple(map(len, axes[nid].values()))
+                cost = cost.reshape(-1, 2 * h + 1).T.reshape(-1, *lens)
+                if split is not None:
+                    split = split.reshape(-1, 2 * h + 1).T.reshape(-1, *lens)
+                table.tables[nid] = NodeTable(domains[h], axes[nid], cost, split, count)
+        table._layout = (layout, costs)
         return table
 
-    def _build_forest(
-        self, groups: dict[tuple, list[int]], half: np.ndarray, top: ResidueDomain
-    ) -> dict[int, NodeTable]:
-        """Tables of the special-free nodes, given by group.
+    def _build_group(self, kind: str, ids: np.ndarray, axes: dict | None, lo: int, cells: int):
+        """One group's rows, the ``cells`` cost cells from ``lo`` on (and as
 
-        A group depends only on lower ones, so each is one numpy pass. Each
-        node's costs are one row of a flat array, its own 2·``half`` + 1
-        cells (the values of ``top`` within ``half`` positions of 0), the
-        rows of a group side by side; a last cell holds the sentinel. The
-        parallel nodes' splits are rows of a second flat array. A group
-        reads its children's rows padded to its own width, the sentinel past
-        each child's half (:func:`_padded`): a series group sums them,
-        clamped at the sentinel, and a parallel group scans them
-        (:func:`_split_scan`). Each node's table is a view of its row."""
-        nodes, edges, sentinel = self.tree.nodes, self.tree.graph.edge_map(), self.sentinel
-        groups = [(kind, np.array(ids)) for (_, kind, *_), ids in sorted(groups.items())]
-        size = 2 * half + 1
-        start = np.zeros_like(half)  # each row's first cell
-        order = np.concatenate([ids for _, ids in groups])
-        start[order] = np.cumsum(size[order]) - size[order]
-        costs = np.empty(start[order[-1]] + size[order[-1]] + 1, dtype=np.int64)
-        costs[-1] = sentinel
-        centre = start + half  # each row's cell at residue 0
-        split_start = np.zeros_like(half)
-        forks = np.concatenate([order[:0]] + [ids for kind, ids in groups if kind == "parallel"])
-        split_start[forks] = np.cumsum(size[forks]) - size[forks]
-        splits = np.empty(int(size[forks].sum()), dtype=np.int64)
-        for kind, ids in groups:
-            lo, hi = start[ids[0]], start[ids[-1]] + size[ids[-1]]
-            if kind == "leaf":
-                # The edge's cost at every residue within its capacity, 0 at 0.
-                cost = np.array([edges[nodes[nid].edge_id].cost for nid in ids.tolist()])
-                costs[lo:hi] = np.repeat(cost, size[ids])
-                costs[centre[ids]] = 0
-                continue
+        many splits for a parallel group); and a spine node's admissible
+        count (a special-free node's is its width).
+
+        A group depends only on lower ones, so it is one numpy pass. Its
+        rows read their children's rows padded to the group's width
+        (:func:`_padded`): a series group adds the left child's at r_a to
+        the right child's at r_a plus the row's join shift, clamped at the
+        sentinel, and a parallel group scans them (:func:`_split_scan`).
+        A spine node's group (``axes`` given) then holds the sentinel where
+        r_a + σ is off the node's domain (:meth:`_admissibility`)."""
+        costs, half, top = self.costs, self.half, self.top
+        nodes, sentinel, count, ok, split = self.tree.nodes, self.sentinel, None, None, None
+        if kind == "leaf":
+            # The edge's cost at every residue within its capacity, 0 at 0.
+            edges = self.tree.graph.edge_map()
+            cost = [edges[nodes[nid].edge_id].cost for nid in ids.tolist()]
+            costs[lo : lo + cells] = np.array(cost).repeat(2 * half[ids] + 1)
+            costs[self.centre[ids]] = 0
+            return None
+        if axes is None:
             left = np.array([nodes[nid].left for nid in ids.tolist()])
             right = np.array([nodes[nid].right for nid in ids.tolist()])
-            h = int(half[ids].max())
-            # Each row's own cells: all of them when every row is h wide.
-            own = slice(None)
-            if hi - lo != len(ids) * (2 * h + 1):
-                own = np.abs(np.arange(-h, h + 1)) <= half[ids][:, None]
-            if kind == "series":
-                both = _padded(costs, centre[left], half[left], h)
-                both += _padded(costs, centre[right], half[right], h)
-                costs[lo:hi] = np.minimum(both, sentinel, out=both)[own].ravel()
-                continue
-            # The column past the right window is the sentinel.
-            best, split = _split_scan(
-                top,
-                _padded(costs, centre[left], half[left], int(half[left].max())),
-                _padded(costs, centre[right], half[right], int(half[right].max()), extra=1),
-                h,
-                sentinel,
-            )
-            costs[lo:hi] = best[own].ravel()
-            first = split_start[ids[0]]
-            splits[first : first + hi - lo] = split[own].ravel()
-
-        mid = len(top) // 2
-        domains: dict[int, ResidueDomain] = {}
-        tables = {}
-        halves, starts, split_starts = half.tolist(), start.tolist(), split_start.tolist()
-        for kind, ids in groups:
-            for nid in ids.tolist():
-                h = halves[nid]
-                dom = domains.get(h)
-                if dom is None:
-                    dom = domains[h] = ResidueDomain(top.values[mid - h : mid + h + 1])
-                cost = costs[starts[nid] : starts[nid] + 2 * h + 1]
-                split = None
-                if kind == "parallel":
-                    split = splits[split_starts[nid] : split_starts[nid] + 2 * h + 1]
-                tables[nid] = NodeTable(dom, {}, cost, split, 2 * h + 1)
-        return tables
-
-    def rebuild_spine(self, reuse: DPTable) -> DPTable:
-        """Share ``reuse``'s special-free node tables and build only its
-
-        spine, each node over the domain it had there."""
-        table = self.table
-        table.tables = dict(reuse.tables)
-        table.spine = reuse.spine
-        for nid in reuse.spine:
-            table.tables[nid] = self._combine(self.tree.node(nid), reuse.tables[nid].domain)
-        return table
-
-    def _combine(self, node: DecompNode, dom: ResidueDomain) -> NodeTable:
-        """A spine node's table: a series node adds its left child at r_a to
-
-        its right child at :func:`_join_residue`, a parallel node scans the
-        splits of their rows (:func:`_split_scan`), both over r_a per special
-        cell; then cells whose implied b-slot residue is off the domain hold
-        the sentinel."""
-        axes = self.special_axes(node, dom)
-        shape, va, svals = _grid(dom, axes)
-        # Taken before the children are read, so that the mask's full-size
-        # temporaries do not stack on top of the scan's buffers.
-        ok_mask, admissible = self._admissibility(dom, va, svals, shape)
-        if node.kind == "series":
-            left = self._at(node.left, svals, va)
-            right = self._at(node.right, svals, _join_residue(va, node.placements, svals))
-            # Every special is at the join or in a child, so the sum spans every axis.
-            cost, split = np.minimum(left + right, self.sentinel), None
+            row_half = half[ids]
+            lc, lh, rc, rh = self.centre[left], half[left], self.centre[right], half[right]
+            h = int(row_half.max())
         else:
-            cells, rows = shape[1:], []
-            for nid, extra in ((node.left, 0), (node.right, 1)):
-                row, labels = self._rows(nid, svals, extra)
-                if max(cells) > 1:
-                    # The child's axes in its parent's places, repeated along the rest.
-                    dims = [k if lab in labels else 1 for lab, k in zip(svals, cells)]
-                    row = np.broadcast_to(row.reshape(len(row), *dims), (len(row), *cells))
-                rows.append(row.reshape(len(row), -1).T)
-            best, split = _split_scan(dom, *rows, len(dom) // 2, self.sentinel)
-            # The scan's rows are views of a-first arrays: a reshape is the table.
-            cost, split = best.T.reshape(shape), split.T.reshape(shape)
-        np.copyto(cost, self.sentinel, where=~ok_mask)
-        return NodeTable(dom, axes, cost, split, admissible)
+            node, axes = nodes[ids[0]], axes[ids[0]]  # a spine node is a group of its own
+            # Its rows, in C order over its special cells: each special's
+            # position on its axis, and its residue.
+            if len(axes) == 1:
+                ((lab, axis),) = axes.items()
+                index, svals = {lab: np.arange(len(axis))}, {lab: axis.values}
+            else:
+                s, t = len(axes["s"]), len(axes["t"])
+                index = dict(zip("st", np.divmod(np.arange(s * t), t)))
+                svals = {lab: axes[lab].values[at] for lab, at in index.items()}
+            (lc, lh), (rc, rh) = (self._child_rows(c, axes, index) for c in (node.left, node.right))
+            dom = self.domains[int(half[node.id])]
+            h = len(dom) // 2
+            # Taken before the children are read, so that the mask's
+            # full-size temporaries do not stack on the scan's buffers.
+            ok, count = self._admissibility(dom, sum(svals.values()))
+        at = j = np.arange(-h, h + 1)
+        if kind == "series":
+            shifted = axes and [lab for lab, where in node.placements.items() if where != "right"]
+            if shifted:
+                # The shift is in values, so a gapped residue set stays exact.
+                # Of one special out of two, it is one row per cell of its axis.
+                shift, rows = _join_residue(0, node.placements, svals), slice(None)
+                if len(shifted) < len(axes):
+                    shift, rows = axes[shifted[0]].values, index[shifted[0]]
+                at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[rows]
+            # A child read alike by every row is one row, broadcast.
+            best = np.add(_padded(costs, lc, lh, j), _padded(costs, rc, rh, at))
+            np.minimum(best, sentinel, out=best)
+        else:
+            # The column past the right window is the sentinel.
+            kl, kr = int(lh.max()), int(rh.max())
+            left = _padded(costs, lc, lh, np.arange(-kl, kl + 1))
+            right = _padded(costs, rc, rh, np.arange(-kr, kr + 2))
+            # A child read alike by every row is one row, repeated.
+            n = max(len(left), len(right))
+            left, right = (r if len(r) == n else r.repeat(n, axis=0) for r in (left, right))
+            best, split = _split_scan(top, left, right, h, sentinel)
+        if ok is not None:
+            np.copyto(best, sentinel, where=~ok)
+        # Each row's own cells: all of them when every row is h wide.
+        own = slice(None) if cells == best.size else np.abs(j) <= row_half[:, None]
+        for flat, first, rows in ((costs, lo, best), (self.splits, self.split_at[ids[0]], split)):
+            if rows is not None:
+                rows = rows[own]
+                flat[first : first + cells].reshape(rows.shape)[...] = rows
+        return count
 
-    def _admissibility(self, dom: ResidueDomain, va, svals: dict, shape) -> tuple[np.ndarray, int]:
-        """Mask of the cells whose implied b-slot residue is in the domain, and its count."""
-        rb = va + sum(svals.values(), np.int64(0))
-        ok = np.broadcast_to(dom.contains(np.negative(rb, out=rb)), shape)
+    def _child_rows(self, nid: int, axes: dict[str, ResidueDomain], index: dict):
+        """Node ``nid``'s row at each of its parent's special cells, or its
+
+        one row for all of them when it has no special axes: the row's cell
+        at residue 0 and its half-width, or half -1, the sentinel row, where
+        a parent's value lies off the node's axes. The parent has ``axes``,
+        and ``index`` gives each special's position on its axis. A child's
+        special axis is the middle of its parent's (the same one value in a
+        pinned build), so a position moves by the difference in
+        half-length, and only a shorter axis can miss."""
+        h, row, ok = int(self.half[nid]), None, True
+        for lab, axis in self.table.tables[nid].special_axes.items():
+            at, cut = index[lab], (len(axes[lab]) - len(axis)) // 2
+            if cut:
+                at = at - cut
+                ok = ok & (at >= 0) & (at < len(axis))
+            row = at if row is None else row * len(axis) + at
+        if row is None:
+            return np.array([self.starts[nid] + h]), np.array([h])
+        half = np.full(len(row), h) if ok is True else np.where(ok, h, -1)
+        return self.starts[nid] + h + (2 * h + 1) * row, half
+
+    def _admissibility(self, dom: ResidueDomain, sigma: np.ndarray):
+        """Mask of a spine node's cells, a row per special cell over r_a in
+
+        its domain ``dom``, whose implied b-slot residue -(r_a + σ) lies in
+        ``dom``, or None where every σ is 0 (the domain is symmetric); and
+        the count of them."""
+        if not sigma.any():
+            return None, len(sigma) * len(dom)
+        ok = dom.contains(dom.values + sigma[:, None])
         return ok, int(ok.sum())
-
-    def _rows(self, nid: int, svals: dict, extra: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Node ``nid``'s a-first costs at its parent's special cells
-
-        (``svals``, from :func:`_grid`), one axis per special of the node,
-        then ``extra`` sentinel rows; and the labels of those specials. A
-        view where each of the node's special axes is as long as the
-        parent's; a gather, the sentinel off the node's axes, where not."""
-        nt = self.table.tables[nid]
-        cost, axes = nt.cost, nt.special_axes
-        # A child's special axes are windows of its parent's, so one as long
-        # is the same axis.
-        if any(len(axis) != svals[lab].size for lab, axis in axes.items()):
-            at, ok = [np.arange(len(cost)).reshape(-1, *(1,) * len(svals))], True
-            for lab, axis in axes.items():
-                pos, valid = axis.positions(svals[lab])
-                at.append(pos)
-                ok = ok & valid
-            cost = np.where(ok, cost[tuple(at)], self.sentinel)
-            cost = cost.reshape(len(cost), *(svals[lab].size for lab in axes))
-        if extra:
-            cost = np.concatenate([cost, np.full((extra, *cost.shape[1:]), self.sentinel)])
-        return cost, tuple(axes)
-
-    def _at(self, nid: int, svals: dict, vals) -> np.ndarray:
-        """Node ``nid``'s costs at a-slot values ``vals``, broadcast on its
-
-        parent's grid, and at the parent's special cells (:meth:`_rows`); the
-        sentinel off its a-slot domain. Only the node's own special axes are
-        indexed, and an axis of one cell at 0."""
-        rows, labels = self._rows(nid, svals)
-        pos, ok = self.table.tables[nid].domain.positions(vals)
-        cells = (
-            np.arange(v.size).reshape(v.shape) if v.size > 1 else 0 for v in map(svals.get, labels)
-        )
-        return np.where(ok, rows[(pos, *cells)], self.sentinel)
 
 
 def build_table(
@@ -697,10 +704,9 @@ def build_table(
     if residue_values is not None:
         base = ResidueDomain.explicit(residue_values)
     builder = _Builder(tree, f_bound, capacities, base, pin)
-    if reuse is None:
-        return builder.build()
-    _check_reusable(reuse, tree, f_bound, capacities, base)
-    return builder.rebuild_spine(reuse)
+    if reuse is not None:
+        _check_reusable(reuse, tree, f_bound, capacities, base)
+    return builder.build(reuse)
 
 
 def _check_reusable(

@@ -468,6 +468,24 @@ def test_narrow_nodes_under_a_large_flow_bound_keep_their_own_size(instance):
     assert peaks[0] <= 1.25 * peaks[1], peaks
 
 
+def test_spine_rows_keep_no_more_than_the_node_by_node_tables():
+    # Spine nodes are rows of the same flat arrays as the special-free ones,
+    # and their tables are views: a full and a pinned build keep what the
+    # node-by-node tables keep, plus the one sentinel cell.
+    checked = 0
+    for seed in range(1, 31):
+        instance = generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
+        tree = decompose(instance.graph)
+        if not any(node.placements for node in tree.nodes):
+            continue
+        f = upper_bound_flow(instance)
+        for kwargs in ({}, {"pin": f}):
+            grouped, node_by_node = build_table(tree, f, **kwargs), reference_table(tree, f, **kwargs)
+            assert _kept_bytes(grouped) <= _kept_bytes(node_by_node) + 8, (seed, kwargs)
+        checked += 1
+    assert checked >= 25
+
+
 def test_grouped_split_scan_scratch_memory_is_bounded():
     # A path of 160 equal bundles, F = 60: one parallel group of 160 rows,
     # 61 live splits and 121 cells, whose candidates at once would be
@@ -522,11 +540,12 @@ def test_admissibility_mask_memory_is_bounded(monkeypatch):
     real = dp_module._Builder._admissibility
     peaks = {}
 
-    def measured(self, dom, va, svals, shape):
+    def measured(self, dom, sigma):
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = real(self, dom, va, svals, shape)
-        peaks[shape] = max(peaks.get(shape, 0), tracemalloc.get_traced_memory()[1] - before)
+        out = real(self, dom, sigma)
+        cells = len(dom) * len(sigma)
+        peaks[cells] = max(peaks.get(cells, 0), tracemalloc.get_traced_memory()[1] - before)
         return out
 
     monkeypatch.setattr(dp_module._Builder, "_admissibility", measured)
@@ -537,7 +556,7 @@ def test_admissibility_mask_memory_is_bounded(monkeypatch):
         build_table(tree, upper_bound_flow(instance))
     finally:
         tracemalloc.stop()
-    assert peaks[(97, 97, 97)] <= 16 * 97**3
+    assert peaks[97**3] <= 16 * 97**3
 
 
 def test_series_children_sum_to_parent(ring):
@@ -798,6 +817,26 @@ def test_reuse_shares_special_free_tables_and_rebuilds_the_spine(ring):
         np.testing.assert_array_equal(again.tables[node.id].cost, fresh.tables[node.id].cost)
     assert again.spine == fresh.spine == [n for n in tree.postorder_ids() if tree.node(n).placements]
     assert again.query(2) == fresh.query(2)
+
+
+@pytest.mark.parametrize("seed", range(1, 31))
+def test_reuse_across_build_modes_equals_fresh_builds(seed):
+    # A pinned build may reuse a full one, and a full build a pinned one:
+    # the special-free rows are the same in both modes, and the spine is
+    # built afresh. Either must equal a fresh build node for node and share
+    # the special-free tables it reused.
+    instance = generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    full = build_table(tree, f)
+    special_free = [node.id for node in tree.nodes if not node.placements]
+    for v in range(f + 1):
+        pinned = build_table(tree, f, pin=v, reuse=full)
+        assert_same_tables(pinned, build_table(tree, f, pin=v), f"seed {seed} pin {v} reusing the full build")
+        again = build_table(tree, f, reuse=pinned)
+        assert_same_tables(again, full, f"seed {seed} full build reusing pin {v}")
+        for nid in special_free:
+            assert pinned.tables[nid] is full.tables[nid] is again.tables[nid], (seed, v, nid)
 
 
 def test_reuse_rejects_a_table_built_from_other_inputs(ring):

@@ -66,9 +66,10 @@ def test_decompose_builds_at_most_two_reductions():
 
 
 def test_spine_nodes_read_children_one_way():
-    # Every spine node, series or parallel, pinned or full, goes through one
-    # combine, and reads a child's special axes through one reader: a second
-    # caller of the scan or a second reader of those axes is a second path.
+    # Every node, special-free or spine, series or parallel, pinned or full,
+    # is rows built by one grouped pass, and a child's special axes are read
+    # by one helper: a second caller of the scan or a second reader of those
+    # axes is a second path.
     def scans(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split_scan"
 
@@ -80,5 +81,5 @@ def test_spine_nodes_read_children_one_way():
             and getattr(node.value, "id", None) != "self"
         )
 
-    assert sorted(_sites(scans, [PACKAGE / "dp.py"])) == ["_build_forest", "_combine"]
-    assert set(_sites(table_axes)) == {"_coords", "_rows"}
+    assert _sites(scans, [PACKAGE / "dp.py"]) == ["_build_group"]
+    assert set(_sites(table_axes)) == {"_coords", "_child_rows"}
