@@ -4,6 +4,7 @@ import random
 import tracemalloc
 import warnings
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -192,6 +193,25 @@ def test_lattice_solve_on_rescaled_capacities(diamond):
     assert solve_lattice(inst, spec).total_cost == solve_capndp(inst).total_cost
 
 
+def test_lattice_with_zero_basis_values(diamond):
+    # The step g is taken from the nonzero basis values. An all-zero basis
+    # holds only capacity 0, so F = 0 and nothing is divided by zero.
+    closed = parse_instance("graph 2\nsource 0\nsink 1\nedge e1 0 1 3 0\ndemand 0\n")
+    for basis in ((0,), (0, 2)):
+        for inst in (closed, closed.with_budget(5)):
+            sol = solve_lattice(inst, LatticeSpec(basis, 1))
+            assert (sol.purchased, sol.total_cost, sol.achieved_flow) == (frozenset(), 0, 0), basis
+    # A zero beside 2 leaves the step 2: every answer is the unrestricted one.
+    doubled = _with_capacities(diamond, {"e1": 4, "e2": 4, "e3": 2})
+    spec = LatticeSpec((0, 2), 2)
+    for d in range(upper_bound_flow(doubled) + 1):
+        inst = doubled.with_demand(d)
+        assert solve_lattice(inst, spec) == solve_capndp(inst), d
+    for b in range(doubled.graph.total_cost() + 1):
+        inst = doubled.with_budget(b)
+        assert solve_lattice(inst, spec) == solve_bcmfp(inst), b
+
+
 def test_vacuous_lattice_has_identical_states(diamond):
     # Basis (1) with a large enough bound covers every integer in range, so
     # nothing is pruned and the state counts must agree exactly.
@@ -265,10 +285,12 @@ def test_lattice_solve_equals_unrestricted(seed):
     else:
         assert outcome.table.state_count == full.state_count, f"seed {seed}"
 
-    # The lattice path answers a demand D from the least lattice value >= D
+    # The lattice path answers a demand D from the least multiple of g >= D
     # and a budget by binary search, which needs the root cost nondecreasing
-    # in the flow value; D need not be a lattice point.
-    costs = [outcome.table.query_cost(v) for v in allowed.tolist() if v >= 0]
+    # in the flow value; D need not be a lattice point. Its table holds the
+    # capacities divided by g, so it answers flow v at v // g.
+    g = gcd(*spec.basis)
+    costs = [outcome.table.query_cost(v // g) for v in allowed.tolist() if v >= 0]
     assert costs == sorted(costs), f"seed {seed}"
     for d in range(f + 2):
         demand = inst.with_demand(d)
