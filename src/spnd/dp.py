@@ -16,10 +16,12 @@ free coordinates are thus the table's axes and nothing needs re-checking.
 
 A flow of value v from source to sink is the root cell at (r_s, r_t) =
 (-v, +v), whose r_a is -v if the source is the root's a terminal and +v if
-the sink is. Both solvers reduce to such queries at flow values in
-[0, F]. The cost never falls as the flow rises, so a demand D is answered
-at D itself, and a budget by a binary search for the largest affordable
-value; the sentinel is never affordable.
+the sink is. Both solvers reduce to such queries at the flow values a
+table holds, the root domain's values in [0, F] (every integer there, or
+the lattice points of a lattice table). The cost never falls as the flow
+rises, so a demand D is answered at the least such value >= D, and a
+budget by a binary search for the largest affordable one; the sentinel is
+never affordable.
 
 Given no table, the solvers never build every (r_s, r_t) pair: each query
 value v gets its own build pinned to v with the flow bound F (below), which
@@ -44,30 +46,30 @@ node's table is a row over r_a per cell of its special axes, in C order
 over them: one row for a node with no interior special (the special-free
 forest) and for every node of a pinned build, and one per (r_s, r_t) cell
 for a node above the source or the sink (the spine) in a full build. A row
-holds the node's costs at the residues of [-F, F] within its radius. It is
-read through its left and right child rows (the sentinel row where its
-special value lies off a child's shorter axis), the right child's join
-shift c (the sum of the specials at the join or in the left child) and σ
-(the sum of the node's interior specials). A node's height is 0 at a leaf
-and one more than its taller child otherwise; nodes of one height never
-read each other, so a group is one numpy pass
-(:meth:`_Builder._build_group`). A forest group is one height, kind and
-width class, which keeps its rows within a factor of two of each other (a
-parallel node's left child's too), so no row is padded, or scans splits,
-far past its own width; a spine node, at most two of a height, is a group
-of its own. The rows lie side by side in one flat cost array per build,
-forest, then spine, then a sentinel cell; the parallel rows' splits are
-rows of a second. A group reads its children's rows padded to its own
-width, the sentinel past each child's radius, and as a view where they are
-whole rows side by side: a series group adds the left rows to the right
-rows read at r_a + c, clamped at the sentinel, and a parallel group scans
-them. A row with σ ≠ 0 then holds the sentinel where r_a + σ is off the
-node's domain, since the implied b-slot residue is -(r_a + σ). Each node's
-``NodeTable`` is a view of its rows, a-first on the spine, with the cost
-and split bytes and the admissible count a node-by-node build gives, and
-the arrays behind the views are no larger. A build that reuses an earlier
-table keeps that table's forest rows and forest tables and builds only the
-spine's groups.
+holds the node's costs at the values of the flow bound's domain (the range
+[-F, F], or the residue set clipped to F) within its radius. It is read
+through its left and right child rows (the sentinel row where its special
+value lies off a child's shorter axis), the right child's join shift c
+(the sum of the specials at the join or in the left child) and σ (the sum
+of the node's interior specials). A node's height is 0 at a leaf and one
+more than its taller child otherwise; nodes of one height never read each
+other, so a group is one numpy pass (:meth:`_Builder._build_group`). A
+forest group is one height, kind and width class, which keeps its rows
+within a factor of two of each other (a parallel node's left child's too),
+so no row is padded, or scans splits, far past its own width; a spine
+node, at most two of a height, is a group of its own. The rows lie side by
+side in one flat cost array per build, forest, then spine, then a
+sentinel cell; the parallel rows' splits are rows of a second. A group
+reads its children's rows padded to its own width, the sentinel past each
+child's radius, and as a view where they are whole rows side by side: a
+series group adds the left rows to the right rows read at r_a + c, clamped
+at the sentinel, and a parallel group scans them. A row with σ ≠ 0 then
+holds the sentinel where r_a + σ is off the node's domain, since the
+implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
+its rows, a-first on the spine, with the cost and split bytes and the
+admissible count a node-by-node build gives, and the arrays behind the
+views are no larger. A build that reuses an earlier table keeps that
+table's forest rows and forest tables and builds only the spine's groups.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -81,25 +83,26 @@ residue) pairs down from a feasible cell and buys a leaf iff its residue
 is nonzero.
 
 Tables are dense numpy arrays, one axis per free coordinate. The a-slot
-axis ranges over the node's residue domain, the integers in [-Fn, Fn]
-where Fn = min(F, total capacity of the subgraph), read by offset (a
-lattice solve divides its capacities by their common factor to get such
-ranges; see solve_lattice). Each special axis (``NodeTable.special_axes``,
-keyed by the special's label in s-then-t order) ranges over the same
-domain, unless the build is pinned to one query value v: then the source
-axis holds only -v and the sink axis only +v, so every special axis has
-length one and the table answers that single flow query. The exact solvers
-build such tables with the flow bound F; the budget-feasibility probe of
-the approximation scheme clips it to v. Infeasible cells hold a cost
-sentinel larger than the whole graph's cost."""
+axis ranges over the node's residue domain: integers in [-Fn, Fn] where
+Fn = min(F, total capacity of the subgraph), optionally intersected with an
+explicit residue set (see solve_lattice). Each special axis
+(``NodeTable.special_axes``, keyed by the special's label in s-then-t
+order) ranges over the same domain, unless the build is pinned to one
+query value v: then the source axis holds only -v and the sink axis only
++v, so every special axis has length one and the table answers that single
+flow query. The exact solvers build such tables with the flow bound F; the
+budget-feasibility probe of the approximation scheme clips it to v.
+Infeasible cells hold a cost sentinel larger than the whole graph's cost.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -115,16 +118,19 @@ _NO_SPLIT = np.iinfo(np.int64).max
 
 
 class ResidueDomain:
-    """Consecutive residue values for one table axis, looked up by offset
+    """Sorted set of residue values for one table axis.
 
-    from the first: a range symmetric about 0 at a node, or the one value
-    of a pinned special axis."""
+    Node domains are symmetric under negation; a pinned special axis holds
+    a single value. Consecutive values (a range, a single value, a dense
+    lattice set) are looked up by offset from the first; any other set by
+    binary search."""
 
-    __slots__ = ("values", "_lo", "_hi")
+    __slots__ = ("values", "_lo", "_hi", "_dense")
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self._lo, self._hi = int(values[0]), int(values[-1])
+        self._dense = self._hi - self._lo + 1 == len(values)
 
     @staticmethod
     def range(radius: int) -> "ResidueDomain":
@@ -134,20 +140,52 @@ class ResidueDomain:
     def single(value: int) -> "ResidueDomain":
         return ResidueDomain(np.array([value], dtype=np.int64))
 
+    @staticmethod
+    def explicit(values: Iterable[int]) -> "ResidueDomain":
+        arr = np.unique(np.asarray(list(values), dtype=np.int64))
+        if len(arr) == 0 or 0 not in arr or not np.array_equal(arr, -arr[::-1]):
+            raise ValueError("residue domain must contain 0 and be symmetric under negation")
+        return ResidueDomain(arr)
+
+    def clipped(self, radius: int) -> "ResidueDomain":
+        lo = np.searchsorted(self.values, -radius, side="left")
+        hi = np.searchsorted(self.values, radius, side="right")
+        return ResidueDomain(self.values[lo:hi])
+
     def __len__(self) -> int:
         return len(self.values)
+
+    def positions(self, vals):
+        """Clipped positions plus a validity mask, for elementwise gathers."""
+        vals = np.asarray(vals, dtype=np.int64)
+        if not self._dense:
+            # A value past the last one is clamped onto it and compares unequal.
+            pos = np.minimum(np.searchsorted(self.values, vals), len(self.values) - 1)
+            return pos, self.values[pos] == vals
+        # Clamped with ufuncs: np.clip costs several times more per call here.
+        pos = np.minimum(np.maximum(vals - self._lo, 0), len(self.values) - 1)
+        return pos, self.contains(vals)
 
     def index(self, vals) -> np.ndarray:
         """Each value's position, or the domain's length where it is absent:
 
         an index into a row that holds one more cell past the domain."""
-        return np.where(self.contains(vals), vals - self._lo, len(self.values))
+        if self._dense:
+            return np.where(self.contains(vals), vals - self._lo, len(self.values))
+        pos, ok = self.positions(vals)
+        return np.where(ok, pos, len(self.values))
 
     def contains(self, vals) -> np.ndarray:
+        """Membership mask alone; a dense axis needs no positions for it."""
+        if not self._dense:
+            return self.positions(vals)[1]
         return (vals >= self._lo) & (vals <= self._hi)
 
     def pos_of(self, value: int) -> int | None:
-        return value - self._lo if self._lo <= value <= self._hi else None
+        if self._dense:
+            return value - self._lo if self._lo <= value <= self._hi else None
+        pos = int(np.searchsorted(self.values, value))
+        return pos if pos < len(self.values) and self.values[pos] == value else None
 
 
 @dataclass
@@ -207,12 +245,14 @@ class DPTable:
         infinity: int,
         pin: int | None,
         capacities: dict[str, int],
+        base_domain: ResidueDomain | None,
     ):
         self.tree = tree
         self.f_bound = f_bound
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
         self.capacities = capacities  # per edge id, after any override
+        self.base_domain = base_domain  # the residue set every axis is cut from, or None
         self.tables: dict[int, NodeTable] = {}
         self.spine: list[int] = []  # inner nodes with an interior special, in postorder
         self._layout: tuple = ()  # the forest's layout and the flat costs, for a reuse= build
@@ -323,25 +363,28 @@ def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
 # -- vectorized build -----------------------------------------------------
 
 
-def _split_scan(left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
+def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
     """The (min, +) scan over the split of any parallel node's rows.
 
-    ``left`` and ``right`` are the children's rows over a range of residues
-    about 0, ``right`` with one more column past its range that holds the
-    sentinel. Cell r of a result row, r in [-half, half], takes the minimum
-    over splits s of left[s] + right[r - s], the right cell read through a
-    (split, r) position index that sends a residue off the right range to
-    that sentinel column. The splits go in ascending blocks of about ``CELLS``
+    ``left`` and ``right`` are the children's rows over the values of
+    ``top`` within a window about 0, ``right`` with one more column past
+    its window that holds the sentinel. Cell r of a result row, the values
+    within ``half`` positions of 0, takes the minimum over splits s of
+    left[s] + right[r - s], the right cell read through a (split, r)
+    position index that sends a residue off the right window to that
+    sentinel column. The splits go in ascending blocks of about ``CELLS``
     candidate cells, on the leading axis; each block's minimum, with the
     first (smallest) split reaching it, merges into the running best by a
     strict <, so ties go to the smallest split and an infeasible cell keeps
     split 0. Returns the cost and split rows, as transposed views."""
+    mid = len(top) // 2
     left_half, right_half = left.shape[1] // 2, right.shape[1] // 2 - 1
-    window, vals = ResidueDomain.range(right_half), np.arange(-half, half + 1)
+    window = ResidueDomain(top.values[mid - right_half : mid + right_half + 1])
+    vals = top.values[mid - half : mid + half + 1]
     left, right = left.T, right.T  # (cell, row)
     # A split no left child can take cannot improve any cell.
     live = (left < sentinel).any(axis=1).nonzero()[0]
-    split_vals = live - left_half
+    split_vals = top.values[mid - left_half + live]
     shape = (len(vals), left.shape[1])
     best = np.full(shape, sentinel, dtype=np.int64)
     split = np.zeros(shape, dtype=np.int64)
@@ -387,15 +430,28 @@ def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.
 
 
 class _Builder:
-    def __init__(self, tree: DecompTree, f_bound: int, capacities: dict[str, int], pin: int | None):
+    def __init__(
+        self,
+        tree: DecompTree,
+        f_bound: int,
+        capacities: dict[str, int],
+        base_domain: ResidueDomain | None,
+        pin: int | None,
+    ):
         self.tree = tree
         self.f_bound = f_bound
         self.capacities = capacities
+        self.base_domain = base_domain
         self.sentinel = infinity_sentinel(tree.graph)
-        self.table = DPTable(tree, f_bound, self.sentinel, pin, capacities)
+        self.table = DPTable(tree, f_bound, self.sentinel, pin, capacities, base_domain)
         # A pinned build's special axes: one value each, shared by every node.
         signs = _SPECIAL_SIGN.items() if pin is not None else ()
         self.pinned = {lab: ResidueDomain.single(sign * pin) for lab, sign in signs}
+
+    def domain_for(self, f_node: int) -> ResidueDomain:
+        if self.base_domain is None:
+            return ResidueDomain.range(f_node)
+        return self.base_domain.clipped(f_node)
 
     def special_axes(self, node: DecompNode, dom: ResidueDomain) -> dict[str, ResidueDomain]:
         """Each interior special's axis: the node domain, or the special's
@@ -424,7 +480,8 @@ class _Builder:
         its rows, a-first on the spine."""
         table, nodes = self.table, self.tree.nodes
         if reuse is None:
-            order = self.tree.postorder_ids()
+            top, order = self.domain_for(self.f_bound), self.tree.postorder_ids()
+            values, mid, lattice = top.values.tolist(), len(top) // 2, self.base_domain is not None
             total, height, halves = ([0] * len(nodes) for _ in range(3))  # total: subgraph capacity
             groups = {}
             for nid in order:
@@ -434,7 +491,8 @@ class _Builder:
                 else:
                     total[nid] = total[node.left] + total[node.right]
                     height[nid] = 1 + max(height[node.left], height[node.right])
-                halves[nid] = min(self.f_bound, total[nid])
+                radius = min(self.f_bound, total[nid])
+                halves[nid] = bisect_right(values, radius) - mid - 1 if lattice else radius
                 if node.placements:
                     table.spine.append(nid)
                     key = (True, height[nid], node.kind, nid)
@@ -444,7 +502,7 @@ class _Builder:
                 groups.setdefault(key, []).append(nid)
             groups = [(on, k, np.array(ids)) for (on, _, k, *_), ids in sorted(groups.items())]
             half, table.tables = np.array(halves, dtype=np.int64), dict.fromkeys(order)  # postorder
-            domains = {h: ResidueDomain.range(h) for h in set(halves)}
+            domains = {h: ResidueDomain(top.values[mid - h : mid + h + 1]) for h in set(halves)}
             # The forest's rows and splits, laid out once for every reuse.
             forest = groups[: len(groups) - len(table.spine)]
             flat = np.concatenate([ids for *_, ids in forest])
@@ -455,11 +513,11 @@ class _Builder:
             split_start[forks] = size[forks].cumsum() - size[forks]
             self.centre = start + half  # a forest row's cell at residue 0
             firsts = start.tolist(), size.tolist(), split_start.tolist(), int(size[flat].sum())
-            layout, splits = (groups, half, halves, domains, firsts), int(size[forks].sum())
+            layout, splits = (top, groups, half, halves, domains, firsts), int(size[forks].sum())
         else:
             table.spine, table.tables = reuse.spine, dict(reuse.tables)
             (layout, reused), splits = reuse._layout, 0
-        groups, half, halves, domains, (*firsts, forest) = layout
+        top, groups, half, halves, domains, (*firsts, forest) = layout
         # A reuse sets the spine's entries in copies; a first build, in place.
         starts, sizes, self.split_at = firsts if reuse is None else map(list, firsts)
         axes, spine, cells = {}, groups[len(groups) - len(table.spine) :], forest
@@ -474,7 +532,7 @@ class _Builder:
         splits = self.splits = np.empty(splits, dtype=np.int64)
         if reuse is not None:
             costs[:forest] = reused[:forest]
-        self.half, self.domains, self.starts = half, domains, starts
+        self.top, self.half, self.domains, self.starts = top, half, domains, starts
         for on_spine, kind, ids in groups if reuse is None else spine:
             id_list = ids.tolist()
             lo, hi = starts[id_list[0]], starts[id_list[-1]] + sizes[id_list[-1]]
@@ -509,7 +567,7 @@ class _Builder:
         sentinel, and a parallel group scans them (:func:`_split_scan`).
         A spine node's group (``axes`` given) then holds the sentinel where
         r_a + σ is off the node's domain (:meth:`_admissibility`)."""
-        costs, half = self.costs, self.half
+        costs, half, top = self.costs, self.half, self.top
         nodes, sentinel, count, ok, split = self.tree.nodes, self.sentinel, None, None, None
         if kind == "leaf":
             # The edge's cost at every residue within its capacity, 0 at 0.
@@ -545,11 +603,12 @@ class _Builder:
         if kind == "series":
             shifted = axes and [lab for lab, where in node.placements.items() if where != "right"]
             if shifted:
+                # The shift is in values, so a gapped residue set stays exact.
                 # Of one special out of two, it is one row per cell of its axis.
                 shift, rows = _join_residue(0, node.placements, svals), slice(None)
                 if len(shifted) < len(axes):
                     shift, rows = axes[shifted[0]].values, index[shifted[0]]
-                at = (dom.values + shift[:, None])[rows]
+                at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[rows]
             # A child read alike by every row is one row, broadcast.
             best = np.add(_padded(costs, lc, lh, j), _padded(costs, rc, rh, at))
             np.minimum(best, sentinel, out=best)
@@ -561,7 +620,7 @@ class _Builder:
             # A child read alike by every row is one row, repeated.
             n = max(len(left), len(right))
             left, right = (r if len(r) == n else r.repeat(n, axis=0) for r in (left, right))
-            best, split = _split_scan(left, right, h, sentinel)
+            best, split = _split_scan(top, left, right, h, sentinel)
         if ok is not None:
             np.copyto(best, sentinel, where=~ok)
         # Each row's own cells: all of them when every row is h wide.
@@ -611,6 +670,7 @@ def build_table(
     f_bound: int,
     *,
     capacity_override: Mapping[str, int] | None = None,
+    residue_values: Iterable[int] | None = None,
     pin: int | None = None,
     reuse: DPTable | None = None,
 ) -> DPTable:
@@ -618,13 +678,15 @@ def build_table(
 
     ``f_bound`` bounds every residue, usually the all-edges max flow F
     (:func:`upper_bound_flow`). ``capacity_override`` substitutes capacities
-    by edge id without touching costs. ``pin`` gives the source axis the one
-    value -pin and the sink axis the one value +pin, so each special axis
-    has length one and the tables answer only the flow query ``pin``.
+    by edge id without touching costs. ``residue_values`` restricts every
+    cell coordinate and every parallel split to an explicit residue set.
+    ``pin`` gives the source axis the one value -pin and the sink axis the
+    one value +pin, so each special axis has length one and the tables
+    answer only the flow query ``pin``.
 
-    ``reuse`` is an earlier table of the same tree, flow bound and
-    capacities. Its special-free node tables, which no pin changes, are
-    shared by the new table as they are, and only the nodes with an
+    ``reuse`` is an earlier table of the same tree, flow bound, capacities
+    and residue set. Its special-free node tables, which no pin changes,
+    are shared by the new table as they are, and only the nodes with an
     interior special are built; any other table raises ``ValueError``.
     """
     capacities = {e.id: e.capacity for e in tree.graph.edges}
@@ -639,13 +701,22 @@ def build_table(
         raise ValueError("flow bound cannot be negative")
     if pin is not None and not (0 <= pin <= f_bound):
         raise ValueError(f"pinned flow value {pin} out of range [0, {f_bound}]")
-    builder = _Builder(tree, f_bound, capacities, pin)
+    base = None
+    if residue_values is not None:
+        base = ResidueDomain.explicit(residue_values)
+    builder = _Builder(tree, f_bound, capacities, base, pin)
     if reuse is not None:
-        _check_reusable(reuse, tree, f_bound, capacities)
+        _check_reusable(reuse, tree, f_bound, capacities, base)
     return builder.build(reuse)
 
 
-def _check_reusable(reuse: DPTable, tree: DecompTree, f_bound: int, capacities: dict[str, int]) -> None:
+def _check_reusable(
+    reuse: DPTable,
+    tree: DecompTree,
+    f_bound: int,
+    capacities: dict[str, int],
+    base: ResidueDomain | None,
+) -> None:
     """``reuse``'s special-free tables are this build's only if every input
 
     they were built from is the same."""
@@ -655,6 +726,11 @@ def _check_reusable(reuse: DPTable, tree: DecompTree, f_bound: int, capacities: 
         raise ValueError(f"reused table has flow bound {reuse.f_bound}, not {f_bound}")
     if reuse.capacities != capacities:
         raise ValueError("reused table was built with other capacities")
+    same_base = (reuse.base_domain is None) == (base is None) and (
+        base is None or np.array_equal(reuse.base_domain.values, base.values)
+    )
+    if not same_base:
+        raise ValueError("reused table was built over another residue set")
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -678,6 +754,14 @@ def last_accepted(hi: int, accept) -> tuple[int, object]:
         else:
             hi = mid - 1
     return lo, found
+
+
+def _flow_values(table: DPTable) -> np.ndarray:
+    """The flow values ``table`` answers: its root domain's values >= 0,
+
+    the upper half of a domain symmetric about 0."""
+    values = table.tables[table.tree.root].domain.values
+    return values[len(values) // 2 :]
 
 
 def _affordable(table: DPTable, v: int, budget: int) -> bool:
@@ -713,12 +797,12 @@ def solve_capndp(
     tree: DecompTree | None = None,
     table: DPTable | None = None,
 ) -> Solution:
-    """Cheapest purchase whose max flow meets the demand D: the table's cell
+    """Cheapest purchase whose max flow meets the demand D: the table's least
 
-    at flow D, since the cost never falls as the flow rises.
+    flow value >= D, since the cost never falls as the flow rises.
 
     Without ``table`` it answers from one build pinned to D with the flow
-    bound F; a ``table`` (a full build, say) is read as it is."""
+    bound F; a ``table`` (a full or a lattice build) is read as it is."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
     if tree is None and table is None:
@@ -728,9 +812,13 @@ def solve_capndp(
     check_demand(demand, f_bound)
     if table is None:
         table = build_table(tree, f_bound, pin=demand)
-    cost, edges = table.query(demand)
-    if edges is not None:
-        return _rechecked(instance, cost, edges, demand)
+    flows = _flow_values(table)
+    at = int(np.searchsorted(flows, demand))
+    if at < len(flows):
+        v = int(flows[at])
+        cost, edges = table.query(v)
+        if edges is not None:
+            return _rechecked(instance, cost, edges, v)
     raise InfeasibleError(f"demand {demand} is not attainable")
 
 
@@ -742,7 +830,7 @@ def solve_bcmfp(
 ) -> Solution:
     """Max attainable flow within the budget: a binary search for the
 
-    largest flow value in [0, F] that the table answers within it.
+    table's largest affordable flow value.
 
     Without ``table`` each probe v of the search is a build pinned to v with
     the flow bound F, and every probe after the first rebuilds only the
@@ -755,7 +843,11 @@ def solve_bcmfp(
     if table is None:
         v, table = _pinned_budget_search(tree, upper_bound_flow(instance), budget)
     else:
-        v, _ = last_accepted(table.f_bound, lambda v: (_affordable(table, v, budget), None))
+        flows = _flow_values(table)
+        at, _ = last_accepted(
+            len(flows) - 1, lambda i: (_affordable(table, int(flows[i]), budget), None)
+        )
+        v = int(flows[at])
     cost, edges = table.query(v)
     if edges is None or cost > budget:
         raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")

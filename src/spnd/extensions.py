@@ -6,19 +6,17 @@ Lattice capacities: when every capacity is an integer combination of a
 small basis d_1..d_k with coefficients bounded by K, a max flow of any
 purchased subgraph decomposes into paths that each saturate some edge, so
 every flow value (and hence every residue the DP can need, including the
-parallel split variable) lies in { sum a_i*d_i : |a_i| <= m^2*K }. Every
-such value is a multiple of g, the gcd of the nonzero basis values, and so
-is every capacity, F and every max flow. The DP over g*Z with capacities c
-is the DP over Z with capacities c/g, split for split, so a lattice solve
-divides the capacities and F by g, answers with the ordinary exact solvers
-(a demand D rounded up to ceil(D/g)) and re-checks the purchase on the
-instance as given, where its flow is g times the scaled one.
+parallel split variable) lies in { sum a_i*d_i : |a_i| <= m^2*K }. The DP
+then ranges over that set instead of all integers in [-F, F], and the exact
+solvers answer from the lattice values in [0, F] of that table: the
+cheapest subset meeting a demand D has a max flow in the set, so the least
+lattice value >= D answers it, and a binary search over the lattice values
+finds the largest affordable flow.
 
-The lattice points themselves (:func:`lattice_residues`, and the
-capacity check of ``validate_lattice``) are found without enumerating the
-(2m^2K+1)^k coefficient combinations. The basis values are added one at a
-time, largest first, keeping only partial sums that the values still to
-come can bring back into [-F, F]. Adding d with coefficients up to A turns each kept value into
+The set is found without enumerating the (2m^2K+1)^k coefficient
+combinations. The basis values are added one at a time, largest first,
+keeping only partial sums that the values still to come can bring back
+into [-F, F]. Adding d with coefficients up to A turns each kept value into
 a run of 2A+1 values of its residue class mod d, and overlapping runs of a
 class merge. So a step sorts its input and writes each output value once,
 never 2A+1 values per kept one, and memory is linear in both.
@@ -38,14 +36,14 @@ solution pays for at most one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from math import gcd
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decompose import DecompTree, decompose
 from .dp import DPTable, build_table, check_demand, solve_bcmfp, solve_capndp, upper_bound_flow
-from .flow import max_flow, solution_from_edges
+from .flow import max_flow
+from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
 
 
@@ -104,10 +102,9 @@ def _lattice_points(basis: tuple[int, ...], coeff_bound: int, radius: int) -> np
 
 
 def lattice_residues(spec: LatticeSpec, m: int, f_bound: int) -> np.ndarray:
-    """The residue values a flow can need: lattice points within the flow
+    """The residue values the DP must consider: lattice points within the
 
-    bound, with coefficients up to m^2 * K. They are multiples of the gcd of
-    the nonzero basis values, over which the lattice solve works."""
+    flow bound, with coefficients up to m^2 * K."""
     return _lattice_points(spec.basis, m * m * spec.bound, f_bound)
 
 
@@ -126,10 +123,6 @@ def validate_lattice(graph: MultiGraph, spec: LatticeSpec) -> None:
 
 @dataclass(frozen=True)
 class LatticeOutcome:
-    """The solution, and the full table of the tree under the capacities
-
-    divided by g: the table answers flow v*g at v."""
-
     solution: Solution
     table: DPTable
 
@@ -137,10 +130,9 @@ class LatticeOutcome:
 def solve_lattice_detailed(
     instance: ProblemInstance, spec: LatticeSpec, *, tree: DecompTree | None = None
 ) -> LatticeOutcome:
-    """Build the full table over the capacities divided by g, answer from it
+    """Build the table over the lattice residues, then answer from it with
 
-    with the exact solver of the instance's problem, and re-check the
-    purchase on the instance as given."""
+    the exact solver of the instance's problem."""
     graph = instance.graph
     validate_lattice(graph, spec)
     if tree is None:
@@ -148,24 +140,16 @@ def solve_lattice_detailed(
     f_bound = upper_bound_flow(instance)
     if instance.demand is not None:
         check_demand(instance.demand, f_bound)
-    g = gcd(*spec.basis) or 1  # an all-zero basis holds only capacity 0
-    edges = tuple(replace(e, capacity=e.capacity // g) for e in graph.edges)
-    scaled = replace(instance, graph=replace(graph, edges=edges))
-    if instance.demand is not None:
-        scaled = scaled.with_demand(-(-instance.demand // g))
-    table = build_table(tree, f_bound // g, capacity_override={e.id: e.capacity for e in edges})
+    residues = lattice_residues(spec, graph.edge_count, f_bound)
+    table = build_table(tree, f_bound, residue_values=residues.tolist())
     solve = solve_bcmfp if instance.problem == "bcmfp" else solve_capndp
-    answer = solve(scaled, table=table)
-    solution = solution_from_edges(instance, answer.purchased)
-    if solution.total_cost != answer.total_cost or solution.achieved_flow != g * answer.achieved_flow:
-        raise RuntimeError(f"re-check failed: {solution} vs {answer} scaled by {g}")
-    return LatticeOutcome(solution, table)
+    return LatticeOutcome(solve(instance, tree=tree, table=table), table)
 
 
 def solve_lattice(
     instance: ProblemInstance, spec: LatticeSpec, *, tree: DecompTree | None = None
 ) -> Solution:
-    """Same answers as the unrestricted solvers, over capacities divided by g."""
+    """Same answers as the unrestricted solvers, via the lattice domain."""
     return solve_lattice_detailed(instance, spec, tree=tree).solution
 
 

@@ -9,81 +9,19 @@ spine node read its children as rows: the series one gathers each child
 on the full (r_a, specials) grid, and the parallel one is the split scan
 ``_Builder._build_parallel`` had before every parallel node went through
 ``_split_scan``. Both use their own copies of ``_grid``, the gather and
-the admissibility mask as they were then, and every axis is a
-:class:`ResidueDomain` as ``spnd.dp`` had it while a build could take an
-explicit, possibly gapped residue set: a sorted value set looked up by
-offset when its values are consecutive and by binary search otherwise.
-:func:`reference_table` mirrors ``build_table`` without ``reuse=``, with
-that build's ``residue_values=`` besides: it walks the tree in postorder and
+the admissibility mask as they were then. :func:`reference_table` mirrors
+``build_table`` without ``reuse=``: it walks the tree in postorder and
 builds each node on its own over the children the walk built. The live
 build must give every node the same domain, cost and split bytes and
 admissible count."""
 
-from typing import Iterable
-
 import numpy as np
 
 from spnd import dp
-from spnd.dp import NodeTable
-from spnd.instance import infinity_sentinel
+from spnd.dp import NodeTable, ResidueDomain
 
 CELLS = 1 << 16
 _NO_SPLIT = np.iinfo(np.int64).max
-_SPECIAL_SIGN = {"s": -1, "t": 1}
-
-
-class ResidueDomain:
-    """Sorted set of residue values for one table axis.
-
-    Node domains are symmetric under negation; a pinned special axis holds
-    a single value. Consecutive values (a range, a single value, a dense
-    lattice set) are looked up by offset from the first; any other set by
-    binary search."""
-
-    __slots__ = ("values", "_lo", "_hi", "_dense")
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self._lo, self._hi = int(values[0]), int(values[-1])
-        self._dense = self._hi - self._lo + 1 == len(values)
-
-    @staticmethod
-    def range(radius: int) -> "ResidueDomain":
-        return ResidueDomain(np.arange(-radius, radius + 1, dtype=np.int64))
-
-    @staticmethod
-    def single(value: int) -> "ResidueDomain":
-        return ResidueDomain(np.array([value], dtype=np.int64))
-
-    @staticmethod
-    def explicit(values: Iterable[int]) -> "ResidueDomain":
-        arr = np.unique(np.asarray(list(values), dtype=np.int64))
-        if len(arr) == 0 or 0 not in arr or not np.array_equal(arr, -arr[::-1]):
-            raise ValueError("residue domain must contain 0 and be symmetric under negation")
-        return ResidueDomain(arr)
-
-    def clipped(self, radius: int) -> "ResidueDomain":
-        lo = np.searchsorted(self.values, -radius, side="left")
-        hi = np.searchsorted(self.values, radius, side="right")
-        return ResidueDomain(self.values[lo:hi])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def positions(self, vals):
-        """Clipped positions plus a validity mask, for elementwise gathers."""
-        vals = np.asarray(vals, dtype=np.int64)
-        if not self._dense:
-            # A value past the last one is clamped onto it and compares unequal.
-            pos = np.minimum(np.searchsorted(self.values, vals), len(self.values) - 1)
-            return pos, self.values[pos] == vals
-        pos = np.minimum(np.maximum(vals - self._lo, 0), len(self.values) - 1)
-        return pos, self.contains(vals)
-
-    def contains(self, vals) -> np.ndarray:
-        if not self._dense:
-            return self.positions(vals)[1]
-        return (vals >= self._lo) & (vals <= self._hi)
 
 
 def _build_leaf(dom: ResidueDomain, cost: int, capacity: int, sentinel: int) -> tuple[np.ndarray, int]:
@@ -237,10 +175,8 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
     capacities = {e.id: e.capacity for e in tree.graph.edges}
     capacities.update(capacity_override or {})
     base = None if residue_values is None else ResidueDomain.explicit(residue_values)
-    sentinel = infinity_sentinel(tree.graph)
-    table = dp.DPTable(tree, f_bound, sentinel, pin, capacities)
-    signs = _SPECIAL_SIGN.items() if pin is not None else ()
-    pinned = {lab: ResidueDomain.single(sign * pin) for lab, sign in signs}
+    builder = dp._Builder(tree, f_bound, capacities, base, pin)
+    table, sentinel = builder.table, builder.sentinel
     edges = tree.graph.edge_map()
     total = {}
     for nid in tree.postorder_ids():
@@ -249,15 +185,14 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
             total[nid] = capacities[node.edge_id]
         else:
             total[nid] = total[node.left] + total[node.right]
-        radius = min(f_bound, total[nid])
-        dom = ResidueDomain.range(radius) if base is None else base.clipped(radius)
+        dom = builder.domain_for(min(f_bound, total[nid]))
         if node.kind == "leaf":
             cost, admissible = _build_leaf(dom, edges[node.edge_id].cost, capacities[node.edge_id], sentinel)
             table.tables[nid] = NodeTable(dom, {}, cost, None, admissible)
         elif node.placements:
             table.spine.append(nid)
             left_nt, right_nt = table.tables[node.left], table.tables[node.right]
-            axes = {lab: pinned.get(lab, dom) for lab in node.placements}
+            axes = builder.special_axes(node, dom)
             if node.kind == "series":
                 table.tables[nid] = _build_spine_series(node, left_nt, right_nt, dom, axes, sentinel)
             else:

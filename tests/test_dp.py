@@ -131,15 +131,33 @@ def test_residue_domain_range_and_lookup():
     assert list(dom.values) == [-2, -1, 0, 1, 2]
     assert dom.pos_of(-2) == 0 and dom.pos_of(2) == 4
     assert dom.pos_of(3) is None
-    # A range and a pinned value: every lookup must agree with a plain dict
-    # over the values.
-    for dom in (ResidueDomain.range(2), ResidueDomain.single(-3)):
+    clipped = dom.clipped(1)
+    assert list(clipped.values) == [-1, 0, 1]
+    # A pinned value, a dense explicit set and a sparse one: every lookup
+    # must agree with a plain dict over the values.
+    for dom in (
+        ResidueDomain.single(-3),
+        ResidueDomain.explicit([-1, 0, 1]),
+        ResidueDomain.explicit([-5, 0, 5]),
+    ):
         index = {int(v): i for i, v in enumerate(dom.values)}
         probe = np.arange(-7, 8)
-        assert dom.contains(probe).tolist() == [v in index for v in probe.tolist()]
-        assert dom.index(probe).tolist() == [index.get(v, len(dom)) for v in probe.tolist()]
-        for v in probe.tolist():
+        pos, ok = dom.positions(probe)
+        assert ok.tolist() == [int(v) in index for v in probe]
+        assert dom.contains(probe).tolist() == ok.tolist()
+        for v, p, hit in zip(probe.tolist(), pos.tolist(), ok.tolist()):
             assert dom.pos_of(v) == index.get(v)
+            if hit:
+                assert p == index[v]
+
+
+def test_residue_domain_explicit_validation():
+    dom = ResidueDomain.explicit([5, -5, 0])
+    assert list(dom.values) == [-5, 0, 5]
+    with pytest.raises(ValueError):
+        ResidueDomain.explicit([0, 1, 2])  # not symmetric
+    with pytest.raises(ValueError):
+        ResidueDomain.explicit([-1, 1])  # zero missing
 
 
 def test_case_label_catalogue():
@@ -348,6 +366,10 @@ def _assert_combiners_match(tree, table, where):
                 assert split == table.split_of(nid, *cell), f"{where} node {nid} {cell}"
 
 
+def _even_residues(f_bound):
+    return [r for r in range(-f_bound, f_bound + 1) if r % 2 == 0]
+
+
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_combiners_match_stored_tables(seed):
     instance = generate_sp(seed, edge_budget=6, cap_max=3)
@@ -355,13 +377,17 @@ def test_combiners_match_stored_tables(seed):
     _assert_combiners_match(tree, table, f"seed {seed}")
     for v in range(table.f_bound + 1):
         _assert_combiners_match(tree, build_table(tree, v, pin=v), f"seed {seed} pin {v}")
+    f = table.f_bound
+    even = build_table(tree, f, residue_values=_even_residues(f))
+    _assert_combiners_match(tree, even, f"seed {seed} even residues")
 
 
 def _all_builds(tree, f_bound):
-    """The full build and a pinned build at every v."""
+    """The full build, a pinned build at every v and an even-residue build."""
     yield build_table(tree, f_bound)
     for v in range(f_bound + 1):
         yield build_table(tree, v, pin=v)
+    yield build_table(tree, f_bound, residue_values=_even_residues(f_bound))
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 60])
@@ -504,10 +530,10 @@ def test_parallel_groups_scan_in_proportion_to_their_nodes(monkeypatch):
     scanned = []
     real = dp_module._split_scan
 
-    def counting(left, right, half, sentinel):
+    def counting(top, left, right, half, sentinel):
         live = int((left < sentinel).any(axis=0).sum())
         scanned.append(len(left) * live * (2 * half + 1))
-        return real(left, right, half, sentinel)
+        return real(top, left, right, half, sentinel)
 
     monkeypatch.setattr(dp_module, "_split_scan", counting)
     table = build_table(tree, f)
@@ -835,6 +861,9 @@ def test_reuse_rejects_a_table_built_from_other_inputs(ring):
         (build_table(tree, f + 1, pin=1), {}),
         (build_table(tree, f, pin=1, capacity_override={"e2": 1}), {}),
         (build_table(tree, f, pin=1), {"capacity_override": {"e2": 1}}),
+        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {}),
+        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {"residue_values": [-1, 0, 1]}),
+        (build_table(tree, f, pin=1), {"residue_values": [-2, 0, 2]}),
     ]
     for reuse, kwargs in cases:
         with pytest.raises(ValueError):

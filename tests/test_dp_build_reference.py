@@ -2,17 +2,11 @@
 
 Every node of every table must carry the same domain values, cost and
 split bytes and admissible count as ``dp_build_reference.reference_table``,
-whether the build is full or pinned, under scaled capacities, or
-degenerate (F = 0, zero capacities, one edge), and whatever the split
-scan's block size. A build over a lattice's residues, which the reference
-still takes, must be the live build of the capacities divided by the
-lattice's step g, every residue times g."""
+whether the build is full, pinned, over a lattice or a gapped residue set,
+under scaled capacities, or degenerate (F = 0, zero capacities, one edge),
+and whatever the split scan's block size."""
 
-from dataclasses import replace
-from math import gcd
 from unittest.mock import patch
-
-import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -54,48 +48,22 @@ def test_gate1_full_and_pinned_builds(seed):
         _check(tree, f, f"seed {seed} pin {v}", pin=v)
 
 
-def _assert_scaled_tables(got, want, g, where):
-    """``want``, built over residues that are multiples of g, is ``got``
-
-    with every residue times g: the same cost bytes and admissible counts,
-    and domains, special axes and splits times g."""
-    assert got.tables.keys() == want.tables.keys(), where
-    assert got.spine == want.spine, where
-    for nid, expected in want.tables.items():
-        nt, at = got.tables[nid], f"{where} node {nid}"
-        np.testing.assert_array_equal(nt.domain.values * g, expected.domain.values, err_msg=at)
-        assert nt.special_axes.keys() == expected.special_axes.keys(), at
-        for lab, axis in nt.special_axes.items():
-            np.testing.assert_array_equal(axis.values * g, expected.special_axes[lab].values, err_msg=at)
-        assert (nt.cost.shape, nt.cost.dtype) == (expected.cost.shape, expected.cost.dtype), at
-        assert nt.cost.tobytes() == expected.cost.tobytes(), at
-        assert (nt.split is None) == (expected.split is None), at
-        if nt.split is not None:
-            np.testing.assert_array_equal(nt.split * g, expected.split, err_msg=at)
-        assert nt.admissible == expected.admissible, at
-
-
 @pytest.mark.parametrize("seed", range(1, 16))
 def test_lattice_residue_sets(seed):
-    # A lattice solve builds over the capacities divided by g, the gcd of
-    # the basis; the reference builds over the lattice's own residues.
-    base = generate_sp(seed, edge_budget=10, cap_max=12)
-    m = base.graph.edge_count
-    for basis in ((2, 6), (3,)):
-        g = gcd(*basis)
-        # Each capacity rounded up to a multiple of g.
-        edges = tuple(replace(e, capacity=-(-e.capacity // g) * g) for e in base.graph.edges)
-        instance = replace(base, graph=replace(base.graph, edges=edges))
-        tree = decompose(instance.graph)
-        f = upper_bound_flow(instance)
-        residues = lattice_residues(LatticeSpec(basis, 1), m, f).tolist()
-        scaled = {e.id: e.capacity // g for e in edges}
-        where = f"seed {seed} basis {basis}"
-        got = build_table(tree, f // g, capacity_override=scaled)
-        _assert_scaled_tables(got, reference_table(tree, f, residue_values=residues), g, where)
-        got = build_table(tree, f // g, capacity_override=scaled, pin=f // g)
-        want = reference_table(tree, f, residue_values=residues, pin=f)
-        _assert_scaled_tables(got, want, g, f"{where} pin {f}")
+    instance = generate_sp(seed, edge_budget=10, cap_max=12)
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    m = instance.graph.edge_count
+    residue_sets = {
+        "basis (2, 6)": lattice_residues(LatticeSpec((2, 6), 1), m, f).tolist(),
+        "basis (3,)": lattice_residues(LatticeSpec((3,), 1), m, f).tolist(),
+        # A large gap, and values past F that the build must clip away.
+        "gap": [-3 * f, -f, -1, 0, 1, f, 3 * f],
+        "zero only": [0],
+    }
+    for name, values in residue_sets.items():
+        _check(tree, f, f"seed {seed} {name}", residue_values=values)
+        _check(tree, f, f"seed {seed} {name} pin {f}", residue_values=values, pin=f)
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -132,26 +100,31 @@ def test_one_edge_tree(single_edge):
         _check(tree, f, f"F={f}")
         _check(tree, f, f"F={f} pin {f}", pin=f)
     _check(tree, 7, "closed", capacity_override={"e1": 0})
+    _check(tree, 7, "even", residue_values=[-6, -4, -2, 0, 2, 4, 6])
 
 
 @settings(max_examples=500)
-@example(paths_apart(2, 3), 1, 0, 3)  # parallel:sL+tR
-@example(paths_apart(3, 2), 7, 1, 2)  # parallel:sR+tL
+@example(paths_apart(2, 3), 1, 0, 3, {1, 3})  # parallel:sL+tR
+@example(paths_apart(3, 2), 7, 1, 2, {2})  # parallel:sR+tL
 @given(
     tiny_instances(capacity=st.integers(0, 5)),
     st.sampled_from((1, 7, dp.CELLS)),
     st.integers(0, 2),
     st.integers(0, 30),
+    st.sets(st.integers(1, 32)),
 )
-def test_tiny_instances_under_any_block_size(instance, cells, slack, pin):
+def test_tiny_instances_under_any_block_size(instance, cells, slack, pin, gapped):
     # Source and sink anywhere: these examples bring up every parallel case
     # label, the source in one child and the sink in the other included.
     # Blocks of one or a few splits put ties on both sides of a block edge.
     # A flow bound past F can give the child that holds a special a shorter
-    # special axis than its parent's.
+    # special axis than its parent's. Residues past the bound are clipped
+    # away by the build.
     tree = decompose(instance.graph)
     f = upper_bound_flow(instance)
     v = pin % (f + 1)
+    residues = sorted({0, *gapped, *(-x for x in gapped)})
     with patch.object(dp, "CELLS", cells):
         _check(tree, f + slack, f"full, F + {slack}")
         _check(tree, f, f"pin {v}", pin=v)
+        _check(tree, f, f"residues {residues}", residue_values=residues)

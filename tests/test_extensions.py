@@ -4,7 +4,6 @@ import random
 import tracemalloc
 import warnings
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -193,25 +192,6 @@ def test_lattice_solve_on_rescaled_capacities(diamond):
     assert solve_lattice(inst, spec).total_cost == solve_capndp(inst).total_cost
 
 
-def test_lattice_with_zero_basis_values(diamond):
-    # The step g is taken from the nonzero basis values. An all-zero basis
-    # holds only capacity 0, so F = 0 and nothing is divided by zero.
-    closed = parse_instance("graph 2\nsource 0\nsink 1\nedge e1 0 1 3 0\ndemand 0\n")
-    for basis in ((0,), (0, 2)):
-        for inst in (closed, closed.with_budget(5)):
-            sol = solve_lattice(inst, LatticeSpec(basis, 1))
-            assert (sol.purchased, sol.total_cost, sol.achieved_flow) == (frozenset(), 0, 0), basis
-    # A zero beside 2 leaves the step 2: every answer is the unrestricted one.
-    doubled = _with_capacities(diamond, {"e1": 4, "e2": 4, "e3": 2})
-    spec = LatticeSpec((0, 2), 2)
-    for d in range(upper_bound_flow(doubled) + 1):
-        inst = doubled.with_demand(d)
-        assert solve_lattice(inst, spec) == solve_capndp(inst), d
-    for b in range(doubled.graph.total_cost() + 1):
-        inst = doubled.with_budget(b)
-        assert solve_lattice(inst, spec) == solve_bcmfp(inst), b
-
-
 def test_vacuous_lattice_has_identical_states(diamond):
     # Basis (1) with a large enough bound covers every integer in range, so
     # nothing is pruned and the state counts must agree exactly.
@@ -237,6 +217,47 @@ def test_proper_lattice_prunes_states():
     reference = solve_bcmfp(inst)
     assert outcome.solution.achieved_flow == reference.achieved_flow == 10
     assert outcome.solution.total_cost == reference.total_cost
+
+
+def test_coprime_basis_keeps_its_gaps():
+    # Basis (100, 101) has gcd 1, yet few integers within F are its points:
+    # a table over every integer in [-F, F] would grow with the capacities,
+    # the table over the lattice points does not.
+    edges = "".join(f"edge e{i} 0 1 {i} 201\n" for i in (1, 2, 3))
+    inst = parse_instance(f"graph 2\nsource 0\nsink 1\n{edges}budget 3\n")
+    spec = LatticeSpec((100, 101), 1)
+    f = upper_bound_flow(inst)
+    points = lattice_residues(spec, inst.graph.edge_count, f)
+    assert f == 603 and len(points) <= 361 < 2 * f + 1
+    outcome = solve_lattice_detailed(inst, spec)
+    table = outcome.table
+    assert set(table.tables[table.tree.root].domain.values.tolist()) <= set(points.tolist())
+    full = build_table(decompose(inst.graph), f)
+    assert 3 * table.state_count < full.state_count
+    assert outcome.solution == solve_bcmfp(inst)
+    for b in range(inst.graph.total_cost() + 1):
+        assert solve_lattice(inst.with_budget(b), spec) == solve_bcmfp(inst.with_budget(b)), b
+    for d in (0, 1, 201, 202, 402, 403, 603):
+        assert solve_lattice(inst.with_demand(d), spec) == solve_capndp(inst.with_demand(d)), d
+
+
+def test_lattice_with_zero_basis_values(diamond):
+    # An all-zero basis holds only capacity 0, so F = 0 and the only
+    # answer is to buy nothing.
+    closed = parse_instance("graph 2\nsource 0\nsink 1\nedge e1 0 1 3 0\ndemand 0\n")
+    for basis in ((0,), (0, 2)):
+        for inst in (closed, closed.with_budget(5)):
+            sol = solve_lattice(inst, LatticeSpec(basis, 1))
+            assert (sol.purchased, sol.total_cost, sol.achieved_flow) == (frozenset(), 0, 0), basis
+    # A zero beside 2 adds nothing: every answer is the unrestricted one.
+    doubled = _with_capacities(diamond, {"e1": 4, "e2": 4, "e3": 2})
+    spec = LatticeSpec((0, 2), 2)
+    for d in range(upper_bound_flow(doubled) + 1):
+        inst = doubled.with_demand(d)
+        assert solve_lattice(inst, spec) == solve_capndp(inst), d
+    for b in range(doubled.graph.total_cost() + 1):
+        inst = doubled.with_budget(b)
+        assert solve_lattice(inst, spec) == solve_bcmfp(inst), b
 
 
 def _lattice_instance(seed):
@@ -285,12 +306,10 @@ def test_lattice_solve_equals_unrestricted(seed):
     else:
         assert outcome.table.state_count == full.state_count, f"seed {seed}"
 
-    # The lattice path answers a demand D from the least multiple of g >= D
+    # The lattice path answers a demand D from the least lattice value >= D
     # and a budget by binary search, which needs the root cost nondecreasing
-    # in the flow value; D need not be a lattice point. Its table holds the
-    # capacities divided by g, so it answers flow v at v // g.
-    g = gcd(*spec.basis)
-    costs = [outcome.table.query_cost(v // g) for v in allowed.tolist() if v >= 0]
+    # in the flow value; D need not be a lattice point.
+    costs = [outcome.table.query_cost(v) for v in allowed.tolist() if v >= 0]
     assert costs == sorted(costs), f"seed {seed}"
     for d in range(f + 2):
         demand = inst.with_demand(d)

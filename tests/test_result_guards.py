@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import spnd.dp
-import spnd.extensions
 from spnd import (
     LatticeSpec,
     expand_upgrades,
@@ -74,21 +73,6 @@ def test_inconsistent_recheck_raises(case, diamond, monkeypatch):
     monkeypatch.setattr(spnd.dp, "solution_from_edges", _inflated(spnd.dp.solution_from_edges))
     with pytest.raises(RuntimeError, match="re-check"):
         solve(diamond)
-
-
-@pytest.mark.parametrize("step", [1, 100])
-def test_lattice_recheck_on_the_given_instance_raises(step, diamond, monkeypatch):
-    # The lattice path solves over capacities divided by the step g; its
-    # purchase is then re-checked on the instance as given, where it must
-    # cost the same and carry g times the flow.
-    instance = diamond if step == 1 else _wide(diamond)
-    spec = LatticeSpec((step,), 2)
-    solve_lattice_detailed(instance, spec)
-    real = spnd.extensions.solution_from_edges
-    monkeypatch.setattr(spnd.extensions, "solution_from_edges", _inflated(real))
-    for inst in (instance, instance.with_budget(5)):
-        with pytest.raises(RuntimeError, match="re-check"):
-            solve_lattice_detailed(inst, spec)
 
 
 def test_map_back_rejects_overstated_solution():

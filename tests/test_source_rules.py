@@ -1,11 +1,9 @@
 """Rules on the package source that no run of the code can check."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import spnd
-from spnd.dp import ResidueDomain, build_table
 
 PACKAGE = Path(spnd.__file__).parent
 
@@ -85,23 +83,3 @@ def test_spine_nodes_read_children_one_way():
 
     assert _sites(scans, [PACKAGE / "dp.py"]) == ["_build_group"]
     assert set(_sites(table_axes)) == {"_coords", "_child_rows"}
-
-
-def test_residue_axes_are_ranges_read_by_offset():
-    # Every residue axis is one contiguous range: a build takes no residue
-    # set, a domain has no explicit or clipped form, and no lookup in the DP
-    # searches a sorted set.
-    assert "residue_values" not in inspect.signature(build_table).parameters
-    assert not {"explicit", "clipped"} & set(vars(ResidueDomain))
-
-    def searches(node):
-        if isinstance(node, ast.ImportFrom):
-            return node.module == "bisect"
-        if isinstance(node, ast.Import):
-            return any(alias.name == "bisect" for alias in node.names)
-        if not isinstance(node, ast.Call):
-            return False
-        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
-        return "searchsorted" in name or "bisect" in name
-
-    assert _sites(searches, [PACKAGE / "dp.py"]) == []
