@@ -28,8 +28,9 @@ value v gets its own build pinned to v with the flow bound F (below), which
 answers that query with the full table's cost and witness. A demand takes
 one such build; a budget search one per probe. The special-free nodes, those
 with no interior special, have no special axis, so their tables do not
-depend on v: a solve builds them once and each later probe rebuilds only
-the nodes above the source or the sink (``reuse=`` of :func:`build_table`).
+depend on v: a budget search builds them once, with one builder for every
+probe, and each later probe builds only the nodes above the source or the
+sink (``_Builder.build``).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children, in one
@@ -58,18 +59,19 @@ forest group is one height, kind and width class, which keeps its rows
 within a factor of two of each other (a parallel node's left child's too),
 so no row is padded, or scans splits, far past its own width; a spine
 node, at most two of a height, is a group of its own. The rows lie side by
-side in one flat cost array per build, forest, then spine, then a
-sentinel cell; the parallel rows' splits are rows of a second. A group
-reads its children's rows padded to its own width, the sentinel past each
-child's radius, and as a view where they are whole rows side by side: a
-series group adds the left rows to the right rows read at r_a + c, clamped
+side in one flat cost array, forest, then spine, then a sentinel cell;
+the parallel rows' splits are rows of a second. A group reads its
+children's rows padded to its own width, the sentinel past each child's
+radius, and as a view where they are whole rows side by side: a series
+group adds the left rows to the right rows read at r_a + c, clamped
 at the sentinel, and a parallel group scans them. A row with σ ≠ 0 then
 holds the sentinel where r_a + σ is off the node's domain, since the
 implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
 its rows, a-first on the spine, with the cost and split bytes and the
 admissible count a node-by-node build gives, and the arrays behind the
-views are no larger. A build that reuses an earlier table keeps that
-table's forest rows and forest tables and builds only the spine's groups.
+views are no larger. A later build on the same builder keeps the first
+one's forest rows and tables and builds only the spine's groups, in
+[spine | sentinel] arrays of its own.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -108,7 +110,7 @@ import numpy as np
 
 from .decompose import DecompNode, DecompTree, decompose
 from .errors import InfeasibleError
-from .instance import ProblemInstance, Solution, infinity_sentinel
+from .instance import ProblemInstance, Solution, _reject_upgrades, infinity_sentinel
 from .flow import max_flow, solution_from_edges
 
 _SPECIAL_ORDER = ("s", "t")
@@ -238,24 +240,12 @@ def case_label(node: DecompNode) -> str:
 class DPTable:
     """Built tables for every tree node, plus query and reconstruction."""
 
-    def __init__(
-        self,
-        tree: DecompTree,
-        f_bound: int,
-        infinity: int,
-        pin: int | None,
-        capacities: dict[str, int],
-        base_domain: ResidueDomain | None,
-    ):
+    def __init__(self, tree: DecompTree, f_bound: int, infinity: int, pin: int | None):
         self.tree = tree
         self.f_bound = f_bound
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
-        self.capacities = capacities  # per edge id, after any override
-        self.base_domain = base_domain  # the residue set every axis is cut from, or None
         self.tables: dict[int, NodeTable] = {}
-        self.spine: list[int] = []  # inner nodes with an interior special, in postorder
-        self._layout: tuple = ()  # the forest's layout and the flat costs, for a reuse= build
 
     @property
     def state_count(self) -> int:
@@ -430,128 +420,118 @@ def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.
 
 
 class _Builder:
+    """One tree's rows under one flow bound, capacity set and residue set.
+
+    The tree walk, the groups and the special-free forest's layout do not
+    depend on a pin, so they are made once, here. The first :meth:`build`
+    builds the forest's rows and tables, and every later one shares them
+    and builds only its own spine.
+
+    Nodes of one height never read each other (a node's height is 0 at a
+    leaf and one more than its taller child's). A forest group is one
+    height, kind and width class: the node's half-width, the number of its
+    domain's values above 0, and a parallel node's left child's, which sets
+    how many splits it scans. The classes double from 16 up; below that a
+    group costs its numpy calls, not its cells. A spine node, at most two
+    of a height, is a group of its own, and those come last. The forest's
+    rows lie side by side in one flat cost array, its parallel rows' splits
+    in a second."""
+
     def __init__(
         self,
         tree: DecompTree,
         f_bound: int,
-        capacities: dict[str, int],
+        capacities: Mapping[str, int],
         base_domain: ResidueDomain | None,
-        pin: int | None,
     ):
-        self.tree = tree
-        self.f_bound = f_bound
-        self.capacities = capacities
-        self.base_domain = base_domain
+        self.tree, self.f_bound = tree, f_bound
         self.sentinel = infinity_sentinel(tree.graph)
-        self.table = DPTable(tree, f_bound, self.sentinel, pin, capacities, base_domain)
-        # A pinned build's special axes: one value each, shared by every node.
-        signs = _SPECIAL_SIGN.items() if pin is not None else ()
-        self.pinned = {lab: ResidueDomain.single(sign * pin) for lab, sign in signs}
+        top = ResidueDomain.range(f_bound) if base_domain is None else base_domain.clipped(f_bound)
+        nodes, order = tree.nodes, tree.postorder_ids()
+        values, mid, lattice = top.values.tolist(), len(top) // 2, base_domain is not None
+        total, height, halves = ([0] * len(nodes) for _ in range(3))  # total: subgraph capacity
+        groups = {}
+        for nid in order:
+            node = nodes[nid]
+            if node.kind == "leaf":
+                total[nid] = capacities[node.edge_id]
+            else:
+                total[nid] = total[node.left] + total[node.right]
+                height[nid] = 1 + max(height[node.left], height[node.right])
+            radius = min(f_bound, total[nid])
+            halves[nid] = bisect_right(values, radius) - mid - 1 if lattice else radius
+            if node.placements:
+                key = (True, height[nid], node.kind, nid)
+            else:
+                lw = (halves[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
+                key = (False, height[nid], node.kind, (halves[nid] >> 4).bit_length(), lw)
+            groups.setdefault(key, []).append(nid)
+        self.groups = [(on, k, np.array(ids)) for (on, _, k, *_), ids in sorted(groups.items())]
+        self.spine = [group for group in self.groups if group[0]]
+        self.top, self.halves = top, halves
+        half = self.half = np.array(halves, dtype=np.int64)
+        self.domains = {h: ResidueDomain(top.values[mid - h : mid + h + 1]) for h in set(halves)}
+        forest = self.groups[: len(self.groups) - len(self.spine)]
+        flat = np.concatenate([ids for *_, ids in forest])
+        forks = np.concatenate([flat[:0], *(ids for _, k, ids in forest if k == "parallel")])
+        size = 2 * half + 1
+        start, split_start = np.zeros((2, len(half)), dtype=np.int64)  # first cell, first split
+        start[flat] = size[flat].cumsum() - size[flat]
+        split_start[forks] = size[forks].cumsum() - size[forks]
+        self.centre = start + half  # a forest row's cell at residue 0
+        # Each build sets its spine's entries over the last build's.
+        self.starts, self.sizes, self.split_at = start.tolist(), size.tolist(), split_start.tolist()
+        self.forest_size = int(size[flat].sum()), int(size[forks].sum())  # cells, splits
+        self.forest = None  # the first build's flat costs, whose forest rows every build reads
+        self.forest_tables = dict.fromkeys(order)  # postorder; the first build's
 
-    def domain_for(self, f_node: int) -> ResidueDomain:
-        if self.base_domain is None:
-            return ResidueDomain.range(f_node)
-        return self.base_domain.clipped(f_node)
+    def build(self, pin: int | None) -> DPTable:
+        """Every node's rows, one group at a time (:meth:`_build_group`).
 
-    def special_axes(self, node: DecompNode, dom: ResidueDomain) -> dict[str, ResidueDomain]:
-        """Each interior special's axis: the node domain, or the special's
-
-        one pinned residue when the build answers a single flow query."""
-        if not self.pinned:
-            return {lab: dom for lab in node.placements}
-        return {lab: self.pinned[lab] for lab in node.placements}
-
-    def build(self, reuse: DPTable | None = None) -> DPTable:
-        """Every node's rows, one group at a time (:meth:`_build_group`);
-
-        with ``reuse``, that table's groups, forest layout, forest rows and
-        forest tables, so that only the spine is laid out and built.
-
-        Nodes of one height never read each other (a node's height is 0 at
-        a leaf and one more than its taller child's). A forest group is one
-        height, kind and width class: the node's half-width, the number of
-        its domain's values above 0, and a parallel node's left child's,
-        which sets how many splits it scans. The classes double from 16 up;
-        below that a group costs its numpy calls, not its cells. A spine
-        node, at most two of a height, is a group of its own, and those
-        come last. The rows lie side by side in one flat cost array, forest
-        before spine, and a last cell holds the sentinel; the parallel
-        rows' splits are rows of a second. Each node's table is a view of
+        ``pin`` gives every source axis the one value -pin and every sink
+        axis the one value +pin; None gives each the node's domain. The
+        first build lays out its spine after the forest in the forest's
+        flat arrays, and a last cell holds the sentinel. A later build keeps
+        the first one's forest tables and builds only the spine, in
+        [spine | sentinel] arrays of its own. Each node's table is a view of
         its rows, a-first on the spine."""
-        table, nodes = self.table, self.tree.nodes
-        if reuse is None:
-            top, order = self.domain_for(self.f_bound), self.tree.postorder_ids()
-            values, mid, lattice = top.values.tolist(), len(top) // 2, self.base_domain is not None
-            total, height, halves = ([0] * len(nodes) for _ in range(3))  # total: subgraph capacity
-            groups = {}
-            for nid in order:
-                node = nodes[nid]
-                if node.kind == "leaf":
-                    total[nid] = self.capacities[node.edge_id]
-                else:
-                    total[nid] = total[node.left] + total[node.right]
-                    height[nid] = 1 + max(height[node.left], height[node.right])
-                radius = min(self.f_bound, total[nid])
-                halves[nid] = bisect_right(values, radius) - mid - 1 if lattice else radius
-                if node.placements:
-                    table.spine.append(nid)
-                    key = (True, height[nid], node.kind, nid)
-                else:
-                    lw = (halves[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
-                    key = (False, height[nid], node.kind, (halves[nid] >> 4).bit_length(), lw)
-                groups.setdefault(key, []).append(nid)
-            groups = [(on, k, np.array(ids)) for (on, _, k, *_), ids in sorted(groups.items())]
-            half, table.tables = np.array(halves, dtype=np.int64), dict.fromkeys(order)  # postorder
-            domains = {h: ResidueDomain(top.values[mid - h : mid + h + 1]) for h in set(halves)}
-            # The forest's rows and splits, laid out once for every reuse.
-            forest = groups[: len(groups) - len(table.spine)]
-            flat = np.concatenate([ids for *_, ids in forest])
-            forks = np.concatenate([flat[:0], *(ids for _, k, ids in forest if k == "parallel")])
-            size = 2 * half + 1
-            start, split_start = np.zeros((2, len(half)), dtype=np.int64)  # first cell, first split
-            start[flat] = size[flat].cumsum() - size[flat]
-            split_start[forks] = size[forks].cumsum() - size[forks]
-            self.centre = start + half  # a forest row's cell at residue 0
-            firsts = start.tolist(), size.tolist(), split_start.tolist(), int(size[flat].sum())
-            layout, splits = (top, groups, half, halves, domains, firsts), int(size[forks].sum())
-        else:
-            table.spine, table.tables = reuse.spine, dict(reuse.tables)
-            (layout, reused), splits = reuse._layout, 0
-        top, groups, half, halves, domains, (*firsts, forest) = layout
-        # A reuse sets the spine's entries in copies; a first build, in place.
-        starts, sizes, self.split_at = firsts if reuse is None else map(list, firsts)
-        axes, spine, cells = {}, groups[len(groups) - len(table.spine) :], forest
-        for _, kind, ids in spine:  # a group per node
+        table = self.table = DPTable(self.tree, self.f_bound, self.sentinel, pin)
+        nodes, halves, sizes, first = self.tree.nodes, self.halves, self.sizes, self.forest is None
+        pinned = {}
+        if pin is not None:  # one value each, shared by every node
+            pinned = {lab: ResidueDomain.single(sign * pin) for lab, sign in _SPECIAL_SIGN.items()}
+        axes, (cells, splits) = {}, self.forest_size if first else (0, 0)
+        for _, kind, ids in self.spine:  # a group per node
             nid = int(ids[0])
-            axes[nid] = self.special_axes(nodes[nid], domains[halves[nid]])
-            sizes[nid] = (2 * halves[nid] + 1) * prod(map(len, axes[nid].values()))
-            starts[nid], cells = cells, cells + sizes[nid]
+            dom = self.domains[halves[nid]]
+            axes[nid] = {lab: pinned.get(lab, dom) for lab in nodes[nid].placements}
+            sizes[nid] = len(dom) * prod(map(len, axes[nid].values()))
+            self.starts[nid], cells = cells, cells + sizes[nid]
             if kind == "parallel":
                 self.split_at[nid], splits = splits, splits + sizes[nid]
         costs = self.costs = np.full(cells + 1, self.sentinel, dtype=np.int64)
         splits = self.splits = np.empty(splits, dtype=np.int64)
-        if reuse is not None:
-            costs[:forest] = reused[:forest]
-        self.top, self.half, self.domains, self.starts = top, half, domains, starts
-        for on_spine, kind, ids in groups if reuse is None else spine:
+        if first:
+            self.forest = costs
+        table.tables = tables = self.forest_tables if first else dict(self.forest_tables)
+        for on_spine, kind, ids in self.groups if first else self.spine:
             id_list = ids.tolist()
-            lo, hi = starts[id_list[0]], starts[id_list[-1]] + sizes[id_list[-1]]
+            lo, hi = self.starts[id_list[0]], self.starts[id_list[-1]] + sizes[id_list[-1]]
             count = self._build_group(kind, ids, axes if on_spine else None, lo, hi - lo)
             for nid in id_list:
-                h, at, split = halves[nid], starts[nid], None
+                h, at, split = halves[nid], self.starts[nid], None
                 cost = costs[at : at + sizes[nid]]
                 if kind == "parallel":
                     split = splits[self.split_at[nid] : self.split_at[nid] + sizes[nid]]
                 if not on_spine:
-                    table.tables[nid] = NodeTable(domains[h], {}, cost, split, 2 * h + 1)
+                    tables[nid] = NodeTable(self.domains[h], {}, cost, split, 2 * h + 1)
                     continue
                 # A-first views: each row runs along the a-slot axis.
                 lens = tuple(map(len, axes[nid].values()))
                 cost = cost.reshape(-1, 2 * h + 1).T.reshape(-1, *lens)
                 if split is not None:
                     split = split.reshape(-1, 2 * h + 1).T.reshape(-1, *lens)
-                table.tables[nid] = NodeTable(domains[h], axes[nid], cost, split, count)
-        table._layout = (layout, costs)
+                tables[nid] = NodeTable(self.domains[h], axes[nid], cost, split, count)
         return table
 
     def _build_group(self, kind: str, ids: np.ndarray, axes: dict | None, lo: int, cells: int):
@@ -579,7 +559,7 @@ class _Builder:
         if axes is None:
             left = np.array([nodes[nid].left for nid in ids.tolist()])
             right = np.array([nodes[nid].right for nid in ids.tolist()])
-            row_half = half[ids]
+            row_half, lf, rf = half[ids], costs, costs
             lc, lh, rc, rh = self.centre[left], half[left], self.centre[right], half[right]
             h = int(row_half.max())
         else:
@@ -593,7 +573,8 @@ class _Builder:
                 s, t = len(axes["s"]), len(axes["t"])
                 index = dict(zip("st", np.divmod(np.arange(s * t), t)))
                 svals = {lab: axes[lab].values[at] for lab, at in index.items()}
-            (lc, lh), (rc, rh) = (self._child_rows(c, axes, index) for c in (node.left, node.right))
+            children = (self._child_rows(c, axes, index) for c in (node.left, node.right))
+            (lf, lc, lh), (rf, rc, rh) = children
             dom = self.domains[int(half[node.id])]
             h = len(dom) // 2
             # Taken before the children are read, so that the mask's
@@ -610,13 +591,13 @@ class _Builder:
                     shift, rows = axes[shifted[0]].values, index[shifted[0]]
                 at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[rows]
             # A child read alike by every row is one row, broadcast.
-            best = np.add(_padded(costs, lc, lh, j), _padded(costs, rc, rh, at))
+            best = np.add(_padded(lf, lc, lh, j), _padded(rf, rc, rh, at))
             np.minimum(best, sentinel, out=best)
         else:
             # The column past the right window is the sentinel.
             kl, kr = int(lh.max()), int(rh.max())
-            left = _padded(costs, lc, lh, np.arange(-kl, kl + 1))
-            right = _padded(costs, rc, rh, np.arange(-kr, kr + 2))
+            left = _padded(lf, lc, lh, np.arange(-kl, kl + 1))
+            right = _padded(rf, rc, rh, np.arange(-kr, kr + 2))
             # A child read alike by every row is one row, repeated.
             n = max(len(left), len(right))
             left, right = (r if len(r) == n else r.repeat(n, axis=0) for r in (left, right))
@@ -634,12 +615,13 @@ class _Builder:
     def _child_rows(self, nid: int, axes: dict[str, ResidueDomain], index: dict):
         """Node ``nid``'s row at each of its parent's special cells, or its
 
-        one row for all of them when it has no special axes: the row's cell
-        at residue 0 and its half-width, or half -1, the sentinel row, where
-        a parent's value lies off the node's axes. The parent has ``axes``,
-        and ``index`` gives each special's position on its axis. A child's
-        special axis is the middle of its parent's (the same one value in a
-        pinned build), so a position moves by the difference in
+        one row for all of them when it has no special axes: the flat cost
+        array that holds it (the forest's, or this build's spine's), the
+        row's cell at residue 0 and its half-width, or half -1, the sentinel
+        row, where a parent's value lies off the node's axes. The parent has
+        ``axes``, and ``index`` gives each special's position on its axis. A
+        child's special axis is the middle of its parent's (the same one
+        value in a pinned build), so a position moves by the difference in
         half-length, and only a shorter axis can miss."""
         h, row, ok = int(self.half[nid]), None, True
         for lab, axis in self.table.tables[nid].special_axes.items():
@@ -649,9 +631,9 @@ class _Builder:
                 ok = ok & (at >= 0) & (at < len(axis))
             row = at if row is None else row * len(axis) + at
         if row is None:
-            return np.array([self.starts[nid] + h]), np.array([h])
+            return self.forest, np.array([self.starts[nid] + h]), np.array([h])
         half = np.full(len(row), h) if ok is True else np.where(ok, h, -1)
-        return self.starts[nid] + h + (2 * h + 1) * row, half
+        return self.costs, self.starts[nid] + h + (2 * h + 1) * row, half
 
     def _admissibility(self, dom: ResidueDomain, sigma: np.ndarray):
         """Mask of a spine node's cells, a row per special cell over r_a in
@@ -672,7 +654,6 @@ def build_table(
     capacity_override: Mapping[str, int] | None = None,
     residue_values: Iterable[int] | None = None,
     pin: int | None = None,
-    reuse: DPTable | None = None,
 ) -> DPTable:
     """Build DP tables for every node in postorder.
 
@@ -683,11 +664,6 @@ def build_table(
     ``pin`` gives the source axis the one value -pin and the sink axis the
     one value +pin, so each special axis has length one and the tables
     answer only the flow query ``pin``.
-
-    ``reuse`` is an earlier table of the same tree, flow bound, capacities
-    and residue set. Its special-free node tables, which no pin changes,
-    are shared by the new table as they are, and only the nodes with an
-    interior special are built; any other table raises ``ValueError``.
     """
     capacities = {e.id: e.capacity for e in tree.graph.edges}
     if capacity_override is not None:
@@ -704,33 +680,7 @@ def build_table(
     base = None
     if residue_values is not None:
         base = ResidueDomain.explicit(residue_values)
-    builder = _Builder(tree, f_bound, capacities, base, pin)
-    if reuse is not None:
-        _check_reusable(reuse, tree, f_bound, capacities, base)
-    return builder.build(reuse)
-
-
-def _check_reusable(
-    reuse: DPTable,
-    tree: DecompTree,
-    f_bound: int,
-    capacities: dict[str, int],
-    base: ResidueDomain | None,
-) -> None:
-    """``reuse``'s special-free tables are this build's only if every input
-
-    they were built from is the same."""
-    if reuse.tree is not tree:
-        raise ValueError("reused table was built over another tree")
-    if reuse.f_bound != f_bound:
-        raise ValueError(f"reused table has flow bound {reuse.f_bound}, not {f_bound}")
-    if reuse.capacities != capacities:
-        raise ValueError("reused table was built with other capacities")
-    same_base = (reuse.base_domain is None) == (base is None) and (
-        base is None or np.array_equal(reuse.base_domain.values, base.values)
-    )
-    if not same_base:
-        raise ValueError("reused table was built over another residue set")
+    return _Builder(tree, f_bound, capacities, base).build(pin)
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -785,6 +735,18 @@ def _rechecked(
     return solution
 
 
+def _check_inputs(
+    instance: ProblemInstance, tree: DecompTree | None, table: DPTable | None = None
+) -> None:
+    """The instance has no upgrade menu, and a given tree or table is of its
+
+    graph: one of another graph would answer for that graph."""
+    _reject_upgrades(instance)
+    for name, given in (("tree", tree), ("table", table and table.tree)):
+        if given is not None and given.graph is not instance.graph and given.graph != instance.graph:
+            raise ValueError(f"{name} was built from another graph than the instance's")
+
+
 def check_demand(demand: int, f_bound: int) -> None:
     """A demand above the all-edges max flow F is infeasible, whatever is bought."""
     if demand > f_bound:
@@ -805,6 +767,7 @@ def solve_capndp(
     bound F; a ``table`` (a full or a lattice build) is read as it is."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
+    _check_inputs(instance, tree, table)
     if tree is None and table is None:
         tree = decompose(instance.graph)
     demand = instance.demand
@@ -837,6 +800,7 @@ def solve_bcmfp(
     nodes with an interior special; a ``table`` is read as it is."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
+    _check_inputs(instance, tree, table)
     if tree is None and table is None:
         tree = decompose(instance.graph)
     budget = instance.budget
@@ -857,18 +821,17 @@ def solve_bcmfp(
 def _pinned_budget_search(tree: DecompTree, f_bound: int, budget: int) -> tuple[int, DPTable]:
     """The largest flow value in [0, F] affordable within ``budget``, and
 
-    the pinned build that answers it. Each build shares the special-free
-    tables of the one before."""
-    last = None
+    the pinned build that answers it. One builder serves every probe, so
+    the special-free tables are built once."""
+    builder = _Builder(tree, f_bound, {e.id: e.capacity for e in tree.graph.edges}, None)
 
     def probe(v: int):
-        nonlocal last
-        last = build_table(tree, f_bound, pin=v, reuse=last)
-        return _affordable(last, v, budget), last
+        table = builder.build(v)
+        return _affordable(table, v, budget), table
 
     v, table = last_accepted(f_bound, probe)
     if table is None:  # v = 0 is taken without a probe
-        table = build_table(tree, f_bound, pin=0, reuse=last)
+        table = builder.build(0)
     return v, table
 
 

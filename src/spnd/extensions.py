@@ -44,7 +44,7 @@ from .decompose import DecompTree, decompose
 from .dp import DPTable, build_table, check_demand, solve_bcmfp, solve_capndp, upper_bound_flow
 from .flow import max_flow
 from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
-from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
+from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution, _reject_upgrades
 
 
 # -- lattice capacities ----------------------------------------------------
@@ -133,6 +133,7 @@ def solve_lattice_detailed(
     """Build the table over the lattice residues, then answer from it with
 
     the exact solver of the instance's problem."""
+    _reject_upgrades(instance)
     graph = instance.graph
     validate_lattice(graph, spec)
     if tree is None:

@@ -45,7 +45,7 @@ from heapq import heappop, heappush
 from typing import Mapping
 
 from .decompose import DecompTree, decompose
-from .dp import _rechecked, feasible_detailed, last_accepted, upper_bound_flow
+from .dp import _check_inputs, _rechecked, feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
 from .instance import MultiGraph, ProblemInstance, Solution
 
@@ -174,6 +174,7 @@ def fptas_bcmfp_detailed(
 ) -> FptasOutcome:
     if instance.budget is None:
         raise ValueError("instance has no budget")
+    _check_inputs(instance, tree)
     graph = instance.graph
     params = ScaleParams.for_instance(graph.edge_count, epsilon)
     if tree is None:

@@ -167,6 +167,16 @@ class Solution:
     achieved_flow: int
 
 
+def _reject_upgrades(instance: ProblemInstance) -> None:
+    """The solvers read the graph alone, so an instance with upgrade menus
+
+    must go through ``solve_with_upgrades``, which expands them first."""
+    if instance.upgrades:
+        raise ValueError(
+            "instance has upgrade menus, which this solver does not read; use solve_with_upgrades"
+        )
+
+
 def infinity_sentinel(graph: MultiGraph) -> int:
     """Cost value standing in for 'infeasible': above any purchasable cost."""
     return graph.total_cost() + 1

@@ -12,7 +12,7 @@ import random
 
 from .errors import InfeasibleError
 from .flow import max_flow
-from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
+from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution, _reject_upgrades
 
 ORACLE_EDGE_LIMIT = 20
 
@@ -74,6 +74,7 @@ def oracle_capndp(instance: ProblemInstance) -> Solution:
     """
     if instance.demand is None:
         raise ValueError("instance has no demand")
+    _reject_upgrades(instance)
     graph = instance.graph
     _guard(graph)
     demand = instance.demand
@@ -101,6 +102,7 @@ def oracle_bcmfp(instance: ProblemInstance) -> Solution:
     """
     if instance.budget is None:
         raise ValueError("instance has no budget")
+    _reject_upgrades(instance)
     graph = instance.graph
     _guard(graph)
     budget = instance.budget

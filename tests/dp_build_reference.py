@@ -10,15 +10,15 @@ on the full (r_a, specials) grid, and the parallel one is the split scan
 ``_Builder._build_parallel`` had before every parallel node went through
 ``_split_scan``. Both use their own copies of ``_grid``, the gather and
 the admissibility mask as they were then. :func:`reference_table` mirrors
-``build_table`` without ``reuse=``: it walks the tree in postorder and
-builds each node on its own over the children the walk built. The live
-build must give every node the same domain, cost and split bytes and
-admissible count."""
+``build_table``: it walks the tree in postorder and builds each node on
+its own over the children the walk built. The live build must give every
+node the same domain, cost and split bytes and admissible count."""
 
 import numpy as np
 
 from spnd import dp
 from spnd.dp import NodeTable, ResidueDomain
+from spnd.instance import infinity_sentinel
 
 CELLS = 1 << 16
 _NO_SPLIT = np.iinfo(np.int64).max
@@ -175,8 +175,10 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
     capacities = {e.id: e.capacity for e in tree.graph.edges}
     capacities.update(capacity_override or {})
     base = None if residue_values is None else ResidueDomain.explicit(residue_values)
-    builder = dp._Builder(tree, f_bound, capacities, base, pin)
-    table, sentinel = builder.table, builder.sentinel
+    sentinel = infinity_sentinel(tree.graph)
+    table = dp.DPTable(tree, f_bound, sentinel, pin)
+    # A pinned build's special axes: one value each, shared by every node.
+    pinned = {} if pin is None else {"s": ResidueDomain.single(-pin), "t": ResidueDomain.single(pin)}
     edges = tree.graph.edge_map()
     total = {}
     for nid in tree.postorder_ids():
@@ -185,14 +187,14 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
             total[nid] = capacities[node.edge_id]
         else:
             total[nid] = total[node.left] + total[node.right]
-        dom = builder.domain_for(min(f_bound, total[nid]))
+        radius = min(f_bound, total[nid])
+        dom = ResidueDomain.range(radius) if base is None else base.clipped(radius)
         if node.kind == "leaf":
             cost, admissible = _build_leaf(dom, edges[node.edge_id].cost, capacities[node.edge_id], sentinel)
             table.tables[nid] = NodeTable(dom, {}, cost, None, admissible)
         elif node.placements:
-            table.spine.append(nid)
             left_nt, right_nt = table.tables[node.left], table.tables[node.right]
-            axes = builder.special_axes(node, dom)
+            axes = {lab: pinned.get(lab, dom) for lab in node.placements}
             if node.kind == "series":
                 table.tables[nid] = _build_spine_series(node, left_nt, right_nt, dom, axes, sentinel)
             else:
@@ -206,9 +208,8 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
 def assert_same_tables(got: dp.DPTable, want: dp.DPTable, where: str = "") -> None:
     """Every node of ``got`` has ``want``'s domain values, special axes,
 
-    cost and split bytes and admissible count, and the spines agree."""
+    cost and split bytes and admissible count."""
     assert got.tables.keys() == want.tables.keys(), where
-    assert got.spine == want.spine, where
     for nid, expected in want.tables.items():
         nt = got.tables[nid]
         at = f"{where} node {nid}"

@@ -16,6 +16,7 @@ from spnd import (
     build_table,
     decompose,
     feasible,
+    fptas_bcmfp,
     generate_sp,
     oracle_bcmfp,
     oracle_capndp,
@@ -785,16 +786,16 @@ def test_untabled_solves_match_full_table_interior_specials(seed):
 
 
 def _recorded_builds(monkeypatch):
-    """Every (kwargs, table) of the solvers' ``build_table`` calls."""
+    """Every (pin, table) of the solvers' ``_Builder.build`` calls."""
     calls = []
-    original = dp_module.build_table
+    original = dp_module._Builder.build
 
-    def recording(*args, **kwargs):
-        table = original(*args, **kwargs)
-        calls.append((kwargs, table))
+    def recording(self, pin):
+        table = original(self, pin)
+        calls.append((pin, table))
         return table
 
-    monkeypatch.setattr(dp_module, "build_table", recording)
+    monkeypatch.setattr(dp_module._Builder, "build", recording)
     return calls
 
 
@@ -809,8 +810,8 @@ def test_untabled_solves_build_no_cube(objective, monkeypatch):
     assert (solution.total_cost, solution.achieved_flow) == expected
     assert calls
     special_free = [n.id for n in tree.nodes if not n.placements]
-    for kwargs, table in calls:
-        assert kwargs.get("pin") is not None
+    for pin, table in calls:
+        assert pin is not None
         assert table.f_bound == 48
         for nt in table.tables.values():
             assert nt.cost.size == len(nt.domain)
@@ -819,58 +820,70 @@ def test_untabled_solves_build_no_cube(objective, monkeypatch):
         assert len({id(table.tables[nid]) for _, table in calls}) == 1, nid
 
 
+def _builder(tree, f):
+    """A builder of ``tree``'s rows under flow bound ``f`` and the graph's own capacities."""
+    return dp_module._Builder(tree, f, {e.id: e.capacity for e in tree.graph.edges}, None)
+
+
 def test_reuse_shares_special_free_tables_and_rebuilds_the_spine(ring):
+    # A budget search makes one builder for all its probes: a later build
+    # shares the first one's special-free tables and builds only the spine,
+    # and leaves the first build's table as it was.
     tree = decompose(ring.graph)
-    first = build_table(tree, 3, pin=1)
-    again = build_table(tree, 3, pin=2, reuse=first)
+    builder = _builder(tree, 3)
+    first, again = builder.build(1), builder.build(2)
     fresh = build_table(tree, 3, pin=2)
     for node in tree.nodes:
         shared = again.tables[node.id] is first.tables[node.id]
         assert shared == (not node.placements), node.id
         np.testing.assert_array_equal(again.tables[node.id].cost, fresh.tables[node.id].cost)
-    assert again.spine == fresh.spine == [n for n in tree.postorder_ids() if tree.node(n).placements]
     assert again.query(2) == fresh.query(2)
+    assert first.query(1) == build_table(tree, 3, pin=1).query(1)
 
 
 @pytest.mark.parametrize("seed", range(1, 31))
 def test_reuse_across_build_modes_equals_fresh_builds(seed):
-    # A pinned build may reuse a full one, and a full build a pinned one:
-    # the special-free rows are the same in both modes, and the spine is
-    # built afresh. Either must equal a fresh build node for node and share
-    # the special-free tables it reused.
+    # One builder may build full, then pinned, then full again: the
+    # special-free rows are the same in every mode, and each build's spine
+    # is built afresh. Each build must equal a fresh one node for node and
+    # share the first build's special-free tables.
     instance = generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
     tree = decompose(instance.graph)
     f = upper_bound_flow(instance)
-    full = build_table(tree, f)
+    builder, fresh = _builder(tree, f), build_table(tree, f)
+    full = builder.build(None)
     special_free = [node.id for node in tree.nodes if not node.placements]
     for v in range(f + 1):
-        pinned = build_table(tree, f, pin=v, reuse=full)
-        assert_same_tables(pinned, build_table(tree, f, pin=v), f"seed {seed} pin {v} reusing the full build")
-        again = build_table(tree, f, reuse=pinned)
-        assert_same_tables(again, full, f"seed {seed} full build reusing pin {v}")
+        pinned = builder.build(v)
+        assert_same_tables(pinned, build_table(tree, f, pin=v), f"seed {seed} pin {v} after the full build")
+        again = builder.build(None)
+        assert_same_tables(again, fresh, f"seed {seed} full build after pin {v}")
         for nid in special_free:
             assert pinned.tables[nid] is full.tables[nid] is again.tables[nid], (seed, v, nid)
+    assert_same_tables(full, fresh, f"seed {seed} first full build")
 
 
-def test_reuse_rejects_a_table_built_from_other_inputs(ring):
-    tree = decompose(ring.graph)
-    f = upper_bound_flow(ring)
-    other_tree = decompose(ring.graph)
-    cases = [
-        (build_table(other_tree, f, pin=1), {}),
-        (build_table(tree, f + 1, pin=1), {}),
-        (build_table(tree, f, pin=1, capacity_override={"e2": 1}), {}),
-        (build_table(tree, f, pin=1), {"capacity_override": {"e2": 1}}),
-        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {}),
-        (build_table(tree, f, pin=1, residue_values=[-2, 0, 2]), {"residue_values": [-1, 0, 1]}),
-        (build_table(tree, f, pin=1), {"residue_values": [-2, 0, 2]}),
+def test_solves_refuse_a_tree_or_table_of_another_graph():
+    # b is a with e1 and e2 at capacity 1: its tree or table would answer
+    # for b, where a carries 5 at cost 2.
+    a_text = "graph 3\nsource 0\nsink 2\nedge e1 0 1 1 5\nedge e2 1 2 1 5\nedge e3 0 2 4 1\ndemand 5\n"
+    a = parse_instance(a_text)
+    b = parse_instance(a_text.replace(" 1 5\n", " 1 1\n"))
+    assert b.graph.edges[0].capacity == b.graph.edges[1].capacity == 1
+    other = decompose(b.graph)
+    solves = [
+        lambda: solve_capndp(a, tree=other),
+        lambda: solve_capndp(a, table=build_table(other, 5)),
+        lambda: solve_bcmfp(a.with_budget(2), tree=other),
+        lambda: solve_bcmfp(a.with_budget(2), table=build_table(other, 5)),
+        lambda: fptas_bcmfp(a.with_budget(2), "1/2", tree=other),
     ]
-    for reuse, kwargs in cases:
-        with pytest.raises(ValueError):
-            build_table(tree, f, pin=2, reuse=reuse, **kwargs)
-    # The same inputs, an override equal to the stored capacities included.
-    same = build_table(tree, f, pin=1, capacity_override={"e2": 2})
-    assert build_table(tree, f, pin=2, reuse=same).query(2) == build_table(tree, f, pin=2).query(2)
+    for solve in solves:
+        with pytest.raises(ValueError, match="another graph"):
+            solve()
+    # An equal graph of another object is the same graph.
+    same = decompose(parse_instance(a_text).graph)
+    assert solve_capndp(a, tree=same).total_cost == solve_capndp(a).total_cost == 2
 
 
 def test_tabled_solves_skip_decompose(ring, monkeypatch):

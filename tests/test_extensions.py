@@ -18,6 +18,7 @@ from spnd import (
     build_table,
     decompose,
     expand_upgrades,
+    fptas_bcmfp,
     generate_sp,
     map_back,
     oracle_bcmfp,
@@ -526,3 +527,28 @@ def test_capndp_with_upgrades():
     assert sol.total_cost == 7
     with pytest.raises(InfeasibleError):
         solve_with_upgrades(inst.with_demand(21))
+
+
+MENU_TEXT = "graph 2\nsource 0\nsink 1\nedge e1 0 1 5 1\nupedge u1 0 1 2 1 3 2 6\nbudget 3\n"
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_bcmfp,
+        lambda inst: fptas_bcmfp(inst, "1/2"),
+        oracle_bcmfp,
+        lambda inst: solve_lattice(inst, LatticeSpec((1,), 1)),
+        lambda inst: solve_capndp(inst.with_demand(3)),
+        lambda inst: oracle_capndp(inst.with_demand(3)),
+    ],
+    ids=["solve_bcmfp", "fptas_bcmfp", "oracle_bcmfp", "solve_lattice", "solve_capndp", "oracle_capndp"],
+)
+def test_solvers_refuse_upgrade_menus(solve):
+    # The solvers read the graph alone: given a menu, they answered as if it
+    # were absent (flow 0 within budget 3, or demand 3 "above" the flow 1).
+    inst = parse_instance(MENU_TEXT)
+    with pytest.raises(ValueError, match="solve_with_upgrades"):
+        solve(inst)
+    sol, plan, _ = solve_with_upgrades(inst)
+    assert (sol.achieved_flow, sol.total_cost, plan.choices) == (6, 2, {"u1": 2})

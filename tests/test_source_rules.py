@@ -1,9 +1,11 @@
 """Rules on the package source that no run of the code can check."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import spnd
+from spnd import dp
 
 PACKAGE = Path(spnd.__file__).parent
 
@@ -56,13 +58,23 @@ def test_one_function_scans_splits():
     assert _readers("_NO_SPLIT") == {"_split_scan"}
 
 
+def _builds(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Builder"
+
+
 def test_decompose_builds_at_most_two_reductions():
     # The first terminal pair and one unprotected pass decide every graph:
     # a third construction site would be a walk over terminal pairs.
-    def builds(node):
-        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Builder"
+    assert _sites(_builds, [PACKAGE / "decompose.py"]) == ["decompose", "decompose"]
 
-    assert _sites(builds, [PACKAGE / "decompose.py"]) == ["decompose", "decompose"]
+
+def test_probes_share_the_forest_through_one_builder():
+    # A budget search's probes share the special-free tables by building on
+    # one builder, which can only serve the inputs it was made from; a table
+    # handed from one build to another would need its inputs checked.
+    assert "reuse" not in inspect.signature(dp.build_table).parameters
+    assert not hasattr(dp, "_check_reusable")
+    assert _sites(_builds, [PACKAGE / "dp.py"]) == ["build_table", "_pinned_budget_search"]
 
 
 def test_spine_nodes_read_children_one_way():
