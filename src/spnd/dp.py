@@ -54,19 +54,21 @@ value lies off a child's shorter axis), the right child's join shift c
 (the sum of the specials at the join or in the left child) and σ (the sum
 of the node's interior specials). A node's height is 0 at a leaf and one
 more than its taller child otherwise; nodes of one height never read each
-other, so a group is one numpy pass (:meth:`_Builder._build_group`). A
-forest group is one height, kind and width class, which keeps its rows
-within a factor of two of each other (a parallel node's left child's too),
-so no row is padded, or scans splits, far past its own width; a spine
-node, at most two of a height, is a group of its own. The rows lie side by
-side in one flat cost array, forest, then spine, then a sentinel cell;
-the parallel rows' splits are rows of a second. A group reads its
-children's rows padded to its own width, the sentinel past each child's
-radius, and as a view where they are whole rows side by side: a series
-group adds the left rows to the right rows read at r_a + c, clamped
-at the sentinel, and a parallel group scans them. A row with σ ≠ 0 then
-holds the sentinel where r_a + σ is off the node's domain, since the
-implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
+other, so a group is one numpy pass (:meth:`_Builder._build_group`). An
+inner forest group is one height, kind and half-width (and a parallel
+node's left child's width class, which bounds the splits it scans), so its
+rows are all one width; the leaves, each written at its own width, group
+by width class; a spine node, at most two of a height, is a group of its
+own. The rows lie side by side in one flat cost array, forest, then
+spine, then a sentinel cell; the parallel rows' splits are rows of a
+second. So an inner group's rows are one (rows x width) block of each
+array, and it is built there, in place. A group reads its children's rows
+padded to its own width, the sentinel past each child's radius, and as a
+view where they are whole rows side by side: a series group adds the left
+rows to the right rows read at r_a + c into its block, clamped at the
+sentinel, and a parallel group scans them into its blocks. A row with
+σ ≠ 0 then holds the sentinel where r_a + σ is off the node's domain, since
+the implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
 its rows, a-first on the spine, with the cost and split bytes and the
 admissible count a node-by-node build gives, and the arrays behind the
 views are no larger. A later build on the same builder keeps the first
@@ -353,43 +355,47 @@ def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
 # -- vectorized build -----------------------------------------------------
 
 
-def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: int, sentinel: int):
+def _split_scan(top: ResidueDomain, left, right, best, split, sentinel: int) -> None:
     """The (min, +) scan over the split of any parallel node's rows.
 
     ``left`` and ``right`` are the children's rows over the values of
     ``top`` within a window about 0, ``right`` with one more column past
-    its window that holds the sentinel. Cell r of a result row, the values
-    within ``half`` positions of 0, takes the minimum over splits s of
-    left[s] + right[r - s], the right cell read through a (split, r)
-    position index that sends a residue off the right window to that
-    sentinel column. The splits go in ascending blocks of about ``CELLS``
-    candidate cells, on the leading axis; each block's minimum, with the
-    first (smallest) split reaching it, merges into the running best by a
-    strict <, so ties go to the smallest split and an infeasible cell keeps
-    split 0. Returns the cost and split rows, as transposed views."""
-    mid = len(top) // 2
+    its window that holds the sentinel. ``best`` and ``split`` are the
+    group's rows of the flat cost and split arrays, one row per node or
+    special cell over the values within ``best.shape[1] // 2`` positions of
+    0; the scan fills them with the sentinel and split 0, then writes into
+    them. Cell r takes the minimum over splits s of left[s] + right[r - s],
+    the right cell read through a (split, r) position index that sends a
+    residue off the right window to that sentinel column. The splits go in
+    ascending blocks of about ``CELLS`` candidate cells, on the leading
+    axis; each block's minimum, with the first (smallest) split reaching
+    it, merges into the running best by a strict <, so ties go to the
+    smallest split and an infeasible cell keeps split 0."""
+    mid, half = len(top) // 2, best.shape[1] // 2
     left_half, right_half = left.shape[1] // 2, right.shape[1] // 2 - 1
     window = ResidueDomain(top.values[mid - right_half : mid + right_half + 1])
     vals = top.values[mid - half : mid + half + 1]
-    left, right = left.T, right.T  # (cell, row)
+    best.fill(sentinel)
+    split.fill(0)
     # A split no left child can take cannot improve any cell.
-    live = (left < sentinel).any(axis=1).nonzero()[0]
+    live = (left < sentinel).any(axis=0).nonzero()[0]
     split_vals = top.values[mid - left_half + live]
-    shape = (len(vals), left.shape[1])
-    best = np.full(shape, sentinel, dtype=np.int64)
-    split = np.zeros(shape, dtype=np.int64)
     step = max(1, CELLS // best.size)
-    # One block's candidates, their minimum and its first split; reused by
-    # every block, so the scan's scratch stays a few blocks in size.
-    block = np.empty((min(step, len(live)), *shape), dtype=np.int64)
-    low, arg = np.empty((2, *shape), dtype=np.int64)
+    # One block's candidates (split, row, cell), their minimum and its first
+    # split; reused by every block, so the scan's scratch stays a few blocks
+    # in size.
+    block = np.empty((min(step, len(live)), *best.shape), dtype=np.int64)
+    low, arg = np.empty((2, *best.shape), dtype=np.int64)
     for lo in range(0, len(live), step):
         s = split_vals[lo : lo + step]
         at = window.index(vals - s[:, None])
+        cand = block[: len(s)]
         # Unclamped: a candidate at or above the sentinel never beats best.
-        # Every position is in range; "clip" only spares a buffered copy.
-        cand = right.take(at, axis=0, out=block[: len(s)], mode="clip")
-        cand += left[live[lo : lo + step], None]
+        # Every position is in range; "clip" only skips the bounds check.
+        # Gathered through a (row, split, cell) view, the block keeps its
+        # splits on the leading axis for the minimum below.
+        right.take(at, axis=1, out=cand.transpose(1, 0, 2), mode="clip")
+        cand += left.T[live[lo : lo + step], :, None]
         cand.min(axis=0, out=low)
         # The smallest split of the block reaching its minimum: a block of
         # one split reaches it everywhere.
@@ -399,7 +405,6 @@ def _split_scan(top: ResidueDomain, left: np.ndarray, right: np.ndarray, half: i
         better = low < best
         np.copyto(best, low, where=better)
         np.copyto(split, first, where=better)
-    return best.T, split.T
 
 
 def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.ndarray):
@@ -428,14 +433,17 @@ class _Builder:
     and builds only its own spine.
 
     Nodes of one height never read each other (a node's height is 0 at a
-    leaf and one more than its taller child's). A forest group is one
-    height, kind and width class: the node's half-width, the number of its
-    domain's values above 0, and a parallel node's left child's, which sets
-    how many splits it scans. The classes double from 16 up; below that a
-    group costs its numpy calls, not its cells. A spine node, at most two
-    of a height, is a group of its own, and those come last. The forest's
-    rows lie side by side in one flat cost array, its parallel rows' splits
-    in a second."""
+    leaf and one more than its taller child's). An inner forest group is
+    one height, kind and half-width, the number of its domain's values
+    above 0, so its rows are one block of the flat arrays; a parallel
+    group also has one width class of its left children, which sets how
+    many splits it scans. The leaves group by width class alone, since
+    each leaf row is written at its own width. The classes double from 16
+    up; below that a group costs its numpy calls, not its cells. A spine
+    node, at most two of a height, is a group of its own, and those come
+    last. The forest's rows lie side by side in one flat cost array, its
+    parallel rows' splits in a second. The tree walk also keeps each
+    node's children and each leaf's edge cost, for the groups to read."""
 
     def __init__(
         self,
@@ -449,13 +457,15 @@ class _Builder:
         top = ResidueDomain.range(f_bound) if base_domain is None else base_domain.clipped(f_bound)
         nodes, order = tree.nodes, tree.postorder_ids()
         values, mid, lattice = top.values.tolist(), len(top) // 2, base_domain is not None
-        total, height, halves = ([0] * len(nodes) for _ in range(3))  # total: subgraph capacity
-        groups = {}
+        edges, groups = tree.graph.edge_map(), {}
+        # total: subgraph capacity; paid: a leaf's edge cost.
+        total, height, halves, left, right, paid = ([0] * len(nodes) for _ in range(6))
         for nid in order:
             node = nodes[nid]
             if node.kind == "leaf":
-                total[nid] = capacities[node.edge_id]
+                total[nid], paid[nid] = capacities[node.edge_id], edges[node.edge_id].cost
             else:
+                left[nid], right[nid] = node.left, node.right
                 total[nid] = total[node.left] + total[node.right]
                 height[nid] = 1 + max(height[node.left], height[node.right])
             radius = min(f_bound, total[nid])
@@ -463,12 +473,14 @@ class _Builder:
             if node.placements:
                 key = (True, height[nid], node.kind, nid)
             else:
+                width = (halves[nid] >> 4).bit_length() if node.kind == "leaf" else halves[nid]
                 lw = (halves[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
-                key = (False, height[nid], node.kind, (halves[nid] >> 4).bit_length(), lw)
+                key = (False, height[nid], node.kind, width, lw)
             groups.setdefault(key, []).append(nid)
         self.groups = [(on, k, np.array(ids)) for (on, _, k, *_), ids in sorted(groups.items())]
         self.spine = [group for group in self.groups if group[0]]
         self.top, self.halves = top, halves
+        self.left, self.right, self.paid = np.array(left), np.array(right), np.array(paid)
         half = self.half = np.array(halves, dtype=np.int64)
         self.domains = {h: ResidueDomain(top.values[mid - h : mid + h + 1]) for h in set(halves)}
         forest = self.groups[: len(self.groups) - len(self.spine)]
@@ -509,7 +521,8 @@ class _Builder:
             self.starts[nid], cells = cells, cells + sizes[nid]
             if kind == "parallel":
                 self.split_at[nid], splits = splits, splits + sizes[nid]
-        costs = self.costs = np.full(cells + 1, self.sentinel, dtype=np.int64)
+        costs = self.costs = np.empty(cells + 1, dtype=np.int64)  # every group writes all its cells
+        costs[-1] = self.sentinel
         splits = self.splits = np.empty(splits, dtype=np.int64)
         if first:
             self.forest = costs
@@ -540,28 +553,29 @@ class _Builder:
         many splits for a parallel group); and a spine node's admissible
         count (a special-free node's is its width).
 
-        A group depends only on lower ones, so it is one numpy pass. Its
-        rows read their children's rows padded to the group's width
-        (:func:`_padded`): a series group adds the left child's at r_a to
-        the right child's at r_a plus the row's join shift, clamped at the
-        sentinel, and a parallel group scans them (:func:`_split_scan`).
-        A spine node's group (``axes`` given) then holds the sentinel where
-        r_a + σ is off the node's domain (:meth:`_admissibility`)."""
+        A group depends only on lower ones, so it is one numpy pass. An
+        inner group's rows are all 2h + 1 wide, so they are a (rows x
+        (2h + 1)) block of the flat cost array (and of the split array),
+        written in place. They read their children's rows padded to that
+        width (:func:`_padded`): a series group adds the left child's at
+        r_a to the right child's at r_a plus the row's join shift into its
+        block, clamped at the sentinel, and a parallel group scans them
+        into its blocks (:func:`_split_scan`). A spine node's group
+        (``axes`` given) then holds the sentinel where r_a + σ is off the
+        node's domain (:meth:`_admissibility`)."""
         costs, half, top = self.costs, self.half, self.top
-        nodes, sentinel, count, ok, split = self.tree.nodes, self.sentinel, None, None, None
+        nodes, sentinel, count, ok = self.tree.nodes, self.sentinel, None, None
         if kind == "leaf":
             # The edge's cost at every residue within its capacity, 0 at 0.
-            edges = self.tree.graph.edge_map()
-            cost = [edges[nodes[nid].edge_id].cost for nid in ids.tolist()]
-            costs[lo : lo + cells] = np.array(cost).repeat(2 * half[ids] + 1)
+            costs[lo : lo + cells] = self.paid[ids].repeat(2 * half[ids] + 1)
             costs[self.centre[ids]] = 0
             return None
+        h = int(half[ids[0]])  # every row of an inner group is 2h + 1 cells wide
+        rows = costs[lo : lo + cells].reshape(-1, 2 * h + 1)
         if axes is None:
-            left = np.array([nodes[nid].left for nid in ids.tolist()])
-            right = np.array([nodes[nid].right for nid in ids.tolist()])
-            row_half, lf, rf = half[ids], costs, costs
-            lc, lh, rc, rh = self.centre[left], half[left], self.centre[right], half[right]
-            h = int(row_half.max())
+            left, right = self.left[ids], self.right[ids]
+            lf, lc, lh = costs, self.centre[left], half[left]
+            rf, rc, rh = costs, self.centre[right], half[right]
         else:
             node, axes = nodes[ids[0]], axes[ids[0]]  # a spine node is a group of its own
             # Its rows, in C order over its special cells: each special's
@@ -575,8 +589,7 @@ class _Builder:
                 svals = {lab: axes[lab].values[at] for lab, at in index.items()}
             children = (self._child_rows(c, axes, index) for c in (node.left, node.right))
             (lf, lc, lh), (rf, rc, rh) = children
-            dom = self.domains[int(half[node.id])]
-            h = len(dom) // 2
+            dom = self.domains[h]
             # Taken before the children are read, so that the mask's
             # full-size temporaries do not stack on the scan's buffers.
             ok, count = self._admissibility(dom, sum(svals.values()))
@@ -586,30 +599,27 @@ class _Builder:
             if shifted:
                 # The shift is in values, so a gapped residue set stays exact.
                 # Of one special out of two, it is one row per cell of its axis.
-                shift, rows = _join_residue(0, node.placements, svals), slice(None)
+                shift, sel = _join_residue(0, node.placements, svals), slice(None)
                 if len(shifted) < len(axes):
-                    shift, rows = axes[shifted[0]].values, index[shifted[0]]
-                at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[rows]
+                    shift, sel = axes[shifted[0]].values, index[shifted[0]]
+                at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[sel]
             # A child read alike by every row is one row, broadcast.
-            best = np.add(_padded(lf, lc, lh, j), _padded(rf, rc, rh, at))
-            np.minimum(best, sentinel, out=best)
+            np.add(_padded(lf, lc, lh, j), _padded(rf, rc, rh, at), out=rows)
+            np.minimum(rows, sentinel, out=rows)
         else:
             # The column past the right window is the sentinel.
             kl, kr = int(lh.max()), int(rh.max())
             left = _padded(lf, lc, lh, np.arange(-kl, kl + 1))
             right = _padded(rf, rc, rh, np.arange(-kr, kr + 2))
-            # A child read alike by every row is one row, repeated.
-            n = max(len(left), len(right))
-            left, right = (r if len(r) == n else r.repeat(n, axis=0) for r in (left, right))
-            best, split = _split_scan(top, left, right, h, sentinel)
+            # A child read alike by every row is one row: a left one
+            # broadcasts in the scan, a right one is repeated for its gather.
+            if len(right) < len(rows):
+                right = right.repeat(len(rows), axis=0)
+            first = self.split_at[ids[0]]
+            split = self.splits[first : first + cells].reshape(rows.shape)
+            _split_scan(top, left, right, rows, split, sentinel)
         if ok is not None:
-            np.copyto(best, sentinel, where=~ok)
-        # Each row's own cells: all of them when every row is h wide.
-        own = slice(None) if cells == best.size else np.abs(j) <= row_half[:, None]
-        for flat, first, rows in ((costs, lo, best), (self.splits, self.split_at[ids[0]], split)):
-            if rows is not None:
-                rows = rows[own]
-                flat[first : first + cells].reshape(rows.shape)[...] = rows
+            np.copyto(rows, sentinel, where=~ok)
         return count
 
     def _child_rows(self, nid: int, axes: dict[str, ResidueDomain], index: dict):
@@ -863,6 +873,7 @@ def feasible_detailed(
     """Like :func:`feasible` but also reports per-query statistics."""
     if flow_value < 0:
         raise ValueError("flow value cannot be negative")
+    _check_inputs(instance, tree)
     if tree is None:
         tree = decompose(instance.graph)
     table = build_table(

@@ -90,13 +90,8 @@ def scale_capacities(graph: MultiGraph, m_level, epsilon_prime) -> dict[str, int
     epsilon_prime = as_fraction(epsilon_prime)
     if m_level < 1:
         raise ValueError("scale level M must be at least 1")
-    m = graph.edge_count
-    denom = m_level * epsilon_prime
-    out = {}
-    for edge in graph.edges:
-        value = Fraction(m * edge.capacity) / denom
-        out[edge.id] = value.numerator // value.denominator
-    return out
+    m, d = graph.edge_count, m_level * epsilon_prime
+    return {edge.id: m * edge.capacity * d.denominator // d.numerator for edge in graph.edges}
 
 
 @dataclass(frozen=True)

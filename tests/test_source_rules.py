@@ -95,3 +95,13 @@ def test_spine_nodes_read_children_one_way():
 
     assert _sites(scans, [PACKAGE / "dp.py"]) == ["_build_group"]
     assert set(_sites(table_axes)) == {"_coords", "_child_rows"}
+
+
+def test_split_scan_writes_into_its_rows():
+    # The scan fills the group's rows of the flat cost and split arrays
+    # where they live; a result it returns would be a second copy of them.
+    def returns_value(node):
+        return isinstance(node, ast.Return) and node.value is not None
+
+    assert callable(dp._split_scan)
+    assert "_split_scan" not in _sites(returns_value, [PACKAGE / "dp.py"])
