@@ -105,6 +105,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Iterable, Mapping
 
@@ -248,6 +249,13 @@ class DPTable:
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
         self.tables: dict[int, NodeTable] = {}
+
+    @cached_property
+    def _max_flow(self) -> int:
+        """The all-edges max flow F of the tree's graph, found at most once
+
+        per table, when a ``table=`` solve needs it (:func:`_check_bound`)."""
+        return max_flow(self.tree.graph)[0]
 
     @property
     def state_count(self) -> int:
@@ -425,7 +433,9 @@ def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.
 
 
 class _Builder:
-    """One tree's rows under one flow bound, capacity set and residue set.
+    """One tree's rows under one flow bound and residue set, over the
+
+    capacities and costs of the tree's graph.
 
     The tree walk, the groups and the special-free forest's layout do not
     depend on a pin, so they are made once, here. The first :meth:`build`
@@ -445,13 +455,7 @@ class _Builder:
     parallel rows' splits in a second. The tree walk also keeps each
     node's children and each leaf's edge cost, for the groups to read."""
 
-    def __init__(
-        self,
-        tree: DecompTree,
-        f_bound: int,
-        capacities: Mapping[str, int],
-        base_domain: ResidueDomain | None,
-    ):
+    def __init__(self, tree: DecompTree, f_bound: int, base_domain: ResidueDomain | None):
         self.tree, self.f_bound = tree, f_bound
         self.sentinel = infinity_sentinel(tree.graph)
         top = ResidueDomain.range(f_bound) if base_domain is None else base_domain.clipped(f_bound)
@@ -463,7 +467,8 @@ class _Builder:
         for nid in order:
             node = nodes[nid]
             if node.kind == "leaf":
-                total[nid], paid[nid] = capacities[node.edge_id], edges[node.edge_id].cost
+                edge = edges[node.edge_id]
+                total[nid], paid[nid] = edge.capacity, edge.cost
             else:
                 left[nid], right[nid] = node.left, node.right
                 total[nid] = total[node.left] + total[node.right]
@@ -661,28 +666,21 @@ def build_table(
     tree: DecompTree,
     f_bound: int,
     *,
-    capacity_override: Mapping[str, int] | None = None,
     residue_values: Iterable[int] | None = None,
     pin: int | None = None,
 ) -> DPTable:
-    """Build DP tables for every node in postorder.
+    """Build DP tables for every node in postorder, over the capacities and
+
+    costs of ``tree.graph``: a table answers for its tree's graph.
 
     ``f_bound`` bounds every residue, usually the all-edges max flow F
-    (:func:`upper_bound_flow`). ``capacity_override`` substitutes capacities
-    by edge id without touching costs. ``residue_values`` restricts every
-    cell coordinate and every parallel split to an explicit residue set.
-    ``pin`` gives the source axis the one value -pin and the sink axis the
-    one value +pin, so each special axis has length one and the tables
-    answer only the flow query ``pin``.
+    (:func:`upper_bound_flow`); a bound below F answers the flow values up
+    to it. ``residue_values`` restricts every cell coordinate and every
+    parallel split to an explicit residue set. ``pin`` gives the source
+    axis the one value -pin and the sink axis the one value +pin, so each
+    special axis has length one and the tables answer only the flow query
+    ``pin``.
     """
-    capacities = {e.id: e.capacity for e in tree.graph.edges}
-    if capacity_override is not None:
-        for eid, cap in capacity_override.items():
-            if eid not in capacities:
-                raise KeyError(f"unknown edge id {eid!r} in capacity override")
-            if cap < 0:
-                raise ValueError("capacities cannot be negative")
-            capacities[eid] = cap
     if f_bound < 0:
         raise ValueError("flow bound cannot be negative")
     if pin is not None and not (0 <= pin <= f_bound):
@@ -690,7 +688,7 @@ def build_table(
     base = None
     if residue_values is not None:
         base = ResidueDomain.explicit(residue_values)
-    return _Builder(tree, f_bound, capacities, base).build(pin)
+    return _Builder(tree, f_bound, base).build(pin)
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -763,6 +761,18 @@ def check_demand(demand: int, f_bound: int) -> None:
         raise InfeasibleError(f"demand {demand} exceeds the best attainable flow {f_bound}")
 
 
+def _check_bound(table: DPTable) -> None:
+    """A ``table=`` solve whose answer may lie past the table's flow bound
+
+    (a demand above it, a budget answer at its top flow value) needs that
+    bound to be at least F: a table built under F cannot see the flows
+    above its bound."""
+    if table.f_bound < table._max_flow:
+        raise ValueError(
+            f"table's flow bound {table.f_bound} is below the graph's max flow {table._max_flow}"
+        )
+
+
 def solve_capndp(
     instance: ProblemInstance,
     *,
@@ -774,17 +784,22 @@ def solve_capndp(
     flow value >= D, since the cost never falls as the flow rises.
 
     Without ``table`` it answers from one build pinned to D with the flow
-    bound F; a ``table`` (a full or a lattice build) is read as it is."""
+    bound F; a ``table`` (a full or a lattice build) is read as it is. A
+    demand above its flow bound is infeasible if it is above F, and is
+    refused (``ValueError``) if the bound is below F."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
     _check_inputs(instance, tree, table)
     if tree is None and table is None:
         tree = decompose(instance.graph)
     demand = instance.demand
-    f_bound = upper_bound_flow(instance) if table is None else table.f_bound
-    check_demand(demand, f_bound)
     if table is None:
+        f_bound = upper_bound_flow(instance)
+        check_demand(demand, f_bound)
         table = build_table(tree, f_bound, pin=demand)
+    elif demand > table.f_bound:
+        check_demand(demand, table._max_flow)
+        _check_bound(table)
     flows = _flow_values(table)
     at = int(np.searchsorted(flows, demand))
     if at < len(flows):
@@ -807,7 +822,9 @@ def solve_bcmfp(
 
     Without ``table`` each probe v of the search is a build pinned to v with
     the flow bound F, and every probe after the first rebuilds only the
-    nodes with an interior special; a ``table`` is read as it is."""
+    nodes with an interior special; a ``table`` is read as it is. An answer
+    at the table's top flow value is refused (``ValueError``) if the
+    table's flow bound is below F, since a larger flow may be affordable."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
     _check_inputs(instance, tree, table)
@@ -821,6 +838,8 @@ def solve_bcmfp(
         at, _ = last_accepted(
             len(flows) - 1, lambda i: (_affordable(table, int(flows[i]), budget), None)
         )
+        if at == len(flows) - 1:
+            _check_bound(table)
         v = int(flows[at])
     cost, edges = table.query(v)
     if edges is None or cost > budget:
@@ -833,7 +852,7 @@ def _pinned_budget_search(tree: DecompTree, f_bound: int, budget: int) -> tuple[
 
     the pinned build that answers it. One builder serves every probe, so
     the special-free tables are built once."""
-    builder = _Builder(tree, f_bound, {e.id: e.capacity for e in tree.graph.edges}, None)
+    builder = _Builder(tree, f_bound, None)
 
     def probe(v: int):
         table = builder.build(v)
@@ -846,39 +865,28 @@ def _pinned_budget_search(tree: DecompTree, f_bound: int, budget: int) -> tuple[
 
 
 def feasible(
-    instance: ProblemInstance,
-    budget: int,
-    flow_value: int,
-    capacity_override: Mapping[str, int] | None = None,
-    *,
-    tree: DecompTree | None = None,
+    instance: ProblemInstance, budget: int, flow_value: int, *, tree: DecompTree | None = None
 ) -> tuple[bool, frozenset[str] | None]:
     """Is there a purchase of cost <= budget supporting the given flow value
 
-    under the (possibly overridden) capacities? Returns a witness on YES."""
-    ok, edges, _ = feasible_detailed(
-        instance, budget, flow_value, capacity_override, tree=tree
-    )
+    under the instance's capacities? Returns a witness on YES."""
+    ok, edges, _ = feasible_detailed(instance, budget, flow_value, tree=tree)
     return ok, edges
 
 
 def feasible_detailed(
-    instance: ProblemInstance,
-    budget: int,
-    flow_value: int,
-    capacity_override: Mapping[str, int] | None = None,
-    *,
-    tree: DecompTree | None = None,
+    instance: ProblemInstance, budget: int, flow_value: int, *, tree: DecompTree | None = None
 ) -> tuple[bool, frozenset[str] | None, dict]:
-    """Like :func:`feasible` but also reports per-query statistics."""
+    """Like :func:`feasible` but also reports per-query statistics: the
+
+    pinned build's admissible states, its flow bound (the flow value) and
+    the least cost of carrying that value, None if no purchase does."""
     if flow_value < 0:
         raise ValueError("flow value cannot be negative")
     _check_inputs(instance, tree)
     if tree is None:
         tree = decompose(instance.graph)
-    table = build_table(
-        tree, flow_value, capacity_override=capacity_override, pin=flow_value
-    )
+    table = build_table(tree, flow_value, pin=flow_value)
     cost = table.query_cost(flow_value)
     stats = {
         "states": table.state_count,

@@ -3,13 +3,15 @@
 The exact solver's work grows with the flow bound F, which is exponential
 in the bit length of the capacities. The scheme here keeps runs polynomial:
 with accuracy eps, set eps' = min(1, eps/3) and R = ceil(m/eps'). For a
-scale level M, replace each capacity u_e by floor(m*u_e/(M*eps')) and ask
-whether some subset within budget supports a flow of R under the scaled
-capacities; that probe is a pinned single-query build whose work depends on
-R, not F. The answer is monotone along the geometric ladder M = (1+eps')^j:
-YES is guaranteed whenever M <= OPT/(1+eps'), and a YES certifies a true
-flow of at least M. So the largest YES level M' has a witness whose true
-max flow is at least M' >= OPT/(1+eps')^2 >= OPT/(1+eps).
+scale level M, copy the instance with each capacity u_e replaced by
+floor(m*u_e/(M*eps')) and ask whether some subset within budget supports a
+flow of R in that copy; that probe is the exact solver's pinned build, on
+the scaled copy with the instance's tree rebound to it (the decomposition
+reads no capacity), and its work depends on R, not F. The answer is
+monotone along the geometric ladder M = (1+eps')^j: YES is guaranteed
+whenever M <= OPT/(1+eps'), and a YES certifies a true flow of at least M.
+So the largest YES level M' has a witness whose true max flow is at least
+M' >= OPT/(1+eps')^2 >= OPT/(1+eps).
 
 The ladder is bracketed before any probe. LB, the largest bottleneck
 capacity of a source-sink path costing at most B, satisfies
@@ -39,15 +41,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Mapping
 
 from .decompose import DecompTree, decompose
 from .dp import _check_inputs, _rechecked, feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
-from .instance import MultiGraph, ProblemInstance, Solution
+from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
 
 
 @dataclass(frozen=True)
@@ -179,24 +180,26 @@ def fptas_bcmfp_detailed(
     probes: list[ProbeRecord] = []
     ratio = 1 + params.epsilon_prime
 
-    def probe(flow_target: int, caps: Mapping[str, int] | None, level):
-        """The answer, and on YES the witness with its table cost."""
-        ok, edges, stats = feasible_detailed(
-            instance, budget, flow_target, caps, tree=tree
-        )
+    def probe(probed: ProblemInstance, probed_tree: DecompTree, flow_target: int, level):
+        """The answer on ``probed``, and on YES the witness with its table cost."""
+        ok, edges, stats = feasible_detailed(probed, budget, flow_target, tree=probed_tree)
         probes.append(ProbeRecord(level, flow_target, ok, stats["states"]))
         return ok, (edges, stats["cost"])
 
     def exact_flow_search(hi: int) -> Solution:
-        v, found = last_accepted(hi, lambda v: probe(v, None, None))
+        v, found = last_accepted(hi, lambda v: probe(instance, tree, v, None))
         edges, cost = found or (frozenset(), 0)
         return _rechecked(instance, cost, edges, v)
 
     def rung(j: int):
-        """The probe at ladder level M = ratio**j."""
+        """The probe at ladder level M = ratio**j, on a copy of the instance
+
+        with the scaled capacities."""
         level = ratio**j
         caps = scale_capacities(graph, level, params.epsilon_prime)
-        return probe(params.target_r, caps, level)
+        edges = tuple(EdgeRecord(e.id, e.u, e.v, e.cost, caps[e.id]) for e in graph.edges)
+        scaled = replace(graph, edges=edges)
+        return probe(replace(instance, graph=scaled), replace(tree, graph=scaled), params.target_r, level)
 
     def ladder_search(low: int, top: int, accepted) -> tuple[Fraction, Solution]:
         """The largest YES level in [ratio**low, ratio**top] and its witness,

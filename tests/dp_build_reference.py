@@ -168,12 +168,10 @@ def _build_spine_parallel(
     return NodeTable(dom, axes, best, split, admissible)
 
 
-def reference_table(tree, f_bound, *, capacity_override=None, residue_values=None, pin=None) -> dp.DPTable:
+def reference_table(tree, f_bound, *, residue_values=None, pin=None) -> dp.DPTable:
     """``build_table(tree, f_bound, ...)`` built node by node, with the
 
     frozen combines above."""
-    capacities = {e.id: e.capacity for e in tree.graph.edges}
-    capacities.update(capacity_override or {})
     base = None if residue_values is None else ResidueDomain.explicit(residue_values)
     sentinel = infinity_sentinel(tree.graph)
     table = dp.DPTable(tree, f_bound, sentinel, pin)
@@ -184,13 +182,14 @@ def reference_table(tree, f_bound, *, capacity_override=None, residue_values=Non
     for nid in tree.postorder_ids():
         node = tree.node(nid)
         if node.kind == "leaf":
-            total[nid] = capacities[node.edge_id]
+            total[nid] = edges[node.edge_id].capacity
         else:
             total[nid] = total[node.left] + total[node.right]
         radius = min(f_bound, total[nid])
         dom = ResidueDomain.range(radius) if base is None else base.clipped(radius)
         if node.kind == "leaf":
-            cost, admissible = _build_leaf(dom, edges[node.edge_id].cost, capacities[node.edge_id], sentinel)
+            edge = edges[node.edge_id]
+            cost, admissible = _build_leaf(dom, edge.cost, edge.capacity, sentinel)
             table.tables[nid] = NodeTable(dom, {}, cost, None, admissible)
         elif node.placements:
             left_nt, right_nt = table.tables[node.left], table.tables[node.right]

@@ -1,7 +1,10 @@
 """Hypothesis strategies for tiny series-parallel instances, shared by the
 
 property tests of the exact and the approximate solvers, with explicit
-inputs those strategies draw only rarely."""
+inputs those strategies draw only rarely, and the helper that copies an
+instance or a tree over other capacities."""
+
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -62,3 +65,14 @@ class FixedDraws:
 
     def draw(self, strategy):
         return self.values.pop(0)
+
+
+def with_capacities(owner, capacities):
+    """``owner``, an instance or a decomposition tree, over a copy of its
+
+    graph in which each edge named in ``capacities`` takes that capacity;
+    the others keep theirs. A tree stays valid, since the decomposition
+    reads no capacity."""
+    graph = owner.graph
+    edges = tuple(replace(e, capacity=capacities.get(e.id, e.capacity)) for e in graph.edges)
+    return replace(owner, graph=replace(graph, edges=edges))

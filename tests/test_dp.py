@@ -33,7 +33,7 @@ from spnd.instance import EdgeRecord
 
 from dp_build_reference import assert_same_tables, reference_table
 from dp_reference import cell_of, combine_parallel, combine_series, leaf_cost, series_children
-from sp_strategies import FixedDraws, paths_apart, tiny_instances
+from sp_strategies import FixedDraws, paths_apart, tiny_instances, with_capacities
 
 # Ring with source and sink strictly inside, F = 48: the two inner nodes
 # above the sink join hold 97^3 cells.
@@ -314,9 +314,9 @@ def test_feasible_diamond(diamond):
     ok, edges = feasible(diamond, 2, 2)
     assert ok and edges == frozenset({"e1", "e2"})
     assert feasible(diamond, 1, 1) == (False, None)
-    zeroed = {e.id: 0 for e in diamond.graph.edges}
-    assert feasible(diamond, 5, 3, zeroed)[0] is False
-    assert feasible(diamond, 5, 0, zeroed)[0] is True
+    zeroed = with_capacities(diamond, {e.id: 0 for e in diamond.graph.edges})
+    assert feasible(zeroed, 5, 3)[0] is False
+    assert feasible(zeroed, 5, 0)[0] is True
 
 
 def test_feasible_detailed_reports_stats(diamond):
@@ -327,16 +327,12 @@ def test_feasible_detailed_reports_stats(diamond):
     assert stats["states"] > 0
 
 
-def test_capacity_override_changes_answers(diamond):
-    tree = decompose(diamond.graph)
-    table = build_table(tree, 3, capacity_override={"e3": 0})
+def test_table_answers_for_its_graphs_capacities(diamond):
+    # The diamond's tree over a copy with e3 closed: flow 3 needs e3.
+    table = build_table(with_capacities(decompose(diamond.graph), {"e3": 0}), 3)
     assert table.query_cost(3) == table.infinity
     assert table.query(3) == (table.infinity, None)
     assert table.query_cost(2) == 2
-    with pytest.raises(KeyError):
-        build_table(tree, 3, capacity_override={"zz": 1})
-    with pytest.raises(ValueError):
-        build_table(tree, 3, capacity_override={"e3": -1})
 
 
 def test_pinned_build_rejects_other_queries(diamond):
@@ -710,9 +706,8 @@ def test_special_free_costs_are_symmetric_and_monotone(seed, edge_budget, cap_ma
     f = upper_bound_flow(instance)
     ids = [e.id for e in instance.graph.edges]
     closed = data.draw(st.sets(st.sampled_from(ids)))
-    table = build_table(
-        tree, f, capacity_override={eid: 0 for eid in closed}, pin=data.draw(st.integers(0, f))
-    )
+    closed_tree = with_capacities(tree, dict.fromkeys(closed, 0))
+    table = build_table(closed_tree, f, pin=data.draw(st.integers(0, f)))
     for nid, nt in table.tables.items():
         if tree.node(nid).placements:
             continue
@@ -821,8 +816,8 @@ def test_untabled_solves_build_no_cube(objective, monkeypatch):
 
 
 def _builder(tree, f):
-    """A builder of ``tree``'s rows under flow bound ``f`` and the graph's own capacities."""
-    return dp_module._Builder(tree, f, {e.id: e.capacity for e in tree.graph.edges}, None)
+    """A builder of ``tree``'s rows under flow bound ``f``, over its whole residue range."""
+    return dp_module._Builder(tree, f, None)
 
 
 def test_reuse_shares_special_free_tables_and_rebuilds_the_spine(ring):
@@ -884,6 +879,45 @@ def test_solves_refuse_a_tree_or_table_of_another_graph():
     # An equal graph of another object is the same graph.
     same = decompose(parse_instance(a_text).graph)
     assert solve_capndp(a, tree=same).total_cost == solve_capndp(a).total_cost == 2
+
+
+def _counting_max_flow(monkeypatch) -> list:
+    """Record each graph the dp module takes a max flow of."""
+    calls, real = [], dp_module.max_flow
+    monkeypatch.setattr(dp_module, "max_flow", lambda graph: calls.append(graph) or real(graph))
+    return calls
+
+
+def test_demand_past_a_tables_bound_needs_the_bound_to_reach_f(monkeypatch):
+    # F = 6 and cost 2 carries 5: a table bounded at 2 cannot see demand 3.
+    a = parse_instance("graph 3\nsource 0\nsink 2\nedge e1 0 1 1 5\nedge e2 1 2 1 5\nedge e3 0 2 4 1\ndemand 3\n")
+    tree = decompose(a.graph)
+    short, calls = build_table(tree, 2), _counting_max_flow(monkeypatch)
+    assert solve_capndp(a.with_demand(2), table=short).total_cost == 2
+    assert calls == []  # a demand within the bound needs no F
+    for _ in range(2):
+        with pytest.raises(ValueError, match="flow bound 2 is below the graph's max flow 6"):
+            solve_capndp(a, table=short)
+        with pytest.raises(InfeasibleError, match="demand 7 exceeds the best attainable flow 6"):
+            solve_capndp(a.with_demand(7), table=short)
+    assert len(calls) == 1  # once per table
+    assert solve_capndp(a, table=build_table(tree, 6)).total_cost == 2
+
+
+def test_budget_answer_at_a_tables_top_needs_the_bound_to_reach_f(monkeypatch):
+    # e2 carries 10 within budget 3; a table bounded at 2 tops out at e1's flow 2.
+    inst = parse_instance("graph 2\nsource 0\nsink 1\nedge e1 0 1 1 2\nedge e2 0 1 3 10\nbudget 3\n")
+    tree = decompose(inst.graph)
+    short, calls = build_table(tree, 2), _counting_max_flow(monkeypatch)
+    assert solve_bcmfp(inst.with_budget(0), table=short).achieved_flow == 0
+    assert calls == []  # an answer below the top needs no F
+    for _ in range(2):
+        with pytest.raises(ValueError, match="flow bound 2 is below the graph's max flow 12"):
+            solve_bcmfp(inst, table=short)
+    assert len(calls) == 1  # once per table
+    full = build_table(tree, 12)
+    assert solve_bcmfp(inst, table=full).achieved_flow == 10
+    assert solve_bcmfp(inst.with_budget(4), table=full).achieved_flow == 12
 
 
 def test_feasibility_refuses_menus_and_a_tree_of_another_graph():

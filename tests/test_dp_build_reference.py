@@ -16,7 +16,7 @@ from spnd.extensions import LatticeSpec, lattice_residues
 from spnd.fptas import ScaleParams, scale_capacities
 
 from dp_build_reference import assert_same_tables, reference_table
-from sp_strategies import paths_apart, tiny_instances
+from sp_strategies import paths_apart, tiny_instances, with_capacities
 
 # generate_sp(seed, edge_budget=400, cap_max=2) seeds with 190-210 edges,
 # the size of the benchmark's large sparse inputs.
@@ -74,9 +74,9 @@ def test_scaled_capacity_builds(seed):
     tree = decompose(instance.graph)
     params = ScaleParams.for_instance(instance.graph.edge_count, "1/2")
     for level in (1, 7, 10**3, 10**5, 10**7):
-        caps = scale_capacities(instance.graph, level, params.epsilon_prime)
+        scaled = with_capacities(tree, scale_capacities(instance.graph, level, params.epsilon_prime))
         r = params.target_r
-        _check(tree, r, f"seed {seed} level {level}", capacity_override=caps, pin=r)
+        _check(scaled, r, f"seed {seed} level {level}", pin=r)
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -89,8 +89,9 @@ def test_zero_flow_bound_and_zero_capacities(seed):
     # Every other edge closed, then every edge.
     edges = instance.graph.edges
     for zeroed in ({e.id: 0 for e in edges[::2]}, {e.id: 0 for e in edges}):
-        _check(tree, f, f"seed {seed} zeroed {len(zeroed)}", capacity_override=zeroed)
-        _check(tree, f, f"seed {seed} zeroed {len(zeroed)} pin 1", capacity_override=zeroed, pin=min(1, f))
+        closed = with_capacities(tree, zeroed)
+        _check(closed, f, f"seed {seed} zeroed {len(zeroed)}")
+        _check(closed, f, f"seed {seed} zeroed {len(zeroed)} pin 1", pin=min(1, f))
 
 
 def test_one_edge_tree(single_edge):
@@ -99,7 +100,7 @@ def test_one_edge_tree(single_edge):
     for f in (0, 3, 7, 9):
         _check(tree, f, f"F={f}")
         _check(tree, f, f"F={f} pin {f}", pin=f)
-    _check(tree, 7, "closed", capacity_override={"e1": 0})
+    _check(with_capacities(tree, {"e1": 0}), 7, "closed")
     _check(tree, 7, "even", residue_values=[-6, -4, -2, 0, 2, 4, 6])
 
 

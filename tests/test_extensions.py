@@ -30,11 +30,13 @@ from spnd import (
     solve_lattice,
     solve_lattice_detailed,
     solve_with_upgrades,
+    subset_profiles,
     upper_bound_flow,
 )
 from spnd import extensions as extensions_module
 from spnd.extensions import lattice_residues, normalize_menu, validate_lattice
 from lattice_reference import reference_lattice_residues, reference_unrepresentable
+from sp_strategies import with_capacities
 
 
 # -- lattice residues --------------------------------------------------------
@@ -167,28 +169,8 @@ def test_lattice_rejects_demand_above_f_before_building(diamond, monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def _with_capacities(instance, caps):
-    g = instance.graph
-    edges = tuple(
-        EdgeRecord(e.id, e.u, e.v, e.cost, caps[e.id]) for e in g.edges
-    )
-    graph = MultiGraph(
-        vertex_count=g.vertex_count,
-        edges=edges,
-        source=g.source,
-        sink=g.sink,
-        declared_terminals=g.declared_terminals,
-    )
-    return ProblemInstance(
-        graph=graph,
-        budget=instance.budget,
-        demand=instance.demand,
-        upgrades=instance.upgrades,
-    )
-
-
 def test_lattice_solve_on_rescaled_capacities(diamond):
-    inst = _with_capacities(diamond, {"e1": 2, "e2": 2, "e3": 2}).with_demand(2)
+    inst = with_capacities(diamond, {"e1": 2, "e2": 2, "e3": 2}).with_demand(2)
     spec = LatticeSpec((2,), 1)
     assert solve_lattice(inst, spec).total_cost == solve_capndp(inst).total_cost
 
@@ -251,7 +233,7 @@ def test_lattice_with_zero_basis_values(diamond):
             sol = solve_lattice(inst, LatticeSpec(basis, 1))
             assert (sol.purchased, sol.total_cost, sol.achieved_flow) == (frozenset(), 0, 0), basis
     # A zero beside 2 adds nothing: every answer is the unrestricted one.
-    doubled = _with_capacities(diamond, {"e1": 4, "e2": 4, "e3": 2})
+    doubled = with_capacities(diamond, {"e1": 4, "e2": 4, "e3": 2})
     spec = LatticeSpec((0, 2), 2)
     for d in range(upper_bound_flow(doubled) + 1):
         inst = doubled.with_demand(d)
@@ -278,7 +260,7 @@ def _lattice_instance(seed):
                 break
         else:
             caps[e.id] = basis[0]
-    inst = _with_capacities(base, caps)
+    inst = with_capacities(base, caps)
     if seed % 2:
         inst = inst.with_budget(rng.randint(0, inst.graph.total_cost()))
     else:
@@ -482,9 +464,10 @@ def _mixed_upgrade_instance(seed, gadget_count):
     return inst
 
 
-def _brute_force_over_choices(inst):
-    """Optimal flow over every per-gadget single choice, via the oracle."""
-    best = -1
+def _choice_graphs(inst):
+    """The graph with each menu replaced by one of its choices, or by
+
+    nothing, in every combination."""
     options = [range(len(up.choices) + 1) for up in inst.upgrades]
     for combo in product(*options):
         edges = list(inst.graph.edges)
@@ -492,12 +475,18 @@ def _brute_force_over_choices(inst):
             if pick:
                 c, u = up.choices[pick - 1]
                 edges.append(EdgeRecord(f"{up.id}#chosen", up.u, up.v, c, u))
-        graph = MultiGraph(
+        yield MultiGraph(
             vertex_count=inst.graph.vertex_count,
             edges=tuple(edges),
             source=inst.graph.source,
             sink=inst.graph.sink,
         )
+
+
+def _brute_force_over_choices(inst):
+    """Optimal flow over every per-gadget single choice, via the oracle."""
+    best = -1
+    for graph in _choice_graphs(inst):
         flat = ProblemInstance(graph=graph, budget=inst.budget, demand=None, upgrades=())
         best = max(best, oracle_bcmfp(flat).achieved_flow)
     return best
@@ -518,6 +507,24 @@ def test_three_gadget_end_to_end():
     sol, plan, _ = solve_with_upgrades(inst)
     assert sol.achieved_flow == _brute_force_over_choices(inst)
     assert plan.interpreted_cost <= inst.budget
+
+
+@pytest.mark.parametrize(
+    ("seed", "gadget_count"), [(seed, 2) for seed in range(1, 16)] + [(3, 3)]
+)
+def test_multi_gadget_demands_match_the_best_menu_choice(seed, gadget_count):
+    # Every demand in [0, F] costs what the cheapest purchase over every
+    # combination of one choice (or none) per menu costs; F + 1 is infeasible.
+    inst = _mixed_upgrade_instance(seed, gadget_count)
+    profiles = [p for graph in _choice_graphs(inst) for p in subset_profiles(graph)]
+    f = max(flow for _, flow in profiles)
+    for demand in range(f + 1):
+        sol, plan, _ = solve_with_upgrades(inst.with_demand(demand))
+        best = min(cost for cost, flow in profiles if flow >= demand)
+        assert (sol.total_cost, plan.interpreted_cost) == (best, best), f"seed {seed} demand {demand}"
+        assert plan.interpreted_flow >= demand
+    with pytest.raises(InfeasibleError):
+        solve_with_upgrades(inst.with_demand(f + 1))
 
 
 def test_capndp_with_upgrades():

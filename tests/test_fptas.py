@@ -22,7 +22,7 @@ from spnd import (
 from spnd.flow import verify_solution
 from spnd.fptas import ScaleParams, _ladder_top, as_fraction, scale_capacities, widest_path_within_budget
 
-from sp_strategies import FixedDraws, paths_apart, tiny_instances
+from sp_strategies import FixedDraws, paths_apart, tiny_instances, with_capacities
 
 
 def _instance(edge_specs, budget, vertex_count=None):
@@ -172,7 +172,8 @@ def test_ladder_answers_are_monotone():
     level = Fraction(1)
     while level <= f:
         caps = scale_capacities(inst.graph, level, params.epsilon_prime)
-        ok, _ = feasible(inst, inst.budget, params.target_r, caps, tree=tree)
+        scaled, scaled_tree = with_capacities(inst, caps), with_capacities(tree, caps)
+        ok, _ = feasible(scaled, inst.budget, params.target_r, tree=scaled_tree)
         answers.append(ok)
         level *= ratio
     assert answers[0] is True
@@ -365,7 +366,7 @@ def test_rungs_below_the_bracket_answer_yes(inst, epsilon, data):
     assert ratio**low <= lb / ratio < ratio ** (low + 1)
     for j in {low, data.draw(st.integers(0, low))}:
         caps = scale_capacities(inst.graph, ratio**j, params.epsilon_prime)
-        ok, _ = feasible(inst, inst.budget, params.target_r, caps)
+        ok, _ = feasible(with_capacities(inst, caps), inst.budget, params.target_r)
         assert ok, j
 
 

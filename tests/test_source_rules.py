@@ -105,3 +105,10 @@ def test_split_scan_writes_into_its_rows():
 
     assert callable(dp._split_scan)
     assert "_split_scan" not in _sites(returns_value, [PACKAGE / "dp.py"])
+
+
+def test_tables_read_capacities_from_their_graph():
+    # A table answers for its tree's graph: no build takes capacities of its
+    # own, which could differ from the graph's that the solvers check.
+    assert _sites(lambda node: isinstance(node, ast.arg) and node.arg == "capacity_override") == []
+    assert list(inspect.signature(dp._Builder.__init__).parameters) == ["self", "tree", "f_bound", "base_domain"]
