@@ -281,7 +281,7 @@ def test_criterion_5_lattice_equals_unrestricted_with_fewer_states(capfd):
 
         f = upper_bound_flow(inst)
         tree = decompose(inst.graph)
-        full = build_table(tree, f)
+        full = build_table(tree, f, pin=outcome.table.pin)
         if len(lattice_residues(spec, inst.graph.edge_count, f)) < 2 * f + 1:
             assert outcome.table.state_count < full.state_count, seed
             proper += 1
