@@ -16,20 +16,21 @@ free coordinates are thus the table's axes and nothing needs re-checking.
 
 A flow of value v from source to sink is the root cell at (r_s, r_t) =
 (-v, +v), whose r_a is -v if the source is the root's a terminal and +v if
-the sink is. Both solvers reduce to such queries at the flow values a
-table holds, the root domain's values in [0, F] (every integer there, or
-the lattice points of a lattice table). The cost never falls as the flow
-rises, so a demand D is answered at the least such value >= D, and a
-budget by a binary search for the largest affordable one; the sentinel is
-never affordable.
+the sink is. Every solve reduces to such queries at its flow values, the
+values in [0, F] of its residue domain: every integer there, or the
+lattice points of a lattice solve (see solve_lattice), or a given table's
+root domain values. The cost never falls as the flow rises, so a demand D
+is answered at the least such value >= D, and a budget by a binary search
+for the largest affordable one; the sentinel is never affordable.
 
-Given no table, the solvers never build every (r_s, r_t) pair: each query
-value v gets its own build pinned to v with the flow bound F (below), which
-answers that query with the full table's cost and witness. A demand takes
-one such build; a budget search one per probe. The special-free nodes, those
-with no interior special, have no special axis, so their tables do not
-depend on v: a budget search builds them once, with one builder for every
-probe, and each later probe builds only the nodes above the source or the
+Given no table, a solve, plain or lattice, never builds every (r_s, r_t)
+pair (:func:`_solve`): each query value v gets its own build pinned to v
+with the flow bound F (below), which answers that query with the full
+table's cost and witness. A demand takes one such build; a budget search
+one per probe. One builder over the solve's residue domain makes them all.
+The special-free nodes, those with no interior special, have no special
+axis, so their tables do not depend on v: a budget search builds them
+once, and each later probe builds only the nodes above the source or the
 sink (``_Builder.build``).
 
 Series nodes combine children in one forced way; parallel nodes minimize
@@ -88,14 +89,15 @@ is nonzero.
 
 Tables are dense numpy arrays, one axis per free coordinate. The a-slot
 axis ranges over the node's residue domain: integers in [-Fn, Fn] where
-Fn = min(F, total capacity of the subgraph), optionally intersected with an
-explicit residue set (see solve_lattice). Each special axis
-(``NodeTable.special_axes``, keyed by the special's label in s-then-t
-order) ranges over the same domain, unless the build is pinned to one
-query value v: then the source axis holds only -v and the sink axis only
-+v, so every special axis has length one and the table answers that single
-flow query. The exact solvers build such tables with the flow bound F; the
-budget-feasibility probe of the approximation scheme clips it to v.
+Fn = min(F, total capacity of the subgraph), intersected with the lattice
+residues in a lattice solve. Each special axis (``NodeTable.special_axes``,
+keyed by the special's label in s-then-t order) ranges over the same
+domain, unless the build is pinned to one query value v: then the source
+axis holds only -v and the sink axis only +v, so every special axis has
+length one and the table answers that single flow query. The exact
+solvers, lattice ones included, build only such tables, with the flow
+bound F; the budget-feasibility probe of the approximation scheme clips it
+to v.
 Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 """
 
@@ -585,13 +587,9 @@ class _Builder:
             node, axes = nodes[ids[0]], axes[ids[0]]  # a spine node is a group of its own
             # Its rows, in C order over its special cells: each special's
             # position on its axis, and its residue.
-            if len(axes) == 1:
-                ((lab, axis),) = axes.items()
-                index, svals = {lab: np.arange(len(axis))}, {lab: axis.values}
-            else:
-                s, t = len(axes["s"]), len(axes["t"])
-                index = dict(zip("st", np.divmod(np.arange(s * t), t)))
-                svals = {lab: axes[lab].values[at] for lab, at in index.items()}
+            lens = tuple(map(len, axes.values()))
+            index = dict(zip(axes, np.unravel_index(np.arange(prod(lens)), lens)))
+            svals = {lab: axes[lab].values[at] for lab, at in index.items()}
             children = (self._child_rows(c, axes, index) for c in (node.left, node.right))
             (lf, lc, lh), (rf, rc, rh) = children
             dom = self.domains[h]
@@ -662,33 +660,22 @@ class _Builder:
         return ok, int(ok.sum())
 
 
-def build_table(
-    tree: DecompTree,
-    f_bound: int,
-    *,
-    residue_values: Iterable[int] | None = None,
-    pin: int | None = None,
-) -> DPTable:
+def build_table(tree: DecompTree, f_bound: int, *, pin: int | None = None) -> DPTable:
     """Build DP tables for every node in postorder, over the capacities and
 
     costs of ``tree.graph``: a table answers for its tree's graph.
 
     ``f_bound`` bounds every residue, usually the all-edges max flow F
     (:func:`upper_bound_flow`); a bound below F answers the flow values up
-    to it. ``residue_values`` restricts every cell coordinate and every
-    parallel split to an explicit residue set. ``pin`` gives the source
-    axis the one value -pin and the sink axis the one value +pin, so each
-    special axis has length one and the tables answer only the flow query
-    ``pin``.
+    to it. ``pin`` gives the source axis the one value -pin and the sink
+    axis the one value +pin, so each special axis has length one and the
+    tables answer only the flow query ``pin``.
     """
     if f_bound < 0:
         raise ValueError("flow bound cannot be negative")
     if pin is not None and not (0 <= pin <= f_bound):
         raise ValueError(f"pinned flow value {pin} out of range [0, {f_bound}]")
-    base = None
-    if residue_values is not None:
-        base = ResidueDomain.explicit(residue_values)
-    return _Builder(tree, f_bound, base).build(pin)
+    return _Builder(tree, f_bound, None).build(pin)
 
 
 def upper_bound_flow(instance: ProblemInstance) -> int:
@@ -714,12 +701,11 @@ def last_accepted(hi: int, accept) -> tuple[int, object]:
     return lo, found
 
 
-def _flow_values(table: DPTable) -> np.ndarray:
-    """The flow values ``table`` answers: its root domain's values >= 0,
+def _flow_values(domain: ResidueDomain) -> np.ndarray:
+    """The flow values of a root domain: its values >= 0, the upper half of
 
-    the upper half of a domain symmetric about 0."""
-    values = table.tables[table.tree.root].domain.values
-    return values[len(values) // 2 :]
+    a domain symmetric about 0."""
+    return domain.values[len(domain) // 2 :]
 
 
 def _affordable(table: DPTable, v: int, budget: int) -> bool:
@@ -773,6 +759,66 @@ def _check_bound(table: DPTable) -> None:
         )
 
 
+def _solve(
+    instance: ProblemInstance,
+    tree: DecompTree | None,
+    table: DPTable | None,
+    f_bound: int | None = None,
+    base: ResidueDomain | None = None,
+) -> tuple[Solution, DPTable]:
+    """The instance's exact answer, and the table that answered it.
+
+    A demand D is answered at the least flow value >= D, since the cost
+    never falls as the flow rises; a budget by a binary search for the
+    largest affordable flow value. A ``table`` is read as it is, at its
+    root's flow values. Without one, a builder of the tree under the flow
+    bound F (``f_bound``, found here if not given) over the residue set
+    ``base`` (every integer if None) makes every build, each pinned to one
+    of its flow values, its domain's values in [0, F]: one build for a
+    demand, one a probe for a budget, and each probe after the first builds
+    only the nodes with an interior special."""
+    _check_inputs(instance, tree, table)
+    if tree is None and table is None:
+        tree = decompose(instance.graph)
+    demand, budget = instance.demand, instance.budget
+    if table is None:
+        if f_bound is None:
+            f_bound = upper_bound_flow(instance)
+        if demand is not None:
+            check_demand(demand, f_bound)
+        builder = _Builder(tree, f_bound, base)
+        flows, build = _flow_values(builder.top), builder.build
+    else:
+        flows, build = _flow_values(table.tables[table.tree.root].domain), lambda v: table
+        if demand is not None and demand > table.f_bound:
+            check_demand(demand, table._max_flow)
+            _check_bound(table)
+    if demand is not None:
+        at = int(np.searchsorted(flows, demand))
+        if at < len(flows):
+            v = int(flows[at])
+            answer = build(v)
+            cost, edges = answer.query(v)
+            if edges is not None:
+                return _rechecked(instance, cost, edges, v), answer
+        raise InfeasibleError(f"demand {demand} is not attainable")
+
+    def probe(i: int):
+        answer = build(int(flows[i]))
+        return _affordable(answer, int(flows[i]), budget), answer
+
+    at, answer = last_accepted(len(flows) - 1, probe)
+    if table is not None and at == len(flows) - 1:
+        _check_bound(table)
+    v = int(flows[at])
+    if answer is None:  # flow value 0 is taken without a probe
+        answer = build(v)
+    cost, edges = answer.query(v)
+    if edges is None or cost > budget:
+        raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")
+    return _rechecked(instance, cost, edges, v), answer
+
+
 def solve_capndp(
     instance: ProblemInstance,
     *,
@@ -784,30 +830,12 @@ def solve_capndp(
     flow value >= D, since the cost never falls as the flow rises.
 
     Without ``table`` it answers from one build pinned to D with the flow
-    bound F; a ``table`` (a full or a lattice build) is read as it is. A
-    demand above its flow bound is infeasible if it is above F, and is
-    refused (``ValueError``) if the bound is below F."""
+    bound F; a ``table`` is read as it is. A demand above its flow bound is
+    infeasible if it is above F, and is refused (``ValueError``) if the
+    bound is below F."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
-    _check_inputs(instance, tree, table)
-    if tree is None and table is None:
-        tree = decompose(instance.graph)
-    demand = instance.demand
-    if table is None:
-        f_bound = upper_bound_flow(instance)
-        check_demand(demand, f_bound)
-        table = build_table(tree, f_bound, pin=demand)
-    elif demand > table.f_bound:
-        check_demand(demand, table._max_flow)
-        _check_bound(table)
-    flows = _flow_values(table)
-    at = int(np.searchsorted(flows, demand))
-    if at < len(flows):
-        v = int(flows[at])
-        cost, edges = table.query(v)
-        if edges is not None:
-            return _rechecked(instance, cost, edges, v)
-    raise InfeasibleError(f"demand {demand} is not attainable")
+    return _solve(instance, tree, table)[0]
 
 
 def solve_bcmfp(
@@ -827,41 +855,7 @@ def solve_bcmfp(
     table's flow bound is below F, since a larger flow may be affordable."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
-    _check_inputs(instance, tree, table)
-    if tree is None and table is None:
-        tree = decompose(instance.graph)
-    budget = instance.budget
-    if table is None:
-        v, table = _pinned_budget_search(tree, upper_bound_flow(instance), budget)
-    else:
-        flows = _flow_values(table)
-        at, _ = last_accepted(
-            len(flows) - 1, lambda i: (_affordable(table, int(flows[i]), budget), None)
-        )
-        if at == len(flows) - 1:
-            _check_bound(table)
-        v = int(flows[at])
-    cost, edges = table.query(v)
-    if edges is None or cost > budget:
-        raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")
-    return _rechecked(instance, cost, edges, v)
-
-
-def _pinned_budget_search(tree: DecompTree, f_bound: int, budget: int) -> tuple[int, DPTable]:
-    """The largest flow value in [0, F] affordable within ``budget``, and
-
-    the pinned build that answers it. One builder serves every probe, so
-    the special-free tables are built once."""
-    builder = _Builder(tree, f_bound, None)
-
-    def probe(v: int):
-        table = builder.build(v)
-        return _affordable(table, v, budget), table
-
-    v, table = last_accepted(f_bound, probe)
-    if table is None:  # v = 0 is taken without a probe
-        table = builder.build(0)
-    return v, table
+    return _solve(instance, tree, table)[0]
 
 
 def feasible(

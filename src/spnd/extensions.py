@@ -7,11 +7,12 @@ small basis d_1..d_k with coefficients bounded by K, a max flow of any
 purchased subgraph decomposes into paths that each saturate some edge, so
 every flow value (and hence every residue the DP can need, including the
 parallel split variable) lies in { sum a_i*d_i : |a_i| <= m^2*K }. The DP
-then ranges over that set instead of all integers in [-F, F], and the exact
-solvers answer from the lattice values in [0, F] of that table: the
-cheapest subset meeting a demand D has a max flow in the set, so the least
-lattice value >= D answers it, and a binary search over the lattice values
-finds the largest affordable flow.
+then ranges over that set instead of all integers in [-F, F]: the exact
+solvers' own search runs with the lattice values in [0, F] as its flow
+values, each build pinned to one of them, all on one builder over the set.
+The cheapest subset meeting a demand D has a max flow in the set, so one
+build at the least lattice value >= D answers it, and a binary search over
+the lattice values, one build a probe, finds the largest affordable flow.
 
 The set is found without enumerating the (2m^2K+1)^k coefficient
 combinations. The basis values are added one at a time, largest first,
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import DecompTree, decompose
-from .dp import DPTable, build_table, check_demand, solve_bcmfp, solve_capndp, upper_bound_flow
+from .dp import DPTable, ResidueDomain, _solve, check_demand, solve_bcmfp, solve_capndp, upper_bound_flow
+from .dp import build_table  # unused here; bench/tracer.py wraps it at this site
 from .flow import max_flow
 from .flow import solution_from_edges  # unused here; bench/tracer.py wraps it at this site
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution, _reject_upgrades
@@ -123,6 +125,10 @@ def validate_lattice(graph: MultiGraph, spec: LatticeSpec) -> None:
 
 @dataclass(frozen=True)
 class LatticeOutcome:
+    """A lattice solve's answer, and the table that answered it: the build
+
+    over the lattice residues pinned to the answer's flow value."""
+
     solution: Solution
     table: DPTable
 
@@ -130,9 +136,9 @@ class LatticeOutcome:
 def solve_lattice_detailed(
     instance: ProblemInstance, spec: LatticeSpec, *, tree: DecompTree | None = None
 ) -> LatticeOutcome:
-    """Build the table over the lattice residues, then answer from it with
+    """The exact solvers' search over the lattice residues: every build is
 
-    the exact solver of the instance's problem."""
+    pinned to one lattice flow value, all on one builder over that set."""
     _reject_upgrades(instance)
     graph = instance.graph
     validate_lattice(graph, spec)
@@ -141,10 +147,8 @@ def solve_lattice_detailed(
     f_bound = upper_bound_flow(instance)
     if instance.demand is not None:
         check_demand(instance.demand, f_bound)
-    residues = lattice_residues(spec, graph.edge_count, f_bound)
-    table = build_table(tree, f_bound, residue_values=residues.tolist())
-    solve = solve_bcmfp if instance.problem == "bcmfp" else solve_capndp
-    return LatticeOutcome(solve(instance, tree=tree, table=table), table)
+    residues = ResidueDomain.explicit(lattice_residues(spec, graph.edge_count, f_bound))
+    return LatticeOutcome(*_solve(instance, tree, None, f_bound, residues))
 
 
 def solve_lattice(

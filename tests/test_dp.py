@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from spnd import (
     InfeasibleError,
+    LatticeSpec,
     build_table,
     decompose,
     feasible,
@@ -23,11 +24,13 @@ from spnd import (
     parse_instance,
     solve_bcmfp,
     solve_capndp,
+    solve_lattice_detailed,
     subset_profiles,
     upper_bound_flow,
 )
 from spnd import dp as dp_module
 from spnd.dp import ResidueDomain, all_case_labels, feasible_detailed
+from spnd.extensions import lattice_residues
 from spnd.flow import circulation_feasible
 from spnd.instance import EdgeRecord
 
@@ -283,8 +286,10 @@ def test_budget_search_never_affords_the_sentinel():
     assert inst.budget >= table.infinity
     sol = solve_bcmfp(inst, table=table)
     assert (sol.achieved_flow, sol.total_cost) == (1, 2)
-    v, pinned = dp_module._pinned_budget_search(tree, 6, inst.budget)
-    assert (v, pinned.query_cost(v)) == (1, 2)
+    builder = dp_module._Builder(tree, 6, None)
+    pinned = [builder.build(v) for v in range(7)]
+    assert [dp_module._affordable(t, v, inst.budget) for v, t in enumerate(pinned)] == [True] * 2 + [False] * 5
+    assert pinned[1].query_cost(1) == 2
 
 
 def test_last_accepted_bisects_from_the_top_half():
@@ -375,7 +380,7 @@ def test_combiners_match_stored_tables(seed):
     for v in range(table.f_bound + 1):
         _assert_combiners_match(tree, build_table(tree, v, pin=v), f"seed {seed} pin {v}")
     f = table.f_bound
-    even = build_table(tree, f, residue_values=_even_residues(f))
+    even = dp_module._Builder(tree, f, ResidueDomain.explicit(_even_residues(f))).build(None)
     _assert_combiners_match(tree, even, f"seed {seed} even residues")
 
 
@@ -384,7 +389,7 @@ def _all_builds(tree, f_bound):
     yield build_table(tree, f_bound)
     for v in range(f_bound + 1):
         yield build_table(tree, v, pin=v)
-    yield build_table(tree, f_bound, residue_values=_even_residues(f_bound))
+    yield dp_module._Builder(tree, f_bound, ResidueDomain.explicit(_even_residues(f_bound))).build(None)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 60])
@@ -811,6 +816,30 @@ def test_untabled_solves_build_no_cube(objective, monkeypatch):
         for nt in table.tables.values():
             assert nt.cost.size == len(nt.domain)
     # Each special-free table is one object across all of a solve's builds.
+    for nid in special_free:
+        assert len({id(table.tables[nid]) for _, table in calls}) == 1, nid
+
+
+@pytest.mark.parametrize("objective", ["demand 40", "budget 1", "budget 3"])
+def test_lattice_solves_build_no_cube(objective, monkeypatch):
+    # A lattice solve is the exact solvers' search over the lattice flow
+    # values: pinned builds on one builder over the lattice residues.
+    instance = parse_instance(RING48_TEXT.replace("budget 1", objective))
+    spec = LatticeSpec((8,), 3)
+    tree = decompose(instance.graph)
+    lattice = set(lattice_residues(spec, instance.graph.edge_count, 48).tolist())
+    assert len(lattice) < 97
+    calls = _recorded_builds(monkeypatch)
+    outcome = solve_lattice_detailed(instance, spec, tree=tree)
+    expected = {"demand 40": (4, 48), "budget 1": (1, 24), "budget 3": (1, 24)}[objective]
+    assert (outcome.solution.total_cost, outcome.solution.achieved_flow) == expected
+    assert any(outcome.table is table for _, table in calls)
+    special_free = [n.id for n in tree.nodes if not n.placements]
+    for pin, table in calls:
+        assert pin in lattice
+        assert set(table.tables[tree.root].domain.values.tolist()) <= lattice
+        for nt in table.tables.values():
+            assert nt.cost.size == len(nt.domain)
     for nid in special_free:
         assert len({id(table.tables[nid]) for _, table in calls}) == 1, nid
 

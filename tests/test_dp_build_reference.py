@@ -23,9 +23,13 @@ from sp_strategies import paths_apart, tiny_instances, with_capacities
 LARGE_SPARSE_SEEDS = (31, 43, 57, 104)
 
 
-def _check(tree, f_bound, where, **kwargs):
-    got = build_table(tree, f_bound, **kwargs)
-    assert_same_tables(got, reference_table(tree, f_bound, **kwargs), where)
+def _check(tree, f_bound, where, residue_values=None, pin=None):
+    if residue_values is None:
+        got = build_table(tree, f_bound, pin=pin)
+    else:
+        got = dp._Builder(tree, f_bound, dp.ResidueDomain.explicit(residue_values)).build(pin)
+    expected = reference_table(tree, f_bound, residue_values=residue_values, pin=pin)
+    assert_same_tables(got, expected, where)
 
 
 @pytest.mark.parametrize("seed", LARGE_SPARSE_SEEDS)

@@ -33,7 +33,8 @@ from spnd import (
     subset_profiles,
     upper_bound_flow,
 )
-from spnd import extensions as extensions_module
+from spnd import dp as dp_module, extensions as extensions_module
+from spnd.dp import ResidueDomain
 from spnd.extensions import lattice_residues, normalize_menu, validate_lattice
 from lattice_reference import reference_lattice_residues, reference_unrepresentable
 from sp_strategies import with_capacities
@@ -181,7 +182,7 @@ def test_vacuous_lattice_has_identical_states(diamond):
     inst = diamond.with_budget(4)
     outcome = solve_lattice_detailed(inst, LatticeSpec((1,), 6))
     tree = decompose(inst.graph)
-    full = build_table(tree, upper_bound_flow(inst))
+    full = build_table(tree, upper_bound_flow(inst), pin=outcome.table.pin)
     assert outcome.table.state_count == full.state_count
     assert outcome.solution.achieved_flow == solve_bcmfp(inst).achieved_flow
 
@@ -195,7 +196,7 @@ def test_proper_lattice_prunes_states():
     spec = LatticeSpec((5,), 1)
     outcome = solve_lattice_detailed(inst, spec)
     tree = decompose(inst.graph)
-    full = build_table(tree, upper_bound_flow(inst))
+    full = build_table(tree, upper_bound_flow(inst), pin=outcome.table.pin)
     assert outcome.table.state_count < full.state_count
     reference = solve_bcmfp(inst)
     assert outcome.solution.achieved_flow == reference.achieved_flow == 10
@@ -215,7 +216,7 @@ def test_coprime_basis_keeps_its_gaps():
     outcome = solve_lattice_detailed(inst, spec)
     table = outcome.table
     assert set(table.tables[table.tree.root].domain.values.tolist()) <= set(points.tolist())
-    full = build_table(decompose(inst.graph), f)
+    full = build_table(decompose(inst.graph), f, pin=table.pin)
     assert 3 * table.state_count < full.state_count
     assert outcome.solution == solve_bcmfp(inst)
     for b in range(inst.graph.total_cost() + 1):
@@ -284,15 +285,17 @@ def test_lattice_solve_equals_unrestricted(seed):
     allowed = lattice_residues(spec, inst.graph.edge_count, f)
     tree = decompose(inst.graph)
     full = build_table(tree, f)
+    at_pin = build_table(tree, f, pin=outcome.table.pin)
     if len(allowed) < 2 * f + 1:
-        assert outcome.table.state_count < full.state_count, f"seed {seed}"
+        assert outcome.table.state_count < at_pin.state_count, f"seed {seed}"
     else:
-        assert outcome.table.state_count == full.state_count, f"seed {seed}"
+        assert outcome.table.state_count == at_pin.state_count, f"seed {seed}"
 
     # The lattice path answers a demand D from the least lattice value >= D
     # and a budget by binary search, which needs the root cost nondecreasing
     # in the flow value; D need not be a lattice point.
-    costs = [outcome.table.query_cost(v) for v in allowed.tolist() if v >= 0]
+    lattice = dp_module._Builder(tree, f, ResidueDomain.explicit(allowed)).build(None)
+    costs = [lattice.query_cost(v) for v in allowed.tolist() if v >= 0]
     assert costs == sorted(costs), f"seed {seed}"
     for d in range(f + 2):
         demand = inst.with_demand(d)

@@ -74,7 +74,23 @@ def test_probes_share_the_forest_through_one_builder():
     # handed from one build to another would need its inputs checked.
     assert "reuse" not in inspect.signature(dp.build_table).parameters
     assert not hasattr(dp, "_check_reusable")
-    assert _sites(_builds, [PACKAGE / "dp.py"]) == ["build_table", "_pinned_budget_search"]
+    assert _sites(_builds, [PACKAGE / "dp.py"]) == ["build_table", "_solve"]
+
+
+def test_lattice_solves_go_through_the_exact_solvers_search():
+    # A lattice solve is the exact solvers' search of pinned builds over the
+    # lattice residues: a residue set of build_table's own, or a lattice
+    # table answered through ``table=``, would be a second way to solve it.
+    assert "residue_values" not in inspect.signature(dp.build_table).parameters
+
+    def calls_build_table(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_table"
+
+    def passes_table(node):
+        return isinstance(node, ast.keyword) and node.arg == "table"
+
+    assert _sites(calls_build_table, [PACKAGE / "extensions.py"]) == []
+    assert _sites(passes_table, [PACKAGE / "extensions.py"]) == []
 
 
 def test_spine_nodes_read_children_one_way():
