@@ -287,9 +287,9 @@ def test_budget_search_never_affords_the_sentinel():
     sol = solve_bcmfp(inst, table=table)
     assert (sol.achieved_flow, sol.total_cost) == (1, 2)
     builder = dp_module._Builder(tree, 6, None)
-    pinned = [builder.build(v) for v in range(7)]
-    assert [dp_module._affordable(t, v, inst.budget) for v, t in enumerate(pinned)] == [True] * 2 + [False] * 5
-    assert pinned[1].query_cost(1) == 2
+    affordable = [dp_module._affordable(builder.build(v), v, inst.budget) for v in range(7)]
+    assert affordable == [True, True] + [False] * 5
+    assert builder.build(1).query_cost(1) == 2
 
 
 def test_last_accepted_bisects_from_the_top_half():
@@ -389,7 +389,8 @@ def _all_builds(tree, f_bound):
     yield build_table(tree, f_bound)
     for v in range(f_bound + 1):
         yield build_table(tree, v, pin=v)
-    yield dp_module._Builder(tree, f_bound, ResidueDomain.explicit(_even_residues(f_bound))).build(None)
+    even = ResidueDomain.explicit(_even_residues(f_bound))
+    yield dp_module._Builder(tree, f_bound, even).build(None)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 7, 60])
