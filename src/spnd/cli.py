@@ -295,12 +295,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"ERROR 1 {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"ERROR 1 {exc}", file=sys.stderr)
-        return 1
     except NotSeriesParallelError as exc:
         print("ERROR 3 not series-parallel", file=sys.stderr)
         if str(exc):
@@ -312,7 +306,7 @@ def main(argv=None) -> int:
     except KeyError as exc:  # str() of a KeyError quotes its message
         print(f"ERROR 1 {exc.args[0]}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ParseError, ValueError, OSError) as exc:
         print(f"ERROR 1 {exc}", file=sys.stderr)
         return 1
 

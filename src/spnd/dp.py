@@ -772,7 +772,8 @@ def _solve(
     never falls as the flow rises; a budget by a binary search for the
     largest affordable flow value. A ``table`` is read as it is, at its
     root's flow values. Without one, a builder of the tree under the flow
-    bound F (``f_bound``, found here if not given) over the residue set
+    bound F (``f_bound``, found here if not given; a budget search may be
+    given any bound its answer is known not to exceed) over the residue set
     ``base`` (every integer if None) makes every build, each pinned to one
     of its flow values, its domain's values in [0, F]: one build for a
     demand, one a probe for a budget, and each probe after the first builds

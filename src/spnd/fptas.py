@@ -22,12 +22,13 @@ every rung above min(F, m*LB) is NO, which leaves about
 log_{1+eps'}(m*(1+eps')) rungs to search whatever the size of the
 capacities. Three regimes follow:
 
-- F <= R: the pseudopolynomial search is already polynomial and runs
-  directly, with an exact answer.
+- F <= R: the pseudopolynomial search is already polynomial, so the
+  exact solvers' own budget search answers, with no ladder probe: the
+  answer is :func:`~spnd.dp.solve_bcmfp`'s.
 - LB < 1+eps': LB = 0 settles OPT = 0 without a probe. Otherwise the
   ladder starts with a probe at M = 1; a NO there certifies
-  OPT < 1+eps' <= 2, so a single exact probe at flow value 1 settles the
-  optimum.
+  OPT < 1+eps' <= 2, so the exact solvers' search under the flow bound 1
+  (one build pinned at 1) settles the optimum.
 - LB >= 1+eps': a binary search over the rungs above the last one known to
   be YES. If it settles on that rung without probing it, one probe there
   yields its witness, so M' always carries the witness of its own probe.
@@ -46,7 +47,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .decompose import DecompTree, decompose
-from .dp import _check_inputs, _rechecked, feasible_detailed, last_accepted, upper_bound_flow
+from .dp import _check_inputs, _rechecked, _solve, feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
 from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
 
@@ -97,11 +98,11 @@ def scale_capacities(graph: MultiGraph, m_level, epsilon_prime) -> dict[str, int
 
 @dataclass(frozen=True)
 class ProbeRecord:
-    """One feasibility query: ladder level (None for exact probes), answer,
+    """One ladder rung's feasibility query: its level, answer, and the
 
-    and the number of admissible DP states the pinned build used."""
+    number of admissible DP states the pinned build used."""
 
-    level: Fraction | None
+    level: Fraction
     flow_target: int
     yes: bool
     states: int
@@ -180,26 +181,20 @@ def fptas_bcmfp_detailed(
     probes: list[ProbeRecord] = []
     ratio = 1 + params.epsilon_prime
 
-    def probe(probed: ProblemInstance, probed_tree: DecompTree, flow_target: int, level):
-        """The answer on ``probed``, and on YES the witness with its table cost."""
-        ok, edges, stats = feasible_detailed(probed, budget, flow_target, tree=probed_tree)
-        probes.append(ProbeRecord(level, flow_target, ok, stats["states"]))
-        return ok, (edges, stats["cost"])
-
-    def exact_flow_search(hi: int) -> Solution:
-        v, found = last_accepted(hi, lambda v: probe(instance, tree, v, None))
-        edges, cost = found or (frozenset(), 0)
-        return _rechecked(instance, cost, edges, v)
-
     def rung(j: int):
         """The probe at ladder level M = ratio**j, on a copy of the instance
 
-        with the scaled capacities."""
+        with the scaled capacities: its answer, and on YES the witness with
+        its table cost."""
         level = ratio**j
         caps = scale_capacities(graph, level, params.epsilon_prime)
         edges = tuple(EdgeRecord(e.id, e.u, e.v, e.cost, caps[e.id]) for e in graph.edges)
         scaled = replace(graph, edges=edges)
-        return probe(replace(instance, graph=scaled), replace(tree, graph=scaled), params.target_r, level)
+        ok, witness, stats = feasible_detailed(
+            replace(instance, graph=scaled), budget, params.target_r, tree=replace(tree, graph=scaled)
+        )
+        probes.append(ProbeRecord(level, params.target_r, ok, stats["states"]))
+        return ok, (witness, stats["cost"])
 
     def ladder_search(low: int, top: int, accepted) -> tuple[Fraction, Solution]:
         """The largest YES level in [ratio**low, ratio**top] and its witness,
@@ -219,7 +214,7 @@ def fptas_bcmfp_detailed(
 
     m_prime: Fraction | None = None  # stays None on the exact paths
     if f_bound <= params.target_r:
-        solution = exact_flow_search(f_bound)
+        solution = _solve(instance, tree, None, f_bound)[0]
     else:
         lb = widest_path_within_budget(graph, budget)
         if lb == 0:
@@ -237,9 +232,9 @@ def fptas_bcmfp_detailed(
                 if ok0:
                     m_prime, solution = ladder_search(0, top, accepted)
                 else:
-                    # NO at M=1 certifies OPT < 1+eps' <= 2, so one exact
-                    # probe at flow value 1 decides between 0 and 1.
-                    solution = exact_flow_search(1)
+                    # NO at M=1 certifies OPT < 1+eps' <= 2, so the exact
+                    # search under the flow bound 1 decides between 0 and 1.
+                    solution = _solve(instance, tree, None, 1)[0]
 
     # Buying everything is the best possible answer whenever it is
     # affordable; prefer it if the scheme's witness fell short of it.

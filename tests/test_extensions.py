@@ -163,7 +163,11 @@ def test_lattice_rejects_demand_above_f_before_building(diamond, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("built a lattice table for a demand above F")
 
-    monkeypatch.setattr(extensions_module, "build_table", no_build)
+    # Every lattice build is made by dp._Builder: with that patch alone a
+    # feasible demand fails, so the patch sits on the path it guards.
+    monkeypatch.setattr(dp_module, "_Builder", no_build)
+    with pytest.raises(AssertionError, match="built a lattice table"):
+        solve_lattice(diamond.with_demand(3), LatticeSpec((1,), 2))
     monkeypatch.setattr(extensions_module, "lattice_residues", no_build)
     with pytest.raises(InfeasibleError) as got:
         solve_lattice(inst, LatticeSpec((1,), 2))

@@ -17,6 +17,7 @@ from spnd import (
     fptas_bcmfp_detailed,
     generate_sp,
     oracle_bcmfp,
+    solve_bcmfp,
     upper_bound_flow,
 )
 from spnd.flow import verify_solution
@@ -115,6 +116,24 @@ def test_small_instances_take_the_exact_path(diamond):
     outcome2 = fptas_bcmfp_detailed(diamond.with_budget(2), 0.5)
     assert outcome2.exact
     assert outcome2.solution.achieved_flow == 2
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1, 2), 1])
+def test_exact_regime_is_the_exact_solvers_answer(epsilon):
+    # With F <= R the scheme's exact answer is solve_bcmfp's own search, so
+    # it is the same purchase, ties included, and makes no ladder probe.
+    # Seed 53 has two optima at flow 0: the empty purchase and {e2, e3}.
+    checked = 0
+    for seed in range(1, 101):
+        inst = generate_sp(seed, edge_budget=8, cap_max=6, cost_max=10, problem="bcmfp")
+        if upper_bound_flow(inst) > ScaleParams.for_instance(inst.graph.edge_count, epsilon).target_r:
+            continue
+        outcome = fptas_bcmfp_detailed(inst, epsilon)
+        assert outcome.exact, seed
+        assert outcome.solution == solve_bcmfp(inst), seed
+        assert outcome.probes == (), seed
+        checked += seed == 53
+    assert checked == 1
 
 
 def test_rejects_bad_inputs(diamond):

@@ -128,3 +128,15 @@ def test_tables_read_capacities_from_their_graph():
     # own, which could differ from the graph's that the solvers check.
     assert _sites(lambda node: isinstance(node, ast.arg) and node.arg == "capacity_override") == []
     assert list(inspect.signature(dp._Builder.__init__).parameters) == ["self", "tree", "f_bound", "base_domain"]
+
+
+def test_fptas_has_no_exact_search_of_its_own():
+    # The scheme's exact regimes are the exact solvers' own search, called
+    # from the entry point; its feasibility probes are ladder rungs alone.
+    # A probe at an unscaled flow value would be a second exact search.
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    fptas = [PACKAGE / "fptas.py"]
+    assert set(_sites(calls("feasible_detailed"), fptas)) == {"rung"}
+    assert set(_sites(calls("_solve"), fptas)) == {"fptas_bcmfp_detailed"}
