@@ -20,8 +20,13 @@ the sink is. Every solve reduces to such queries at its flow values, the
 values in [0, F] of its residue domain: every integer there, or the
 lattice points of a lattice solve (see solve_lattice), or a given table's
 root domain values. The cost never falls as the flow rises, so a demand D
-is answered at the least such value >= D, and a budget by a binary search
-for the largest affordable one; the sentinel is never affordable.
+is answered at the least such value >= D, and a budget at the largest
+affordable one; the sentinel is never affordable. A given table reads its
+root's cost at every flow value once, in one gather (``DPTable._cost_row``,
+which checks that the row never falls), and finds a budget's answer by one
+``searchsorted`` on that row. It keeps one re-checked answer per flow value
+(``DPTable._solution``), so a sweep of demands and budgets reconstructs and
+re-checks each flow value once.
 
 Given no table, a solve, plain or lattice, never builds every (r_s, r_t)
 pair (:func:`_solve`): each query value v gets its own build pinned to v
@@ -243,7 +248,10 @@ def case_label(node: DecompNode) -> str:
 
 
 class DPTable:
-    """Built tables for every tree node, plus query and reconstruction."""
+    """Built tables for every tree node, plus query and reconstruction, and
+
+    what ``table=`` solves read: the root's cost row and one re-checked
+    answer per flow value, each found once."""
 
     def __init__(self, tree: DecompTree, f_bound: int, infinity: int, pin: int | None):
         self.tree = tree
@@ -251,6 +259,7 @@ class DPTable:
         self.infinity = infinity
         self.pin = pin  # the single flow value a pinned build answers, or None
         self.tables: dict[int, NodeTable] = {}
+        self._solutions: dict[int, Solution] = {}  # flow value -> its re-checked answer
 
     @cached_property
     def _max_flow(self) -> int:
@@ -258,6 +267,27 @@ class DPTable:
 
         per table, when a ``table=`` solve needs it (:func:`_check_bound`)."""
         return max_flow(self.tree.graph)[0]
+
+    @cached_property
+    def _cost_row(self) -> np.ndarray:
+        """The root's cost at each of its flow values (:func:`_flow_values`),
+
+        gathered at once the first time a ``table=`` budget needs it. A
+        budget is answered by a binary search of this row, which trusts the
+        cost never to fall as the flow rises: a row that falls raises."""
+        if self.pin is not None:
+            raise ValueError(
+                f"table was built pinned to flow value {self.pin}; a budget reads every flow value"
+            )
+        root = self.tables[self.tree.root]
+        flows = _flow_values(root.domain)
+        coords, ok = _coords(root, self._root_a(flows), -flows, flows)
+        row = np.where(ok, root.cost[coords], self.infinity)
+        falls = np.flatnonzero(row[1:] < row[:-1])
+        if len(falls):
+            i = int(falls[0]) + 1
+            raise RuntimeError(f"root cost falls to {row[i]} at flow value {flows[i]}, from {row[i - 1]}")
+        return row
 
     @property
     def state_count(self) -> int:
@@ -299,7 +329,7 @@ class DPTable:
 
         terminal, +v if the sink is."""
         a = self.tree.node(self.tree.root).terminals[0]
-        return (v if a == self.tree.sink else 0) - (v if a == self.tree.source else 0)
+        return v * (int(a == self.tree.sink) - int(a == self.tree.source))
 
     def query_cost(self, v: int) -> int:
         if v < 0 or v > self.f_bound:
@@ -314,6 +344,23 @@ class DPTable:
         if cost >= self.infinity:
             return self.infinity, None
         return cost, self.reconstruct(self.tree.root, self._root_a(v), -v, v)
+
+    def _solution(self, instance: ProblemInstance, v: int) -> Solution | None:
+        """The purchase that carries flow value v at its least cost, re-checked
+
+        (:func:`_rechecked`), or None if none does. It is kept once found,
+        so a table reconstructs and re-checks each flow value at most once:
+        the re-check reads only the graph and the witness, a table gives one
+        witness per flow value, and a ``table=`` solve's instance has the
+        table's graph (:func:`_check_inputs`). A failed re-check raises and
+        keeps nothing."""
+        solution = self._solutions.get(v)
+        if solution is None:
+            cost, edges = self.query(v)
+            if edges is None:
+                return None
+            solution = self._solutions[v] = _rechecked(instance, cost, edges, v)
+        return solution
 
     def reconstruct(self, nid: int, r_a: int, r_s: int = 0, r_t: int = 0) -> frozenset[str]:
         """Purchased edge ids behind a node's cell (see :meth:`cost_of`).
@@ -343,10 +390,16 @@ class DPTable:
         return frozenset(purchased)
 
 
-def _coords(nt: NodeTable, r_a: int, r_s: int, r_t: int) -> tuple[int, ...] | None:
+def _coords(nt: NodeTable, r_a, r_s, r_t):
     """The cell of ``nt`` at a-slot residue ``r_a`` and source and sink
 
-    residues ``r_s``, ``r_t``, or None when one lies off its axis."""
+    residues ``r_s``, ``r_t``, or None when one lies off its axis. Given
+    arrays of residues, the cells' positions on each axis, for one gather,
+    and the mask of the cells that lie on every axis."""
+    if isinstance(r_a, np.ndarray):
+        found = [nt.domain.positions(r_a)]
+        found += [axis.positions(r_s if lab == "s" else r_t) for lab, axis in nt.special_axes.items()]
+        return tuple(at for at, _ in found), np.logical_and.reduce([ok for _, ok in found])
     coords = [nt.domain.pos_of(r_a)]
     for lab, axis in nt.special_axes.items():
         coords.append(axis.pos_of(r_s if lab == "s" else r_t))
@@ -769,9 +822,12 @@ def _solve(
     """The instance's exact answer, and the table that answered it.
 
     A demand D is answered at the least flow value >= D, since the cost
-    never falls as the flow rises; a budget by a binary search for the
-    largest affordable flow value. A ``table`` is read as it is, at its
-    root's flow values. Without one, a builder of the tree under the flow
+    never falls as the flow rises; a budget at the largest affordable flow
+    value. A ``table`` is read as it is, at its root's flow values: a budget
+    by one ``searchsorted`` on its root cost row, cut below the sentinel, and
+    each flow value's answer is the table's kept one, reconstructed and
+    re-checked at the first solve that lands there. Without one, a budget
+    is a binary search of pinned builds: a builder of the tree under the flow
     bound F (``f_bound``, found here if not given; a budget search may be
     given any bound its answer is known not to exceed) over the residue set
     ``base`` (every integer if None) makes every build, each pinned to one
@@ -779,21 +835,38 @@ def _solve(
     demand, one a probe for a budget, and each probe after the first builds
     only the nodes with an interior special."""
     _check_inputs(instance, tree, table)
-    if tree is None and table is None:
-        tree = decompose(instance.graph)
     demand, budget = instance.demand, instance.budget
-    if table is None:
-        if f_bound is None:
-            f_bound = upper_bound_flow(instance)
+    if table is not None:
+        flows = _flow_values(table.tables[table.tree.root].domain)
         if demand is not None:
-            check_demand(demand, f_bound)
-        builder = _Builder(tree, f_bound, base)
-        flows, build = _flow_values(builder.top), builder.build
-    else:
-        flows, build = _flow_values(table.tables[table.tree.root].domain), lambda v: table
-        if demand is not None and demand > table.f_bound:
-            check_demand(demand, table._max_flow)
+            if demand > table.f_bound:
+                check_demand(demand, table._max_flow)
+                _check_bound(table)
+            at = int(np.searchsorted(flows, demand))
+            solution = table._solution(instance, int(flows[at])) if at < len(flows) else None
+            if solution is None:
+                raise InfeasibleError(f"demand {demand} is not attainable")
+            return solution, table
+        # A budget at or past the sentinel is read as one below it, so the
+        # sentinel, which marks a flow the table cannot carry, is never
+        # affordable, and the budget fits the row's integers.
+        row = table._cost_row
+        at = int(np.searchsorted(row, min(budget, table.infinity - 1), "right")) - 1
+        if at == len(flows) - 1:
             _check_bound(table)
+        v = int(flows[at])
+        solution = table._solution(instance, v)
+        if solution is None or solution.total_cost > budget:
+            raise RuntimeError(f"flow {v} passed the budget search at cost {row[at]} > budget {budget}")
+        return solution, table
+    if tree is None:
+        tree = decompose(instance.graph)
+    if f_bound is None:
+        f_bound = upper_bound_flow(instance)
+    if demand is not None:
+        check_demand(demand, f_bound)
+    builder = _Builder(tree, f_bound, base)
+    flows, build = _flow_values(builder.top), builder.build
     if demand is not None:
         at = int(np.searchsorted(flows, demand))
         if at < len(flows):
@@ -809,8 +882,6 @@ def _solve(
         return _affordable(answer, int(flows[i]), budget), answer
 
     at, answer = last_accepted(len(flows) - 1, probe)
-    if table is not None and at == len(flows) - 1:
-        _check_bound(table)
     v = int(flows[at])
     if answer is None:  # flow value 0 is taken without a probe
         answer = build(v)
@@ -845,13 +916,14 @@ def solve_bcmfp(
     tree: DecompTree | None = None,
     table: DPTable | None = None,
 ) -> Solution:
-    """Max attainable flow within the budget: a binary search for the
+    """Max attainable flow within the budget: the table's largest
 
-    table's largest affordable flow value.
+    affordable flow value.
 
-    Without ``table`` each probe v of the search is a build pinned to v with
-    the flow bound F, and every probe after the first rebuilds only the
-    nodes with an interior special; a ``table`` is read as it is. An answer
+    Without ``table`` a binary search finds it, each probe v a build pinned
+    to v with the flow bound F, and every probe after the first rebuilds
+    only the nodes with an interior special. A ``table`` is read as it is:
+    one search of its root's cost row, read once per table. An answer
     at the table's top flow value is refused (``ValueError``) if the
     table's flow bound is below F, since a larger flow may be affordable."""
     if instance.budget is None:

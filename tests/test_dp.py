@@ -786,6 +786,71 @@ def test_untabled_solves_match_full_table_interior_specials(seed):
     _assert_untabled_solves_match_full_table(instance)
 
 
+# -- solves from a table: one cost row, one answer per flow value ---------------
+
+
+def _recorded(monkeypatch, owner, name, record):
+    """Patch ``owner.name`` to pass its arguments to ``record`` first."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: record(*args) or real(*args))
+    return real
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_table_sweep_answers_each_flow_value_once(seed, monkeypatch):
+    # A sweep of every demand 0..F and every budget 0..C on one table
+    # reconstructs and re-checks each flow value at most once, and reads the
+    # root's costs in one gather, not a query per flow value.
+    instance = generate_sp(seed, edge_budget=10, cap_max=6, cost_max=10)
+    tree, table = _table_for(instance)
+    flows = dp_module._flow_values(table.tables[tree.root].domain).tolist()
+    queried, rebuilt, rechecked = [], [], []
+    query_cost = _recorded(monkeypatch, dp_module.DPTable, "query_cost", lambda _, v: queried.append(v))
+    # The root cell of flow v has sink residue v.
+    _recorded(monkeypatch, dp_module.DPTable, "reconstruct", lambda *args: rebuilt.append(args[4]))
+    _recorded(monkeypatch, dp_module, "solution_from_edges", lambda _, edges: rechecked.append(edges))
+    for demand in range(table.f_bound + 1):
+        solve_capndp(instance.with_demand(demand), tree=tree, table=table)
+    for budget in range(instance.graph.total_cost() + 1):
+        solve_bcmfp(instance.with_budget(budget), tree=tree, table=table)
+    assert len(set(rebuilt)) == len(rebuilt), f"seed {seed}"
+    assert set(rebuilt) <= set(flows)
+    assert len(rechecked) == len(rebuilt)
+    assert len(queried) == len(rebuilt)  # each witness's own query
+    assert table._cost_row.tolist() == [query_cost(table, v) for v in flows]
+
+
+@pytest.mark.parametrize("seed", [19, 23, 29, 48, 87, 88])
+def test_cost_row_reads_both_special_axes(seed):
+    # Source and sink strictly inside the root: its row is gathered through
+    # the a-slot axis and both special axes.
+    instance = generate_sp(seed, edge_budget=12, cap_max=40)
+    tree, table = _table_for(instance)
+    assert set(table.tables[tree.root].special_axes) == {"s", "t"}
+    flows = range(table.f_bound + 1)
+    assert table._cost_row.tolist() == [table.query_cost(v) for v in flows], f"seed {seed}"
+
+
+def test_a_falling_cost_row_raises(diamond):
+    # The budget's binary search of the row trusts it never to fall: a row
+    # that does is refused, not searched.
+    assert _table_for(diamond)[1]._cost_row.tolist() == [0, 2, 2, 5]
+    tree, table = _table_for(diamond)  # a fresh table: a row is read once
+    root = table.tables[tree.root]
+    root.cost[dp_module._coords(root, table._root_a(2), -2, 2)] = 1
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="root cost falls to 1 at flow value 2, from 2"):
+            solve_bcmfp(diamond.with_budget(5), table=table)
+
+
+def test_a_pinned_table_answers_no_budget(diamond):
+    # A pinned table holds one flow value's cell, not the row a budget reads.
+    table = build_table(decompose(diamond.graph), 3, pin=2)
+    assert solve_capndp(diamond.with_demand(2), table=table).total_cost == 2
+    with pytest.raises(ValueError, match="pinned to flow value 2"):
+        solve_bcmfp(diamond.with_budget(5), table=table)
+
+
 def _recorded_builds(monkeypatch):
     """Every (pin, table) of the solvers' ``_Builder.build`` calls."""
     calls = []

@@ -313,6 +313,18 @@ def test_lattice_solve_equals_unrestricted(seed):
         assert lattice == unrestricted, f"seed {seed} budget {b}"
 
 
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_lattice_cost_row_is_the_roots_cost_at_each_lattice_flow(seed):
+    # A root domain with gaps is read by binary search: the row's one gather
+    # must find each lattice flow value's cell as the scalar query does.
+    inst, spec = _lattice_instance(seed)
+    f = upper_bound_flow(inst)
+    allowed = lattice_residues(spec, inst.graph.edge_count, f)
+    lattice = dp_module._Builder(decompose(inst.graph), f, ResidueDomain.explicit(allowed)).build(None)
+    costs = [lattice.query_cost(v) for v in allowed.tolist() if v >= 0]
+    assert lattice._cost_row.tolist() == costs, f"seed {seed}"
+
+
 def _outcome(solve, *args, **kwargs):
     """Cost and flow of a solve, or the type and message of its error."""
     try:

@@ -15,6 +15,8 @@ import pytest
 import spnd.dp
 from spnd import (
     LatticeSpec,
+    build_table,
+    decompose,
     expand_upgrades,
     map_back,
     parse_instance,
@@ -22,6 +24,7 @@ from spnd import (
     solve_bcmfp,
     solve_capndp,
     solve_lattice_detailed,
+    upper_bound_flow,
 )
 from spnd.fptas import fptas_bcmfp_detailed
 from conftest import DIAMOND_TEXT
@@ -46,6 +49,12 @@ def _wide(instance):
     return replace(instance, graph=replace(instance.graph, edges=edges))
 
 
+def _table(instance):
+    """A full table of the instance's graph, of its own: no answer kept by
+    another solve's table can stand in for a re-check."""
+    return build_table(decompose(instance.graph), upper_bound_flow(instance))
+
+
 def _fptas(instance, budget, exact):
     outcome = fptas_bcmfp_detailed(_wide(instance).with_budget(budget), "1/2")
     assert outcome.exact == exact
@@ -57,6 +66,8 @@ def _fptas(instance, budget, exact):
 CASES = {
     "capndp": lambda inst: solve_capndp(inst),
     "bcmfp": lambda inst: solve_bcmfp(inst.with_budget(5)),
+    "capndp-table": lambda inst: solve_capndp(inst, table=_table(inst)),
+    "bcmfp-table": lambda inst: solve_bcmfp(inst.with_budget(5), table=_table(inst)),
     "lattice": lambda inst: solve_lattice_detailed(inst, LatticeSpec((1,), 2)),
     "lattice-budget": lambda inst: solve_lattice_detailed(inst.with_budget(5), LatticeSpec((1,), 2)),
     # The ladder's witness, re-checked against the chosen level M'.
@@ -73,6 +84,23 @@ def test_inconsistent_recheck_raises(case, diamond, monkeypatch):
     monkeypatch.setattr(spnd.dp, "solution_from_edges", _inflated(spnd.dp.solution_from_edges))
     with pytest.raises(RuntimeError, match="re-check"):
         solve(diamond)
+
+
+def test_failed_recheck_is_not_kept(diamond, monkeypatch):
+    # A table keeps a flow value's answer only once its re-check passes: a
+    # failed one raises at every solve that lands there, and the table
+    # answers as an untabled solve does once the purchase checks out.
+    table, by_demand, by_budget = _table(diamond), diamond.with_demand(2), diamond.with_budget(2)
+    monkeypatch.setattr(spnd.dp, "solution_from_edges", _inflated(spnd.dp.solution_from_edges))
+    with pytest.raises(RuntimeError, match="re-check"):
+        solve_capndp(by_demand, table=table)
+    with pytest.raises(RuntimeError, match="re-check"):
+        solve_bcmfp(by_budget, table=table)
+    monkeypatch.undo()
+    answer = solve_capndp(by_demand, table=table)
+    assert answer == solve_capndp(by_demand)
+    assert answer.achieved_flow == 2  # the flow value both solves land on
+    assert solve_bcmfp(by_budget, table=table) == solve_bcmfp(by_budget) == answer
 
 
 def test_map_back_rejects_overstated_solution():

@@ -140,3 +140,16 @@ def test_fptas_has_no_exact_search_of_its_own():
     fptas = [PACKAGE / "fptas.py"]
     assert set(_sites(calls("feasible_detailed"), fptas)) == {"rung"}
     assert set(_sites(calls("_solve"), fptas)) == {"fptas_bcmfp_detailed"}
+
+
+def test_table_answers_are_rechecked_once_each():
+    # Inside dp.py a purchase is re-checked by a built table's solve, or by
+    # the table method that keeps one answer per flow value: a re-check
+    # anywhere else would answer a ``table=`` solve without keeping it. A
+    # ``table=`` budget reads its root cost row; only the builder branch's
+    # budget search (its ``probe``) asks whether one flow is affordable.
+    def calls(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rechecked"
+
+    assert _sites(calls, [PACKAGE / "dp.py"]) == ["_solution", "_solve", "_solve"]
+    assert _readers("_affordable") == {"probe"}
