@@ -40,12 +40,17 @@ sink (``_Builder.build``).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children, in one
-blocked (min, +) scan over a group's rows (:func:`_split_scan`). The
-candidates for a block of splits are formed at once, the split on the
-leading axis, and the splits are walked in blocks of about ``CELLS``
-candidate cells. Each block's minimum, with the smallest split reaching it,
-merges into the running best by a strict <, so ties go to the smallest
-split and a cell that stays infeasible keeps split 0.
+blocked (min, +) scan over a group's rows (:func:`_split_scan`). On a
+residue domain of one step (the range, or a lattice set g·ℤ) the right
+child's cell for residue r and split s lies at r's position minus s's, so
+the right rows, padded with the sentinel to every such position, give each
+split's candidates as one strided view; a set with irregular gaps gathers
+them through a position index instead. The splits from the first to the
+last that a left row can take are walked in ascending blocks of about
+``CELLS`` candidate cells, the split on the leading axis. Each block's
+minimum, with the first split reaching it (``argmin``), merges into the
+running best by a strict <, so ties go to the smallest split and a cell
+that stays infeasible keeps split 0.
 
 Every node is rows, built one group at a time, not one node at a time.
 Each child sees its parent's source and sink residues unchanged, so a
@@ -69,8 +74,9 @@ own. The rows lie side by side in one flat cost array, forest, then
 spine, then a sentinel cell; the parallel rows' splits are rows of a
 second. So an inner group's rows are one (rows x width) block of each
 array, and it is built there, in place. A group reads its children's rows
-padded to its own width, the sentinel past each child's radius, and as a
-view where they are whole rows side by side: a series group adds the left
+padded to its own width (a parallel group's right rows, to the positions
+its scan reads), the sentinel past each child's radius, and as a view
+where they are whole rows side by side: a series group adds the left
 rows to the right rows read at r_a + c into its block, clamped at the
 sentinel, and a parallel group scans them into its blocks. A row with
 σ ≠ 0 then holds the sentinel where r_a + σ is off the node's domain, since
@@ -126,23 +132,29 @@ from .flow import max_flow, solution_from_edges
 _SPECIAL_ORDER = ("s", "t")
 _SPECIAL_SIGN = {"s": -1, "t": 1}  # residue of each special per unit of flow
 CELLS = 1 << 16  # candidate cells one block of the parallel split scan holds
-_NO_SPLIT = np.iinfo(np.int64).max
 
 
 class ResidueDomain:
     """Sorted set of residue values for one table axis.
 
     Node domains are symmetric under negation; a pinned special axis holds
-    a single value. Consecutive values (a range, a single value, a dense
-    lattice set) are looked up by offset from the first; any other set by
-    binary search."""
+    a single value. A set with one constant ``step`` between its values (a
+    range, a single value, a lattice set g·ℤ ∩ [-F, F]) is read by offset
+    from its first value, and a value is in it iff it lies in [lo, hi] on
+    that step; any other set (``step`` None) is read by binary search."""
 
-    __slots__ = ("values", "_lo", "_hi", "_dense")
+    __slots__ = ("values", "step", "_lo", "_hi")
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self._lo, self._hi = int(values[0]), int(values[-1])
-        self._dense = self._hi - self._lo + 1 == len(values)
+        lo, hi, n = int(values[0]), int(values[-1]), len(values)
+        self._lo, self._hi = lo, hi
+        step = (hi - lo) // (n - 1) if n > 1 else 1
+        # Distinct sorted values that lie on one step and span n - 1 steps
+        # are every point of that step.
+        if step * (n - 1) != hi - lo or (step > 1 and ((values - lo) % step).any()):
+            step = None
+        self.step = step
 
     @staticmethod
     def range(radius: int) -> "ResidueDomain":
@@ -170,32 +182,35 @@ class ResidueDomain:
     def positions(self, vals):
         """Clipped positions plus a validity mask, for elementwise gathers."""
         vals = np.asarray(vals, dtype=np.int64)
-        if not self._dense:
+        if self.step is None:
             # A value past the last one is clamped onto it and compares unequal.
             pos = np.minimum(np.searchsorted(self.values, vals), len(self.values) - 1)
             return pos, self.values[pos] == vals
         # Clamped with ufuncs: np.clip costs several times more per call here.
-        pos = np.minimum(np.maximum(vals - self._lo, 0), len(self.values) - 1)
+        pos = np.minimum(np.maximum((vals - self._lo) // self.step, 0), len(self.values) - 1)
         return pos, self.contains(vals)
 
     def index(self, vals) -> np.ndarray:
         """Each value's position, or the domain's length where it is absent:
 
         an index into a row that holds one more cell past the domain."""
-        if self._dense:
-            return np.where(self.contains(vals), vals - self._lo, len(self.values))
-        pos, ok = self.positions(vals)
+        if self.step is None:
+            pos, ok = self.positions(vals)
+        else:
+            pos, ok = (vals - self._lo) // self.step, self.contains(vals)
         return np.where(ok, pos, len(self.values))
 
     def contains(self, vals) -> np.ndarray:
-        """Membership mask alone; a dense axis needs no positions for it."""
-        if not self._dense:
+        """Membership mask alone; a domain with one step needs no positions for it."""
+        if self.step is None:
             return self.positions(vals)[1]
-        return (vals >= self._lo) & (vals <= self._hi)
+        ok = (vals >= self._lo) & (vals <= self._hi)
+        return ok if self.step == 1 else ok & ((vals - self._lo) % self.step == 0)
 
     def pos_of(self, value: int) -> int | None:
-        if self._dense:
-            return value - self._lo if self._lo <= value <= self._hi else None
+        if self.step is not None:
+            at, off = divmod(value - self._lo, self.step)
+            return at if off == 0 and 0 <= at < len(self.values) else None
         pos = int(np.searchsorted(self.values, value))
         return pos if pos < len(self.values) and self.values[pos] == value else None
 
@@ -421,53 +436,65 @@ def _join_residue(r_a, place: Mapping[str, str], special: Mapping[str, int]):
 def _split_scan(top: ResidueDomain, left, right, best, split, sentinel: int) -> None:
     """The (min, +) scan over the split of any parallel node's rows.
 
-    ``left`` and ``right`` are the children's rows over the values of
-    ``top`` within a window about 0, ``right`` with one more column past
-    its window that holds the sentinel. ``best`` and ``split`` are the
-    group's rows of the flat cost and split arrays, one row per node or
-    special cell over the values within ``best.shape[1] // 2`` positions of
-    0; the scan fills them with the sentinel and split 0, then writes into
-    them. Cell r takes the minimum over splits s of left[s] + right[r - s],
-    the right cell read through a (split, r) position index that sends a
-    residue off the right window to that sentinel column. The splits go in
-    ascending blocks of about ``CELLS`` candidate cells, on the leading
-    axis; each block's minimum, with the first (smallest) split reaching
-    it, merges into the running best by a strict <, so ties go to the
-    smallest split and an infeasible cell keeps split 0."""
-    mid, half = len(top) // 2, best.shape[1] // 2
-    left_half, right_half = left.shape[1] // 2, right.shape[1] // 2 - 1
-    window = ResidueDomain(top.values[mid - right_half : mid + right_half + 1])
-    vals = top.values[mid - half : mid + half + 1]
+    ``best`` and ``split`` are the group's rows of the flat cost and split
+    arrays, one row per node or special cell over the values of ``top``
+    within ``h = best.shape[1] // 2`` positions of 0; the scan fills them
+    with the sentinel and split 0, then writes into them. ``left`` holds the
+    left children's rows over the kl positions about 0 that they span. Cell
+    r takes the minimum over splits s of left[s] + right[r - s]; a child
+    read alike by every row is one row, broadcast.
+
+    On a domain of one step, r - s lies at the position of r minus that of
+    s, so ``right`` holds the right children's rows at positions -(h + kl)
+    to h + kl, the sentinel past each child's radius, and every split's
+    candidates are one strided view of it. On any other set, ``right`` holds
+    the children's window with one more column, the sentinel, and the
+    candidates are gathered through a (split, r) position index that sends
+    a residue off the window there.
+
+    The splits from the first to the last that some left row can take go in
+    ascending blocks of about ``CELLS`` candidate cells. A block is summed
+    into one buffer, and its minimum, with the first (smallest) split
+    reaching it, merges into the running best by a strict <, so ties go to
+    the smallest split and an infeasible cell keeps split 0."""
+    mid, half, kl = len(top) // 2, best.shape[1] // 2, left.shape[1] // 2
+    split_vals = top.values[mid - kl : mid + kl + 1]
     best.fill(sentinel)
     split.fill(0)
-    # A split no left child can take cannot improve any cell.
-    live = (left < sentinel).any(axis=0).nonzero()[0]
-    split_vals = top.values[mid - left_half + live]
+    # A split no left row can take cannot improve any cell.
+    live = np.flatnonzero((left < sentinel).any(axis=0))
+    if not len(live):
+        return
+    first, last = int(live[0]), int(live[-1]) + 1
+    if top.step is None:
+        kr = right.shape[1] // 2 - 1
+        window = ResidueDomain(top.values[mid - kr : mid + kr + 1])
+        vals = top.values[mid - half : mid + half + 1]
+    else:
+        # Split j (from -kl) and cell i (from -h) read the right row at
+        # position i - j, column 2 kl + i - j from the row's start.
+        cols, size = right.strides[0], right.itemsize
     step = max(1, CELLS // best.size)
     # One block's candidates (split, row, cell), their minimum and its first
     # split; reused by every block, so the scan's scratch stays a few blocks
     # in size.
-    block = np.empty((min(step, len(live)), *best.shape), dtype=np.int64)
+    block = np.empty((min(step, last - first), *best.shape), dtype=np.int64)
     low, arg = np.empty((2, *best.shape), dtype=np.int64)
-    for lo in range(0, len(live), step):
-        s = split_vals[lo : lo + step]
-        at = window.index(vals - s[:, None])
-        cand = block[: len(s)]
+    for lo in range(first, last, step):
+        n = min(step, last - lo)
+        if top.step is None:
+            at = window.index(vals - split_vals[lo : lo + n, None])
+            cand = right[:, at].transpose(1, 0, 2)
+        else:
+            shape = (n, len(right), best.shape[1])
+            cand = np.ndarray(shape, np.int64, right, (2 * kl - lo) * size, (-size, cols, size))
         # Unclamped: a candidate at or above the sentinel never beats best.
-        # Every position is in range; "clip" only skips the bounds check.
-        # Gathered through a (row, split, cell) view, the block keeps its
-        # splits on the leading axis for the minimum below.
-        right.take(at, axis=1, out=cand.transpose(1, 0, 2), mode="clip")
-        cand += left.T[live[lo : lo + step], :, None]
+        cand = np.add(left.T[lo : lo + n, :, None], cand, out=block[:n])
         cand.min(axis=0, out=low)
-        # The smallest split of the block reaching its minimum: a block of
-        # one split reaches it everywhere.
-        first = s[0]
-        if len(s) > 1:
-            first = np.where(cand == low, s[:, None, None], _NO_SPLIT).min(axis=0, out=arg)
+        cand.argmin(axis=0, out=arg)
         better = low < best
         np.copyto(best, low, where=better)
-        np.copyto(split, first, where=better)
+        np.copyto(split, split_vals[lo:][arg], where=better)
 
 
 def _padded(flat: np.ndarray, centre: np.ndarray, half: np.ndarray, offsets: np.ndarray):
@@ -620,7 +647,8 @@ class _Builder:
         width (:func:`_padded`): a series group adds the left child's at
         r_a to the right child's at r_a plus the row's join shift into its
         block, clamped at the sentinel, and a parallel group scans them
-        into its blocks (:func:`_split_scan`). A spine node's group
+        into its blocks (:func:`_split_scan`), the right rows padded as the
+        scan reads them on its domain. A spine node's group
         (``axes`` given) then holds the sentinel where r_a + σ is off the
         node's domain (:meth:`_admissibility`)."""
         costs, half, top = self.costs, self.half, self.top
@@ -658,19 +686,26 @@ class _Builder:
                 shift, sel = _join_residue(0, node.placements, svals), slice(None)
                 if len(shifted) < len(axes):
                     shift, sel = axes[shifted[0]].values, index[shifted[0]]
-                at = (top.index(dom.values + shift[:, None]) - len(top) // 2)[sel]
+                if top.step is None:
+                    at = top.index(dom.values + shift[:, None]) - len(top) // 2
+                else:
+                    # On one step a shift moves positions; one off the step
+                    # leaves its whole row off the domain.
+                    moved, off = np.divmod(shift, top.step)
+                    at = np.where(off == 0, moved, len(top))[:, None] + j
+                at = at[sel]
             # A child read alike by every row is one row, broadcast.
             np.add(_padded(lf, lc, lh, j), _padded(rf, rc, rh, at), out=rows)
             np.minimum(rows, sentinel, out=rows)
         else:
-            # The column past the right window is the sentinel.
-            kl, kr = int(lh.max()), int(rh.max())
+            # A child read alike by every row is one row, broadcast.
+            kl = int(lh.max())
             left = _padded(lf, lc, lh, np.arange(-kl, kl + 1))
-            right = _padded(rf, rc, rh, np.arange(-kr, kr + 2))
-            # A child read alike by every row is one row: a left one
-            # broadcasts in the scan, a right one is repeated for its gather.
-            if len(right) < len(rows):
-                right = right.repeat(len(rows), axis=0)
+            if top.step is None:  # the right window, then a sentinel column
+                kr = int(rh.max())
+                right = _padded(rf, rc, rh, np.arange(-kr, kr + 2))
+            else:  # every r_a - split, the sentinel past the child's radius
+                right = _padded(rf, rc, rh, np.arange(-h - kl, h + kl + 1))
             first = self.split_at[ids[0]]
             split = self.splits[first : first + cells].reshape(rows.shape)
             _split_scan(top, left, right, rows, split, sentinel)

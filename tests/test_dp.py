@@ -137,18 +137,26 @@ def test_residue_domain_range_and_lookup():
     assert dom.pos_of(3) is None
     clipped = dom.clipped(1)
     assert list(clipped.values) == [-1, 0, 1]
-    # A pinned value, a dense explicit set and a sparse one: every lookup
-    # must agree with a plain dict over the values.
-    for dom in (
-        ResidueDomain.single(-3),
-        ResidueDomain.explicit([-1, 0, 1]),
-        ResidueDomain.explicit([-5, 0, 5]),
+    # A pinned value, a dense explicit set, sets of one step (read by
+    # offset) and gapped ones (read by binary search), the last two spanning
+    # a whole number of steps: every lookup must agree with a plain dict
+    # over the values.
+    for dom, step in (
+        (ResidueDomain.single(-3), 1),
+        (ResidueDomain.explicit([-1, 0, 1]), 1),
+        (ResidueDomain.explicit([-5, 0, 5]), 5),
+        (ResidueDomain.explicit([-6, -3, 0, 3, 6]), 3),
+        (ResidueDomain.explicit([-5, -2, 0, 2, 5]), None),
+        (ResidueDomain.explicit([-6, -4, 0, 4, 6]), None),
+        (ResidueDomain.explicit([-4, -3, 0, 3, 4]), None),
     ):
+        assert dom.step == step, dom.values
         index = {int(v): i for i, v in enumerate(dom.values)}
         probe = np.arange(-7, 8)
         pos, ok = dom.positions(probe)
         assert ok.tolist() == [int(v) in index for v in probe]
         assert dom.contains(probe).tolist() == ok.tolist()
+        assert dom.index(probe).tolist() == [index.get(v, len(dom)) for v in probe.tolist()]
         for v, p, hit in zip(probe.tolist(), pos.tolist(), ok.tolist()):
             assert dom.pos_of(v) == index.get(v)
             if hit:

@@ -133,3 +133,55 @@ def test_tiny_instances_under_any_block_size(instance, cells, slack, pin, gapped
         _check(tree, f + slack, f"full, F + {slack}")
         _check(tree, f, f"pin {v}", pin=v)
         _check(tree, f, f"residues {residues}", residue_values=residues)
+
+
+@settings(max_examples=300)
+@given(
+    tiny_instances(capacity=st.integers(0, 9)),
+    st.sampled_from((2, 3)),
+    st.sampled_from((1, 7, dp.CELLS)),
+    st.integers(0, 2),
+    st.integers(0, 30),
+    st.integers(0, 30),
+)
+def test_constant_step_sets_under_any_block_size(instance, g, cells, slack, reach, pin):
+    # Lattice sets g·ℤ, the kind every lattice solve of the benchmark
+    # draws, are read by offset and scanned as strided views of the right
+    # rows: reading a lattice set by position once built a wrong table. The
+    # set may reach past the flow bound, which clips it. A pin off the set
+    # shifts series joins off the step.
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    residues = list(range(-g * reach, g * reach + 1, g))
+    top = dp.ResidueDomain.explicit(residues).clipped(f)
+    assert top.step == (g if len(top) > 1 else 1)
+    v = pin % (f + 1)
+    with patch.object(dp, "CELLS", cells):
+        _check(tree, f + slack, f"step {g}, F + {slack}", residue_values=residues)
+        _check(tree, f, f"step {g} pin {v}", residue_values=residues, pin=v)
+
+
+@pytest.mark.parametrize("seed", (6, 10))
+def test_range_probes_build_no_position_index(seed):
+    # A probe of the approximation scheme, over the range: its split scans
+    # read their candidates as strided views and its series joins shift by
+    # offset, so no lookup makes a position index. A gapped set still reads
+    # through one, and still builds the reference tables.
+    instance = generate_sp(seed, edge_budget=8, cap_max=10**6, cost_max=10)
+    tree = decompose(instance.graph)
+    assert {"parallel:none", "series:s@join"} <= {dp.case_label(n) for n in tree.nodes if n.kind != "leaf"}
+    params = ScaleParams.for_instance(instance.graph.edge_count, "1/2")
+    scaled = with_capacities(tree, scale_capacities(instance.graph, 7, params.epsilon_prime))
+    r, gapped = params.target_r, [-3, -2, 0, 2, 3]
+    steps, index = [], dp.ResidueDomain.index
+
+    def counted(domain, vals):
+        steps.append(domain.step)
+        return index(domain, vals)
+
+    with patch.object(dp.ResidueDomain, "index", counted):
+        build_table(scaled, r, pin=r)
+        assert steps == []
+        got = dp._Builder(scaled, r, dp.ResidueDomain.explicit(gapped)).build(r)
+    assert steps and set(steps) == {None}
+    assert_same_tables(got, reference_table(scaled, r, residue_values=gapped, pin=r), f"seed {seed} gapped")
