@@ -52,10 +52,15 @@ def _readers(name: str) -> set[str]:
 
 def test_one_function_scans_splits():
     # Every parallel node, spine or special-free, goes through one blocked
-    # (min, +) scan; a second copy of its block size or tie rule is a second
-    # scan.
+    # (min, +) scan; a second reader of its block size, or a second argmin,
+    # which sets its tie rule (the first, smallest split), is a second scan.
+    # The tie rule needs no marker for "no split" of its own.
+    def argmins(node):
+        return isinstance(node, ast.Attribute) and node.attr == "argmin"
+
     assert _readers("CELLS") == {"_split_scan"}
-    assert _readers("_NO_SPLIT") == {"_split_scan"}
+    assert set(_sites(argmins)) == {"_split_scan"}
+    assert not hasattr(dp, "_NO_SPLIT")
 
 
 def _builds(node) -> bool:
