@@ -49,7 +49,7 @@ from heapq import heappop, heappush
 from .decompose import DecompTree, decompose
 from .dp import _check_inputs, _rechecked, _solve, feasible_detailed, last_accepted, upper_bound_flow
 from .flow import solution_from_edges
-from .instance import EdgeRecord, MultiGraph, ProblemInstance, Solution
+from .instance import MultiGraph, ProblemInstance, Solution
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,14 @@ class FptasOutcome:
 
 
 def _ladder_top(ratio: Fraction, f_bound: int) -> int:
-    """Largest j with ratio**j <= f_bound (ratio > 1, f_bound >= 1)."""
-    guess = max(0, int(math.log(f_bound) / math.log(float(ratio))))
-    while ratio**guess <= f_bound:
+    """Largest j with ratio**j <= f_bound (ratio > 1, f_bound >= 1), tested
+
+    in integers: with ratio = p/q, as p**j <= f_bound * q**j."""
+    p, q = ratio.numerator, ratio.denominator
+    guess = max(0, int(math.log(f_bound) / math.log(p / q)))
+    while p**guess <= f_bound * q**guess:
         guess += 1
-    while guess > 0 and ratio**guess > f_bound:
+    while guess > 0 and p**guess > f_bound * q**guess:
         guess -= 1
     return guess
 
@@ -187,11 +190,9 @@ def fptas_bcmfp_detailed(
         with the scaled capacities: its answer, and on YES the witness with
         its table cost."""
         level = ratio**j
-        caps = scale_capacities(graph, level, params.epsilon_prime)
-        edges = tuple(EdgeRecord(e.id, e.u, e.v, e.cost, caps[e.id]) for e in graph.edges)
-        scaled = replace(graph, edges=edges)
+        scaled = graph.with_capacities(scale_capacities(graph, level, params.epsilon_prime))
         ok, witness, stats = feasible_detailed(
-            replace(instance, graph=scaled), budget, params.target_r, tree=replace(tree, graph=scaled)
+            ProblemInstance(scaled, budget), budget, params.target_r, tree=replace(tree, graph=scaled)
         )
         probes.append(ProbeRecord(level, params.target_r, ok, stats["states"]))
         return ok, (witness, stats["cost"])

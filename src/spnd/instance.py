@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import ParseError
 
@@ -112,6 +112,24 @@ class MultiGraph:
 
     def edge_map(self) -> dict[str, EdgeRecord]:
         return {e.id: e for e in self.edges}
+
+    def with_capacities(self, capacities: Mapping[str, int]) -> "MultiGraph":
+        """This graph with each edge's capacity read from ``capacities`` by id.
+
+        Only what changes is checked, each capacity a nonnegative int: the
+        ids, endpoints, costs, source, sink and terminals are this graph's,
+        which its construction validated, so the copy does not validate
+        them again."""
+        edges = []
+        for e in self.edges:
+            capacity = capacities[e.id]
+            if not isinstance(capacity, int) or capacity < 0:
+                raise ValueError(f"edge {e.id!r} needs a nonnegative int capacity, got {capacity!r}")
+            edges.append(EdgeRecord(e.id, e.u, e.v, e.cost, capacity))
+        graph = object.__new__(MultiGraph)
+        # Frozen fields set past __setattr__, as the dataclass's own __init__ does.
+        graph.__dict__.update(vars(self), edges=tuple(edges))
+        return graph
 
     def total_cost(self) -> int:
         return sum(e.cost for e in self.edges)

@@ -56,6 +56,13 @@ def test_scale_params():
         ScaleParams.for_instance(3, -1)
 
 
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 10**15))
+def test_ladder_top_is_the_last_rung_within_the_bound(step, q, f_bound):
+    ratio = Fraction(q + step, q)
+    j = _ladder_top(ratio, f_bound)
+    assert ratio**j <= f_bound < ratio ** (j + 1)
+
+
 def test_as_fraction_forms():
     assert as_fraction(2) == Fraction(2)
     assert as_fraction(0.5) == Fraction(1, 2)

@@ -31,6 +31,17 @@ def test_parse_single_edge(single_edge):
     assert single_edge.problem == "bcmfp"
 
 
+def test_with_capacities_checks_only_the_capacities(diamond):
+    g = diamond.graph
+    copy = g.with_capacities({"e1": 0, "e2": 5, "e3": 9})
+    edges = tuple(replace(e, capacity=c) for e, c in zip(g.edges, (0, 5, 9)))
+    assert copy == replace(g, edges=edges)
+    assert [e.capacity for e in g.edges] != [0, 5, 9]
+    for bad in (-1, 1.5, "2", None):
+        with pytest.raises(ValueError, match="e2"):
+            g.with_capacities({"e1": 0, "e2": bad, "e3": 9})
+
+
 def test_parse_diamond(diamond):
     g = diamond.graph
     assert g.vertex_count == 3
