@@ -194,10 +194,7 @@ class ResidueDomain:
         """Each value's position, or the domain's length where it is absent:
 
         an index into a row that holds one more cell past the domain."""
-        if self.step is None:
-            pos, ok = self.positions(vals)
-        else:
-            pos, ok = (vals - self._lo) // self.step, self.contains(vals)
+        pos, ok = self.positions(vals)
         return np.where(ok, pos, len(self.values))
 
     def contains(self, vals) -> np.ndarray:
@@ -471,8 +468,8 @@ def _split_scan(top: ResidueDomain, left, right, best, split, sentinel: int) -> 
         window = ResidueDomain(top.values[mid - kr : mid + kr + 1])
         vals = top.values[mid - half : mid + half + 1]
     else:
-        # Split j (from -kl) and cell i (from -h) read the right row at
-        # position i - j, column 2 kl + i - j from the row's start.
+        # The split at left column j and the cell at column i read the right
+        # row at position (i - h) - (j - kl), its column 2 kl + i - j.
         cols, size = right.strides[0], right.itemsize
     step = max(1, CELLS // best.size)
     # One block's candidates (split, row, cell), their minimum and its first
