@@ -294,10 +294,13 @@ def test_budget_search_never_affords_the_sentinel():
     assert inst.budget >= table.infinity
     sol = solve_bcmfp(inst, table=table)
     assert (sol.achieved_flow, sol.total_cost) == (1, 2)
+    # Each probe's row is its one flow value's cost, the sentinel past the
+    # graph's max flow of 1, and the builder's search stops below it.
     builder = dp_module._Builder(tree, 6, None)
-    affordable = [dp_module._affordable(builder.build(v), v, inst.budget) for v in range(7)]
-    assert affordable == [True, True] + [False] * 5
-    assert builder.build(1).query_cost(1) == 2
+    rows = [builder.build(v)._cost_row.tolist() for v in range(7)]
+    assert rows == [[0], [2]] + [[table.infinity]] * 5
+    sol = dp_module._solve(inst, tree, None, 6)[0]
+    assert (sol.achieved_flow, sol.total_cost) == (1, 2)
 
 
 def test_last_accepted_bisects_from_the_top_half():
@@ -857,6 +860,10 @@ def test_a_pinned_table_answers_no_budget(diamond):
     assert solve_capndp(diamond.with_demand(2), table=table).total_cost == 2
     with pytest.raises(ValueError, match="pinned to flow value 2"):
         solve_bcmfp(diamond.with_budget(5), table=table)
+    # Nor any demand but its pin, though the least flow value >= 1 it holds is 2.
+    for demand in (1, 3):
+        with pytest.raises(ValueError, match="pinned to flow value 2"):
+            solve_capndp(diamond.with_demand(demand), table=table)
 
 
 def _recorded_builds(monkeypatch):

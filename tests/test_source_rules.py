@@ -148,13 +148,21 @@ def test_fptas_has_no_exact_search_of_its_own():
 
 
 def test_table_answers_are_rechecked_once_each():
-    # Inside dp.py a purchase is re-checked by a built table's solve, or by
-    # the table method that keeps one answer per flow value: a re-check
-    # anywhere else would answer a ``table=`` solve without keeping it. A
-    # ``table=`` budget reads its root cost row; only the builder branch's
-    # budget search (its ``probe``) asks whether one flow is affordable.
-    def calls(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rechecked"
+    # Every exact solve, given a table or building one, answers through one
+    # function, and inside dp.py a purchase is re-checked only by the table
+    # method that keeps one answer per flow value: a re-check anywhere else
+    # would be a second answer path. A budget search's probe reads the
+    # probe's cost row like any other table, not a test of its own.
+    def calls(name):
+        def match(node):
+            return isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
 
-    assert _sites(calls, [PACKAGE / "dp.py"]) == ["_solution", "_solve", "_solve"]
-    assert _readers("_affordable") == {"probe"}
+        return match
+
+    dp_source = [PACKAGE / "dp.py"]
+    assert _sites(calls("_rechecked"), dp_source) == ["_solution"]
+    assert _sites(calls("_solution"), dp_source) == ["_answer"]
+    assert not hasattr(dp, "_affordable")
