@@ -16,27 +16,28 @@ free coordinates are thus the table's axes and nothing needs re-checking.
 
 A flow of value v from source to sink is the root cell at (r_s, r_t) =
 (-v, +v), whose r_a is -v if the source is the root's a terminal and +v if
-the sink is. Every solve reduces to such queries at its flow values, the
-values in [0, F] of its residue domain: every integer there, or the
-lattice points of a lattice solve (see solve_lattice), or a given table's
-root domain values. The cost never falls as the flow rises, so a demand D
-is answered at the least such value >= D, and a budget at the largest
-affordable one; the sentinel is never affordable. A given table reads its
-root's cost at every flow value once, in one gather (``DPTable._cost_row``,
-which checks that the row never falls), and finds a budget's answer by one
-``searchsorted`` on that row. It keeps one re-checked answer per flow value
-(``DPTable._solution``), so a sweep of demands and budgets reconstructs and
-re-checks each flow value once.
+the sink is. Every table answers at its own flow values: its pin alone,
+or the values in [0, F] of its root's residue domain (every integer there,
+or the lattice points of a lattice solve, see solve_lattice). Its cost row
+(``DPTable._cost_row``) is the root's cost at each of them, and a row that
+falls as the flow rises is refused. The cost never falls as the flow
+rises, so one function answers every exact solve from a table
+(:func:`_answer`): a demand D at the least flow value >= D, a budget at
+the largest one its row affords; the sentinel is never affordable. The
+answer is the table's one re-checked answer per flow value
+(``DPTable._solution``), so a sweep of demands and budgets on one table
+reconstructs and re-checks each flow value once.
 
-Given no table, a solve, plain or lattice, never builds every (r_s, r_t)
-pair (:func:`_solve`): each query value v gets its own build pinned to v
-with the flow bound F (below), which answers that query with the full
-table's cost and witness. A demand takes one such build; a budget search
-one per probe. One builder over the solve's residue domain makes them all.
-The special-free nodes, those with no interior special, have no special
-axis, so their tables do not depend on v: a budget search builds them
-once, and each later probe builds only the nodes above the source or the
-sink (``_Builder.build``).
+A solve only chooses the table it reads (:func:`_solve`): a given one, or
+builds pinned to one flow value v each with the flow bound F (below),
+which answer v with the full table's cost and witness. A solve, plain or
+lattice, never builds every (r_s, r_t) pair. A demand takes one such
+build; a budget search one per probe, and answers from the last one its
+cost row affords. One builder over the solve's residue domain makes them
+all. The special-free nodes, those with no interior special, have no
+special axis, so their tables do not depend on v: a budget search builds
+them once, and each later probe builds only the nodes above the source or
+the sink (``_Builder.build``).
 
 Series nodes combine children in one forced way; parallel nodes minimize
 over an integer split of the a-residue between the two children, in one
@@ -114,7 +115,7 @@ Infeasible cells hold a cost sentinel larger than the whole graph's cost.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,8 +263,9 @@ def case_label(node: DecompNode) -> str:
 class DPTable:
     """Built tables for every tree node, plus query and reconstruction, and
 
-    what ``table=`` solves read: the root's cost row and one re-checked
-    answer per flow value, each found once."""
+    what every exact solve reads (:func:`_answer`): the table's flow values,
+    the root's cost row over them and one re-checked answer per flow value,
+    each found once."""
 
     def __init__(self, tree: DecompTree, f_bound: int, infinity: int, pin: int | None):
         self.tree = tree
@@ -281,25 +283,28 @@ class DPTable:
         return max_flow(self.tree.graph)[0]
 
     @cached_property
-    def _cost_row(self) -> np.ndarray:
-        """The root's cost at each of its flow values (:func:`_flow_values`),
+    def _flows(self) -> list[int]:
+        """The flow values the table answers: its pin alone, or its root
 
-        gathered at once the first time a ``table=`` budget needs it. A
+        domain's values >= 0 (:func:`_flow_values`)."""
+        if self.pin is not None:
+            return [self.pin]
+        return _flow_values(self.tables[self.tree.root].domain).tolist()
+
+    @cached_property
+    def _cost_row(self) -> np.ndarray:
+        """The root's cost at each of the table's flow values, each read by
+
+        :meth:`cost_of` the first time a budget needs them: one value for a
+        probe of a budget search, every one for a ``table=`` budget. A
         budget is answered by a binary search of this row, which trusts the
         cost never to fall as the flow rises: a row that falls raises."""
-        if self.pin is not None:
-            raise ValueError(
-                f"table was built pinned to flow value {self.pin}; a budget reads every flow value"
-            )
-        root = self.tables[self.tree.root]
-        flows = _flow_values(root.domain)
-        coords, ok = _coords(root, self._root_a(flows), -flows, flows)
-        row = np.where(ok, root.cost[coords], self.infinity)
-        falls = np.flatnonzero(row[1:] < row[:-1])
-        if len(falls):
-            i = int(falls[0]) + 1
-            raise RuntimeError(f"root cost falls to {row[i]} at flow value {flows[i]}, from {row[i - 1]}")
-        return row
+        root, flows = self.tree.root, self._flows
+        row = [self.cost_of(root, self._root_a(v), -v, v) for v in flows]
+        for i in range(1, len(row)):
+            if row[i] < row[i - 1]:
+                raise RuntimeError(f"root cost falls to {row[i]} at flow value {flows[i]}, from {row[i - 1]}")
+        return np.array(row, dtype=np.int64)
 
     @property
     def state_count(self) -> int:
@@ -363,9 +368,8 @@ class DPTable:
         (:func:`_rechecked`), or None if none does. It is kept once found,
         so a table reconstructs and re-checks each flow value at most once:
         the re-check reads only the graph and the witness, a table gives one
-        witness per flow value, and a ``table=`` solve's instance has the
-        table's graph (:func:`_check_inputs`). A failed re-check raises and
-        keeps nothing."""
+        witness per flow value, and a solve's instance has the table's graph
+        (:func:`_check_inputs`). A failed re-check raises and keeps nothing."""
         solution = self._solutions.get(v)
         if solution is None:
             cost, edges = self.query(v)
@@ -402,16 +406,10 @@ class DPTable:
         return frozenset(purchased)
 
 
-def _coords(nt: NodeTable, r_a, r_s, r_t):
+def _coords(nt: NodeTable, r_a: int, r_s: int, r_t: int) -> tuple[int, ...] | None:
     """The cell of ``nt`` at a-slot residue ``r_a`` and source and sink
 
-    residues ``r_s``, ``r_t``, or None when one lies off its axis. Given
-    arrays of residues, the cells' positions on each axis, for one gather,
-    and the mask of the cells that lie on every axis."""
-    if isinstance(r_a, np.ndarray):
-        found = [nt.domain.positions(r_a)]
-        found += [axis.positions(r_s if lab == "s" else r_t) for lab, axis in nt.special_axes.items()]
-        return tuple(at for at, _ in found), np.logical_and.reduce([ok for _, ok in found])
+    residues ``r_s``, ``r_t``, or None when one lies off its axis."""
     coords = [nt.domain.pos_of(r_a)]
     for lab, axis in nt.special_axes.items():
         coords.append(axis.pos_of(r_s if lab == "s" else r_t))
@@ -793,14 +791,6 @@ def _flow_values(domain: ResidueDomain) -> np.ndarray:
     return domain.values[len(domain) // 2 :]
 
 
-def _affordable(table: DPTable, v: int, budget: int) -> bool:
-    """Flow v costs at most ``budget`` in ``table``; the sentinel, which
-
-    marks a flow the table cannot carry, never does, whatever the budget."""
-    cost = table.query_cost(v)
-    return cost < table.infinity and cost <= budget
-
-
 def _rechecked(
     instance: ProblemInstance, cost: int, edges: frozenset[str], v: int | Fraction
 ) -> Solution:
@@ -844,6 +834,30 @@ def _check_bound(table: DPTable) -> None:
         )
 
 
+def _answer(instance: ProblemInstance, table: DPTable) -> Solution:
+    """The instance's exact answer from ``table``, at the table's flow values.
+
+    The cost never falls as the flow rises, so a demand D is answered at
+    the least flow value >= D, and a budget at the largest one its cost row
+    affords. A budget at or past the sentinel is read as one below it, so
+    the sentinel, which marks a flow the table cannot carry, is never
+    affordable, and the budget fits the row's integers. The answer is the
+    table's kept one for that flow value (:meth:`DPTable._solution`)."""
+    flows, demand, budget = table._flows, instance.demand, instance.budget
+    if budget is None:
+        at = bisect_left(flows, demand)
+    else:
+        row = table._cost_row
+        at = int(np.searchsorted(row, min(budget, table.infinity - 1), "right")) - 1
+    solution = table._solution(instance, flows[at]) if at < len(flows) else None
+    if budget is None:
+        if solution is None:
+            raise InfeasibleError(f"demand {demand} is not attainable")
+    elif solution is None or solution.total_cost > budget:
+        raise RuntimeError(f"flow {flows[at]} passed the budget search at cost {row[at]} > budget {budget}")
+    return solution
+
+
 def _solve(
     instance: ProblemInstance,
     tree: DecompTree | None,
@@ -853,44 +867,27 @@ def _solve(
 ) -> tuple[Solution, DPTable]:
     """The instance's exact answer, and the table that answered it.
 
-    A demand D is answered at the least flow value >= D, since the cost
-    never falls as the flow rises; a budget at the largest affordable flow
-    value. A ``table`` is read as it is, at its root's flow values: a budget
-    by one ``searchsorted`` on its root cost row, cut below the sentinel, and
-    each flow value's answer is the table's kept one, reconstructed and
-    re-checked at the first solve that lands there. Without one, a budget
-    is a binary search of pinned builds: a builder of the tree under the flow
-    bound F (``f_bound``, found here if not given; a budget search may be
-    given any bound its answer is known not to exceed) over the residue set
-    ``base`` (every integer if None) makes every build, each pinned to one
-    of its flow values, its domain's values in [0, F]: one build for a
-    demand, one a probe for a budget, and each probe after the first builds
-    only the nodes with an interior special."""
+    This only chooses the table, and :func:`_answer` reads the answer from
+    it. A ``table`` is read as it is; a pinned one answers only a demand at
+    its pin. Without one, a builder of the tree under the flow bound F
+    (``f_bound``, found here if not given; a budget search may be given any
+    bound its answer is known not to exceed) over the residue set ``base``
+    (every integer if None) makes every build, each pinned to one of its
+    flow values, its domain's values in [0, F]. A demand takes the one build
+    at the least flow value >= D; a budget, the last build its binary search
+    affords, each probe one build whose cost row it reads. Each probe after
+    the first builds only the nodes with an interior special."""
     _check_inputs(instance, tree, table)
     demand, budget = instance.demand, instance.budget
     if table is not None:
-        flows = _flow_values(table.tables[table.tree.root].domain)
-        if demand is not None:
-            if demand > table.f_bound:
-                check_demand(demand, table._max_flow)
-                _check_bound(table)
-            at = int(np.searchsorted(flows, demand))
-            solution = table._solution(instance, int(flows[at])) if at < len(flows) else None
-            if solution is None:
-                raise InfeasibleError(f"demand {demand} is not attainable")
-            return solution, table
-        # A budget at or past the sentinel is read as one below it, so the
-        # sentinel, which marks a flow the table cannot carry, is never
-        # affordable, and the budget fits the row's integers.
-        row = table._cost_row
-        at = int(np.searchsorted(row, min(budget, table.infinity - 1), "right")) - 1
-        if at == len(flows) - 1:
+        if demand is not None and demand > table.f_bound:
+            check_demand(demand, table._max_flow)
             _check_bound(table)
-        v = int(flows[at])
-        solution = table._solution(instance, v)
-        if solution is None or solution.total_cost > budget:
-            raise RuntimeError(f"flow {v} passed the budget search at cost {row[at]} > budget {budget}")
-        return solution, table
+        if table.pin is not None and demand != table.pin:
+            raise ValueError(f"table was built pinned to flow value {table.pin}; it answers only that demand")
+        if budget is not None and table._cost_row[-1] <= min(budget, table.infinity - 1):
+            _check_bound(table)  # the answer is the table's top flow value
+        return _answer(instance, table), table
     if tree is None:
         tree = decompose(instance.graph)
     if f_bound is None:
@@ -898,29 +895,22 @@ def _solve(
     if demand is not None:
         check_demand(demand, f_bound)
     builder = _Builder(tree, f_bound, base)
-    flows, build = _flow_values(builder.top), builder.build
+    flows, build = _flow_values(builder.top).tolist(), builder.build
     if demand is not None:
-        at = int(np.searchsorted(flows, demand))
-        if at < len(flows):
-            v = int(flows[at])
-            answer = build(v)
-            cost, edges = answer.query(v)
-            if edges is not None:
-                return _rechecked(instance, cost, edges, v), answer
-        raise InfeasibleError(f"demand {demand} is not attainable")
+        # A demand past the last flow value (only a residue set without F
+        # has one) gets the last one's build, which finds it unattainable.
+        table = build(flows[min(bisect_left(flows, demand), len(flows) - 1)])
+    else:
+        cap = min(budget, builder.sentinel - 1)
 
-    def probe(i: int):
-        answer = build(int(flows[i]))
-        return _affordable(answer, int(flows[i]), budget), answer
+        def probe(i: int):
+            answer = build(flows[i])
+            return answer._cost_row[0] <= cap, answer
 
-    at, answer = last_accepted(len(flows) - 1, probe)
-    v = int(flows[at])
-    if answer is None:  # flow value 0 is taken without a probe
-        answer = build(v)
-    cost, edges = answer.query(v)
-    if edges is None or cost > budget:
-        raise RuntimeError(f"flow {v} passed the budget search at cost {cost} > budget {budget}")
-    return _rechecked(instance, cost, edges, v), answer
+        _, table = last_accepted(len(flows) - 1, probe)
+        if table is None:  # flow value 0 is taken without a probe
+            table = build(flows[0])
+    return _answer(instance, table), table
 
 
 def solve_capndp(
@@ -933,10 +923,11 @@ def solve_capndp(
 
     flow value >= D, since the cost never falls as the flow rises.
 
-    Without ``table`` it answers from one build pinned to D with the flow
-    bound F; a ``table`` is read as it is. A demand above its flow bound is
-    infeasible if it is above F, and is refused (``ValueError``) if the
-    bound is below F."""
+    Without ``table`` it answers from one build pinned to that value with
+    the flow bound F; a ``table`` is read as it is, and a pinned one answers
+    only a demand at its pin (``ValueError``). A demand above a table's flow
+    bound is infeasible if it is above F, and is refused (``ValueError``) if
+    the bound is below F."""
     if instance.demand is None:
         raise ValueError("instance has no demand")
     return _solve(instance, tree, table)[0]
@@ -953,10 +944,11 @@ def solve_bcmfp(
     affordable flow value.
 
     Without ``table`` a binary search finds it, each probe v a build pinned
-    to v with the flow bound F, and every probe after the first rebuilds
-    only the nodes with an interior special. A ``table`` is read as it is:
-    one search of its root's cost row, read once per table. An answer
-    at the table's top flow value is refused (``ValueError``) if the
+    to v with the flow bound F whose one-value cost row it reads, and every
+    probe after the first rebuilds only the nodes with an interior special.
+    A ``table`` is read as it is: one search of its root's cost row, read
+    once per table. A pinned table answers no budget (``ValueError``). An
+    answer at the table's top flow value is refused (``ValueError``) if the
     table's flow bound is below F, since a larger flow may be affordable."""
     if instance.budget is None:
         raise ValueError("instance has no budget")
@@ -994,5 +986,5 @@ def feasible_detailed(
     }
     if cost > budget or cost >= table.infinity:
         return False, None, stats
-    _, edges = table.query(flow_value)
+    edges = table.reconstruct(tree.root, table._root_a(flow_value), -flow_value, flow_value)
     return True, edges, stats
