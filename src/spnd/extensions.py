@@ -211,31 +211,26 @@ def expand_upgrades(instance: ProblemInstance) -> tuple[ProblemInstance, GadgetM
         k = len(menu)
         choice_ids = tuple(f"{up.id}:c{i}" for i in range(1, k + 1))
         guard_ids: list[str] = []
-        if k == 1:
-            cost, cap = menu[0]
-            edges.append(EdgeRecord(choice_ids[0], up.u, up.v, cost, cap))
-        else:
-            inner_a, inner_b = next_vertex, next_vertex + 1
-            next_vertex += 2
-            # Innermost level: the two smallest-capacity choices in
-            # parallel, between capacity-u2 guards.
-            edges.append(EdgeRecord(choice_ids[0], inner_a, inner_b, menu[0][0], menu[0][1]))
-            edges.append(EdgeRecord(choice_ids[1], inner_a, inner_b, menu[1][0], menu[1][1]))
-            x, y = inner_a, inner_b
-            for j in range(2, k + 1):
-                cap_j = menu[j - 1][1]
-                if j == k:
-                    outer_x, outer_y = up.u, up.v
-                else:
-                    outer_x, outer_y = next_vertex, next_vertex + 1
-                    next_vertex += 2
-                if j > 2:
-                    edges.append(EdgeRecord(f"{up.id}:c{j}", x, y, menu[j - 1][0], cap_j))
-                ga, gb = f"{up.id}:g{j}a", f"{up.id}:g{j}b"
-                edges.append(EdgeRecord(ga, outer_x, x, 0, cap_j))
-                edges.append(EdgeRecord(gb, y, outer_y, 0, cap_j))
-                guard_ids += [ga, gb]
-                x, y = outer_x, outer_y
+        # Choice 1 alone joins u to v, or the innermost pair of new vertices.
+        # Each choice j >= 2 joins the current pair in parallel, and two
+        # capacity-u_j guards lead out to the next pair, the last being u, v.
+        x, y = up.u, up.v
+        if k > 1:
+            x, y, next_vertex = next_vertex, next_vertex + 1, next_vertex + 2
+        edges.append(EdgeRecord(choice_ids[0], x, y, *menu[0]))
+        for j in range(2, k + 1):
+            cost_j, cap_j = menu[j - 1]
+            edges.append(EdgeRecord(choice_ids[j - 1], x, y, cost_j, cap_j))
+            if j == k:
+                outer_x, outer_y = up.u, up.v
+            else:
+                outer_x, outer_y = next_vertex, next_vertex + 1
+                next_vertex += 2
+            ga, gb = f"{up.id}:g{j}a", f"{up.id}:g{j}b"
+            edges.append(EdgeRecord(ga, outer_x, x, 0, cap_j))
+            edges.append(EdgeRecord(gb, y, outer_y, 0, cap_j))
+            guard_ids += [ga, gb]
+            x, y = outer_x, outer_y
         gadgets.append(
             GadgetInfo(up.id, (up.u, up.v), menu, choice_ids, tuple(guard_ids))
         )

@@ -196,8 +196,29 @@ def _reject_upgrades(instance: ProblemInstance) -> None:
 
 
 def infinity_sentinel(graph: MultiGraph) -> int:
-    """Cost value standing in for 'infeasible': above any purchasable cost."""
-    return graph.total_cost() + 1
+    """Cost value standing in for 'infeasible': above any purchasable cost.
+
+    The DP adds two cells of up to this value in int64 before it clamps, so
+    a total cost above 2**62 - 2 is refused with ``ValueError``."""
+    sentinel = graph.total_cost() + 1
+    if 2 * sentinel > 2**63 - 1:
+        raise ValueError(
+            f"total edge cost {sentinel - 1} is above {2**62 - 2}, the most the DP's 64-bit sums can add"
+        )
+    return sentinel
+
+
+# The one-line directives: the slot each line fills, the name its values
+# take in messages, and how many values it takes. Budget and demand fill
+# one slot; every slot but the terminals' must be filled.
+_ONE_LINE = {
+    "graph": ("graph", "vertex count", 1),
+    "terminals": ("terminals", "terminal", 2),
+    "source": ("source", "source", 1),
+    "sink": ("sink", "sink", 1),
+    "budget": ("budget or demand", "budget", 1),
+    "demand": ("budget or demand", "demand", 1),
+}
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -223,13 +244,7 @@ def parse_instance(text: str) -> ProblemInstance:
       upedge <id> <u> <v> <k> <c1> <u1> ... <ck> <uk>
       budget <B> | demand <D>    (exactly one)
     """
-    n = None
-    n_line = 0
-    terminals = None
-    source = None
-    sink = None
-    budget = None
-    demand = None
+    found: dict[str, tuple] = {}  # slot -> line, directive, value (terminals: a pair)
     edges: list[tuple[int, EdgeRecord]] = []
     upgrades: list[tuple[int, UpgradeRecord]] = []
     seen_ids: dict[str, int] = {}
@@ -248,37 +263,7 @@ def parse_instance(text: str) -> ProblemInstance:
             continue
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
-        if directive == "graph":
-            if n is not None:
-                raise ParseError(lineno, "duplicate graph line")
-            if len(args) != 1:
-                raise ParseError(lineno, "graph takes one argument")
-            n = _parse_int(args[0], lineno, "vertex count")
-            n_line = lineno
-        elif directive == "terminals":
-            if terminals is not None:
-                raise ParseError(lineno, "duplicate terminals line")
-            if len(args) != 2:
-                raise ParseError(lineno, "terminals takes two arguments")
-            terminals = (
-                _parse_int(args[0], lineno, "terminal"),
-                _parse_int(args[1], lineno, "terminal"),
-            )
-            if terminals[0] == terminals[1]:
-                raise ParseError(lineno, "terminals must be distinct")
-        elif directive == "source":
-            if source is not None:
-                raise ParseError(lineno, "duplicate source line")
-            if len(args) != 1:
-                raise ParseError(lineno, "source takes one argument")
-            source = _parse_int(args[0], lineno, "source")
-        elif directive == "sink":
-            if sink is not None:
-                raise ParseError(lineno, "duplicate sink line")
-            if len(args) != 1:
-                raise ParseError(lineno, "sink takes one argument")
-            sink = _parse_int(args[0], lineno, "sink")
-        elif directive == "edge":
+        if directive == "edge":
             if len(args) != 5:
                 raise ParseError(lineno, "edge takes: id u v cost capacity")
             eid = check_id(args[0], lineno)
@@ -310,47 +295,46 @@ def parse_instance(text: str) -> ProblemInstance:
                 for i in range(k)
             )
             upgrades.append((lineno, UpgradeRecord(eid, u, v, choices)))
-        elif directive == "budget":
-            if budget is not None or demand is not None:
-                raise ParseError(lineno, "only one budget/demand line is allowed")
-            if len(args) != 1:
-                raise ParseError(lineno, "budget takes one argument")
-            budget = _parse_int(args[0], lineno, "budget")
-        elif directive == "demand":
-            if budget is not None or demand is not None:
-                raise ParseError(lineno, "only one budget/demand line is allowed")
-            if len(args) != 1:
-                raise ParseError(lineno, "demand takes one argument")
-            demand = _parse_int(args[0], lineno, "demand")
+        elif (entry := _ONE_LINE.get(directive)) is not None:
+            slot, what, count = entry
+            if slot in found:
+                if slot != directive:
+                    raise ParseError(lineno, "only one budget/demand line is allowed")
+                raise ParseError(lineno, f"duplicate {slot} line")
+            if len(args) != count:
+                raise ParseError(lineno, f"{directive} takes {'one argument' if count == 1 else 'two arguments'}")
+            value = _parse_int(args[0], lineno, what)
+            if count == 2:
+                value = (value, _parse_int(args[1], lineno, what))
+                if value[0] == value[1]:
+                    raise ParseError(lineno, "terminals must be distinct")
+            found[slot] = (lineno, directive, value)
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
 
-    if n is None:
-        raise ParseError(0, "missing graph line")
-    if source is None:
-        raise ParseError(0, "missing source line")
-    if sink is None:
-        raise ParseError(0, "missing sink line")
-    if budget is None and demand is None:
-        raise ParseError(0, "missing budget or demand line")
+    for slot, _, _ in _ONE_LINE.values():
+        if slot not in found and slot != "terminals":
+            raise ParseError(0, f"missing {slot} line")
+    n_line, _, n = found["graph"]
 
     def check_vertex(value: int, lineno: int, what: str) -> None:
         if value >= n:
             raise ParseError(lineno, f"{what} {value} out of range [0, {n}) (graph line {n_line})")
 
-    for lineno, e in edges:
-        check_vertex(e.u, lineno, "endpoint")
-        check_vertex(e.v, lineno, "endpoint")
-    for lineno, up in upgrades:
-        check_vertex(up.u, lineno, "endpoint")
-        check_vertex(up.v, lineno, "endpoint")
-    if terminals is not None:
-        check_vertex(terminals[0], 0, "terminal")
-        check_vertex(terminals[1], 0, "terminal")
-    check_vertex(source, 0, "source")
-    check_vertex(sink, 0, "sink")
+    for lineno, record in edges + upgrades:
+        check_vertex(record.u, lineno, "endpoint")
+        check_vertex(record.v, lineno, "endpoint")
+    terminals = None
+    if "terminals" in found:
+        lineno, _, terminals = found["terminals"]
+        check_vertex(terminals[0], lineno, "terminal")
+        check_vertex(terminals[1], lineno, "terminal")
+    (source_line, _, source), (sink_line, _, sink) = found["source"], found["sink"]
+    check_vertex(source, source_line, "source")
+    check_vertex(sink, sink_line, "sink")
     if source == sink:
-        raise ParseError(0, "source and sink must be distinct")
+        raise ParseError(max(source_line, sink_line), "source and sink must be distinct")
+    _, objective, value = found["budget or demand"]
 
     graph = MultiGraph(
         vertex_count=n,
@@ -361,8 +345,8 @@ def parse_instance(text: str) -> ProblemInstance:
     )
     return ProblemInstance(
         graph=graph,
-        budget=budget,
-        demand=demand,
+        budget=value if objective == "budget" else None,
+        demand=value if objective == "demand" else None,
         upgrades=tuple(up for _, up in upgrades),
     )
 

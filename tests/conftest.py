@@ -70,6 +70,23 @@ budget 4
 # vertex would never finish.
 HUGE_VERTEX_COUNT_TEXT = "graph 1000000000000\nsource 0\nsink 1\nedge e1 0 1 1 1\nbudget 1\n"
 
+
+def costly_text(big, direct, objective="demand 1"):
+    """Two paths and a direct edge from 0 to 3 whose costs reach int64's
+
+    range: e1 and e5 cost ``big``, the direct edge e4 costs ``direct``, and
+    the total cost is 2 * big + direct + 4."""
+    return (
+        f"graph 4\nsource 0\nsink 3\nedge e1 0 1 {big} 2\nedge e2 1 3 1 2\nedge e3 0 2 3 1\n"
+        f"edge e5 2 3 {big} 1\nedge e4 0 3 {direct} 1\n{objective}\n"
+    )
+
+
+# Total cost 7.5e18, below 2**63 but past what the DP's int64 sums can add:
+# unguarded, its table held negative cells and every demand failed.
+OVERFLOW_TEXT = costly_text(3 * 10**18, 15 * 10**17)
+
+
 # Complete graph on 4 vertices: the canonical non-series-parallel input.
 K4_TEXT = """\
 graph 4

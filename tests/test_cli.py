@@ -6,7 +6,7 @@ import pytest
 
 from spnd import cli, format_instance
 
-from conftest import HUGE_VERTEX_COUNT_TEXT, k4_glued, terminals_last
+from conftest import HUGE_VERTEX_COUNT_TEXT, OVERFLOW_TEXT, k4_glued, terminals_last
 
 DIAMOND_DEMAND = (
     "graph 3\nterminals 0 2\nsource 0\nsink 2\n"
@@ -342,3 +342,22 @@ def test_solve_large_flow_bound_ring(run, objective, result):
     code, out, _ = run("solve", text=RING144 + objective + "\n")
     assert code == 0
     assert out.splitlines()[-1] == result
+
+
+@pytest.mark.parametrize(
+    "args,objective",
+    [
+        (("solve",), "demand 1"),
+        (("solve",), "budget 3000000000000000000"),
+        (("fptas", "--epsilon", "1/2"), "budget 3000000000000000000"),
+    ],
+    ids=["solve-demand", "solve-budget", "fptas"],
+)
+def test_costs_past_int64_sums_exit_one(run, args, objective):
+    # Unguarded, the demand printed a traceback and the budget a missing split.
+    code, out, err = run(*args, text=OVERFLOW_TEXT.replace("demand 1", objective))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "ERROR 1 total edge cost 7500000000000000004 is above 4611686018427387902,"
+        " the most the DP's 64-bit sums can add"
+    ]

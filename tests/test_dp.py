@@ -34,6 +34,7 @@ from spnd.extensions import lattice_residues
 from spnd.flow import circulation_feasible
 from spnd.instance import EdgeRecord
 
+from conftest import OVERFLOW_TEXT, costly_text
 from dp_build_reference import assert_same_tables, reference_table
 from dp_reference import cell_of, combine_parallel, combine_series, leaf_cost, series_children
 from sp_strategies import FixedDraws, paths_apart, tiny_instances, with_capacities
@@ -712,6 +713,35 @@ def test_solvers_match_oracle_everywhere(seed):
             instance.with_budget(budget), tree=tree, table=table
         ).achieved_flow
         assert dp_flow == oracle_flow, f"seed {seed} budget {budget}"
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_capndp,
+        lambda instance: solve_bcmfp(instance.with_budget(3 * 10**18)),
+        lambda instance: fptas_bcmfp(instance.with_budget(3 * 10**18), "1/2"),
+        lambda instance: build_table(decompose(instance.graph), upper_bound_flow(instance)),
+    ],
+    ids=["capndp", "bcmfp", "fptas", "build_table"],
+)
+def test_costs_past_int64_sums_are_refused(solve):
+    # Two cells of up to the sentinel are added in int64 before clamping;
+    # past 2**62 - 2 they wrapped, and the table held negative costs.
+    with pytest.raises(ValueError, match=r"total edge cost 7500000000000000004 is above 4611686018427387902"):
+        solve(parse_instance(OVERFLOW_TEXT))
+
+
+def test_costs_at_the_int64_limit_match_the_oracle():
+    instance = parse_instance(costly_text(3 * 2**59, 2**60 - 7))
+    assert instance.graph.total_cost() == 2**62 - 3
+    profiles = subset_profiles(instance.graph)
+    for demand in range(max(fl for _, fl in profiles) + 1):
+        case = instance.with_demand(demand)
+        assert solve_capndp(case).total_cost == oracle_capndp(case).total_cost, demand
+    for budget in sorted({b for c, _ in profiles for b in (c - 1, c) if b >= 0}):
+        case = instance.with_budget(budget)
+        assert solve_bcmfp(case).achieved_flow == oracle_bcmfp(case).achieved_flow, budget
 
 
 @given(st.integers(1, 10**6), st.integers(1, 12), st.integers(1, 8), st.data())

@@ -173,6 +173,22 @@ def test_structural_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("graph 2\nsource 5\nsink 1\n", "line 2: source 5 out of range [0, 2) (graph line 1)"),
+        ("sink 7\ngraph 2\nsource 0\n", "line 1: sink 7 out of range [0, 2) (graph line 2)"),
+        ("graph 2\nsource 0\nsink 1\nterminals 0 4\n", "line 4: terminal 4 out of range [0, 2) (graph line 1)"),
+        ("graph 2\nsource 1\nsink 1\n", "line 3: source and sink must be distinct"),
+    ],
+    ids=["source", "sink", "terminal", "source-is-sink"],
+)
+def test_special_vertex_errors_name_their_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text + "edge e1 0 1 5 7\nbudget 5\n")
+    assert str(err.value) == message
+
+
 def test_graph_accessors(diamond):
     g = diamond.graph
     assert g.edge_count == 3
@@ -184,6 +200,13 @@ def test_graph_accessors(diamond):
     assert [e.id for e in purchased_edges(g, ["e3", "e1"])] == ["e3", "e1"]
     with pytest.raises(KeyError):
         purchased_edges(g, {"zz"})
+
+
+def test_sentinel_refuses_costs_past_int64_sums():
+    graph = MultiGraph(2, (EdgeRecord("e1", 0, 1, 2**62 - 2, 1),), 0, 1)
+    assert infinity_sentinel(graph) == 2**62 - 1
+    with pytest.raises(ValueError, match=r"total edge cost 4611686018427387903 is above 4611686018427387902"):
+        infinity_sentinel(replace(graph, edges=(EdgeRecord("e1", 0, 1, 2**62 - 1, 1),)))
 
 
 def test_objective_switch(diamond):

@@ -5,7 +5,7 @@ import inspect
 from pathlib import Path
 
 import spnd
-from spnd import dp
+from spnd import dp, parse_instance
 
 PACKAGE = Path(spnd.__file__).parent
 
@@ -166,3 +166,20 @@ def test_table_answers_are_rechecked_once_each():
     assert _sites(calls("_rechecked"), dp_source) == ["_solution"]
     assert _sites(calls("_solution"), dp_source) == ["_answer"]
     assert not hasattr(dp, "_affordable")
+
+
+def test_parser_has_one_branch_for_one_line_directives():
+    # graph, terminals, source, sink, budget and demand are rows of one
+    # table read by one branch; a comparison with one of their names would
+    # be a second rule for it.
+    def operands(node):
+        return [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+
+    compared = {
+        operand.value
+        for node in ast.walk(ast.parse(inspect.getsource(parse_instance)))
+        if any(getattr(other, "id", None) == "directive" for other in operands(node))
+        for operand in operands(node)
+        if isinstance(operand, ast.Constant)
+    }
+    assert compared == {"edge", "upedge"}
