@@ -12,10 +12,11 @@ import argparse
 import sys
 import time
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .decompose import decompose, tree_text
-from .dp import build_table, solve_bcmfp, solve_capndp, upper_bound_flow
+from .dp import _solve, solve_bcmfp, solve_capndp
 from .errors import InfeasibleError, NotSeriesParallelError, ParseError
 from .extensions import LatticeSpec, expand_upgrades, map_back, solve_lattice
 from .fptas import fptas_bcmfp_detailed
@@ -162,6 +163,10 @@ def _parse_seed_range(text: str) -> range:
 
 def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
+    if args.problem == "bcmfp":
+        oracle, objective = oracle_bcmfp, attrgetter("achieved_flow")
+    else:
+        oracle, objective = oracle_capndp, attrgetter("total_cost")
     rows = []
     total_states = 0
     for seed in seeds:
@@ -174,32 +179,21 @@ def _cmd_sweep(args) -> int:
         )
         m = instance.graph.edge_count
         t0 = time.perf_counter()
-        tree = decompose(instance.graph)
-        f_bound = upper_bound_flow(instance)
-        table = build_table(tree, f_bound)
-        if args.problem == "bcmfp":
-            solution = solve_bcmfp(instance, tree=tree, table=table)
-        else:
-            solution = solve_capndp(instance, tree=tree, table=table)
+        solution, table = _solve(instance, None, None)
         dp_ms = (time.perf_counter() - t0) * 1000.0
         total_states += table.state_count
         match = ""
         oracle_ms = ""
         if m <= ORACLE_EDGE_LIMIT:
             t1 = time.perf_counter()
-            reference = (
-                oracle_bcmfp(instance) if args.problem == "bcmfp" else oracle_capndp(instance)
-            )
+            reference = oracle(instance)
             oracle_ms = f"{(time.perf_counter() - t1) * 1000.0:.3f}"
-            if args.problem == "bcmfp":
-                match = str(int(reference.achieved_flow == solution.achieved_flow))
-            else:
-                match = str(int(reference.total_cost == solution.total_cost))
+            match = str(int(objective(reference) == objective(solution)))
         rows.append(
             (
                 seed,
                 m,
-                f_bound,
+                table.f_bound,
                 solution.total_cost,
                 solution.achieved_flow,
                 f"{dp_ms:.3f}",

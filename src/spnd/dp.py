@@ -69,24 +69,24 @@ more than its taller child otherwise; nodes of one height never read each
 other, so a group is one numpy pass (:meth:`_Builder._build_group`). An
 inner forest group is one height, kind and half-width (and a parallel
 node's left child's width class, which bounds the splits it scans), so its
-rows are all one width; the leaves, each written at its own width, group
-by width class; a spine node, at most two of a height, is a group of its
-own. The rows lie side by side in one flat cost array, forest, then
-spine, then a sentinel cell; the parallel rows' splits are rows of a
-second. So an inner group's rows are one (rows x width) block of each
-array, and it is built there, in place. A group reads its children's rows
-padded to its own width (a parallel group's right rows, to the positions
-its scan reads), the sentinel past each child's radius, and as a view
-where they are whole rows side by side: a series group adds the left
-rows to the right rows read at r_a + c into its block, clamped at the
-sentinel, and a parallel group scans them into its blocks. A row with
-σ ≠ 0 then holds the sentinel where r_a + σ is off the node's domain, since
-the implied b-slot residue is -(r_a + σ). Each node's ``NodeTable`` is a view of
-its rows, a-first on the spine, with the cost and split bytes and the
-admissible count a node-by-node build gives, and the arrays behind the
-views are no larger. A later build on the same builder keeps the first
-one's forest rows and tables and builds only the spine's groups, in
-[spine | sentinel] arrays of its own.
+rows are all one width; the leaves, each written at its own width, are one
+group; a spine node, at most two of a height, is a group of its own. The
+rows lie side by side in one flat cost array, forest, then spine, then a
+sentinel cell; the parallel rows' splits are rows of a second. So an inner
+group's rows are one (rows x width) block of each array, and it is built
+there, in place. A group reads its children's rows padded to its own width
+(a parallel group's right rows, to the positions its scan reads), the
+sentinel past each child's radius, and as a view where they are whole rows
+side by side: a series group adds the left rows to the right rows read at
+r_a + c into its block, clamped at the sentinel, and a parallel group
+scans them into its blocks. A row with σ ≠ 0 then holds the sentinel where
+r_a + σ is off the node's domain, since the implied b-slot residue is
+-(r_a + σ). Each node's ``NodeTable`` is a view of its rows, a-first on
+the spine, with the cost and split bytes and the admissible count a
+node-by-node build gives, and the arrays behind the views are no larger. A
+later build on the same builder keeps the first one's forest rows and
+tables and builds only the spine's groups, in [spine | sentinel] arrays of
+its own.
 
 Where each interior special sits (at the series join, or inside the left
 or right child) is read from the tree: ``decompose`` records it once per
@@ -524,20 +524,20 @@ class _Builder:
     one height, kind and half-width, the number of its domain's values
     above 0, so its rows are one block of the flat arrays; a parallel
     group also has one width class of its left children, which sets how
-    many splits it scans. The leaves group by width class alone, since
-    each leaf row is written at its own width. The classes double from 16
-    up; below that a group costs its numpy calls, not its cells. A spine
-    node, at most two of a height, is a group of its own, and those come
-    last. The forest's rows lie side by side in one flat cost array, its
-    parallel rows' splits in a second. The tree walk also keeps each
-    node's children and each leaf's edge cost, for the groups to read."""
+    many splits it scans; those classes double from 16 up, and below that
+    a group costs its numpy calls, not its cells. The leaves are one group,
+    since each leaf row is written at its own width. A spine node, at most
+    two of a height, is a group of its own, and those come last. The
+    forest's rows lie side by side in one flat cost array, its parallel
+    rows' splits in a second. The tree walk also keeps each node's children
+    and each leaf's edge cost, for the groups to read."""
 
     def __init__(self, tree: DecompTree, f_bound: int, base_domain: ResidueDomain | None):
         self.tree, self.f_bound = tree, f_bound
         self.sentinel = infinity_sentinel(tree.graph)
         top = ResidueDomain.range(f_bound) if base_domain is None else base_domain.clipped(f_bound)
         nodes, order = tree.nodes, tree.postorder_ids()
-        values, mid, lattice = top.values.tolist(), len(top) // 2, base_domain is not None
+        values, mid = top.values.tolist(), len(top) // 2
         edges, groups = tree.graph.edge_map(), {}
         # total: subgraph capacity; paid: a leaf's edge cost.
         total, height, halves, left, right, paid = ([0] * len(nodes) for _ in range(6))
@@ -551,11 +551,11 @@ class _Builder:
                 total[nid] = total[node.left] + total[node.right]
                 height[nid] = 1 + max(height[node.left], height[node.right])
             radius = min(f_bound, total[nid])
-            halves[nid] = bisect_right(values, radius) - mid - 1 if lattice else radius
+            halves[nid] = bisect_right(values, radius) - mid - 1
             if node.placements:
                 key = (True, height[nid], node.kind, nid)
-            else:
-                width = (halves[nid] >> 4).bit_length() if node.kind == "leaf" else halves[nid]
+            else:  # each leaf row is written at its own width: the leaves are one group
+                width = 0 if node.kind == "leaf" else halves[nid]
                 lw = (halves[node.left] >> 4).bit_length() if node.kind == "parallel" else 0
                 key = (False, height[nid], node.kind, width, lw)
             groups.setdefault(key, []).append(nid)
@@ -674,13 +674,9 @@ class _Builder:
             ok, count = self._admissibility(dom, sum(svals.values()))
         at = j = np.arange(-h, h + 1)
         if kind == "series":
-            shifted = axes and [lab for lab, where in node.placements.items() if where != "right"]
-            if shifted:
+            if axes and any(where != "right" for where in node.placements.values()):
                 # The shift is in values, so a gapped residue set stays exact.
-                # Of one special out of two, it is one row per cell of its axis.
-                shift, sel = _join_residue(0, node.placements, svals), slice(None)
-                if len(shifted) < len(axes):
-                    shift, sel = axes[shifted[0]].values, index[shifted[0]]
+                shift = _join_residue(0, node.placements, svals)
                 if top.step is None:
                     at = top.index(dom.values + shift[:, None]) - len(top) // 2
                 else:
@@ -688,7 +684,6 @@ class _Builder:
                     # leaves its whole row off the domain.
                     moved, off = np.divmod(shift, top.step)
                     at = np.where(off == 0, moved, len(top))[:, None] + j
-                at = at[sel]
             # A child read alike by every row is one row, broadcast.
             np.add(_padded(lf, lc, lh, j), _padded(rf, rc, rh, at), out=rows)
             np.minimum(rows, sentinel, out=rows)

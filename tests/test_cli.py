@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-from spnd import cli, format_instance
+from spnd import cli, dp, format_instance
 
 from conftest import HUGE_VERTEX_COUNT_TEXT, OVERFLOW_TEXT, k4_glued, terminals_last
 
@@ -270,6 +270,22 @@ def test_sweep_csv_contract(run):
         assert fields[0] == str(i)
         assert fields[-1] == "1"
     assert err.startswith("# sweep: 5 rows, total DP states ")
+
+
+def test_sweep_builds_no_full_table(run, monkeypatch):
+    # Each seed is the exact solvers' own pinned search: no sweep builds
+    # the (r_a, r_s, r_t) table, whose spine grows as F^3.
+    real = dp._Builder.build
+
+    def pinned_only(self, pin):
+        if pin is None:
+            raise AssertionError("a full build")
+        return real(self, pin)
+
+    monkeypatch.setattr(dp._Builder, "build", pinned_only)
+    code, out, err = run("sweep", "--seeds", "1..5", "--edges", "6")
+    assert code == 0, err
+    assert len(out.splitlines()) == 6
 
 
 def test_sweep_text_mode(run):

@@ -562,6 +562,35 @@ def test_parallel_groups_scan_in_proportion_to_their_nodes(monkeypatch):
     assert_same_tables(table, reference_table(tree, f))
 
 
+def test_parallel_groups_keep_their_left_childs_width_class(monkeypatch):
+    # A path of 60 two-edge bundles, capacities (1, 399) but (399, 1) for the
+    # first, under F = 400: every bundle is one height, kind and half-width,
+    # and only the left child's width class keeps the 59 narrow left rows
+    # from scanning the wide one's 799 splits. Each scan walks its live
+    # split hull over every cell of its group: 781,776 candidate cells with
+    # the class, 38,399,940 without it.
+    lines = ["graph 61", "terminals 0 60", "source 0", "sink 60"]
+    for i in range(60):
+        a, b = (399, 1) if i == 0 else (1, 399)
+        lines += [f"edge a{i} {i} {i + 1} 1 {a}", f"edge b{i} {i} {i + 1} 1 {b}"]
+    instance = parse_instance("\n".join(lines) + "\nbudget 1\n")
+    tree = decompose(instance.graph)
+    f = upper_bound_flow(instance)
+    assert f == 400 and not any(node.placements for node in tree.nodes)
+    walked = []
+    real = dp_module._split_scan
+
+    def counting(top, left, right, best, split, sentinel):
+        live = np.flatnonzero((left < sentinel).any(axis=0))
+        walked.append((int(live[-1]) + 1 - int(live[0])) * best.size)
+        return real(top, left, right, best, split, sentinel)
+
+    monkeypatch.setattr(dp_module, "_split_scan", counting)
+    table = build_table(tree, f)
+    assert sum(walked) == 781_776
+    assert_same_tables(table, reference_table(tree, f))
+
+
 def test_admissibility_mask_memory_is_bounded(monkeypatch):
     # The mask of admissible cells is one byte a cell; computing it may
     # take one full-size residue array and a few masks, not positions.
